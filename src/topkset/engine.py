@@ -20,7 +20,13 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Optional, Protocol, Sequence
 
-from .bounds import Interval, elimination_cut, score_bounds
+import numpy as np
+
+# perfbench/tracing.py wraps module functions by name on `engine`, among
+# them score_bounds, elimination_cut and questions_of, which the solve loop
+# does not call; keep them importable here.
+from .bounds import (Incidence, Interval, elimination_cut, first_dominator,
+                     score_bounds, undominated)
 from .model import (Candidate, KnownStore, Problem, Question, ScoringSpec,
                     ValidationError, question_universe, questions_of,
                     unknown_questions)
@@ -93,50 +99,33 @@ def enumerate_candidates(entities: Sequence[str], k: int,
     return tuple(Candidate(i, c) for i, c in enumerate(combos))
 
 
-def _pair_state(candidates: Sequence[Candidate], spec: ScoringSpec,
-                knowns: KnownStore) -> list[tuple[Candidate, Interval, frozenset]]:
-    return [(c, score_bounds(c, spec, knowns),
-             frozenset(q for q in questions_of(c, spec) if q not in knowns))
-            for c in candidates]
-
-
-def _dominates_cached(a, b, spec: ScoringSpec, strict: bool) -> bool:
-    _, iva, unka = a
-    _, ivb, unkb = b
-    ub = ivb.ub - elimination_cut(unka & unkb, spec)
-    return iva.lb > ub if strict else iva.lb >= ub
-
-
 def find_winner(candidates: Sequence[Candidate], spec: ScoringSpec,
                 knowns: KnownStore) -> Optional[Candidate]:
     """The candidate provably at least as good as every other, if one exists.
 
     Dominance is checked on pairwise eliminated bounds. Mutually dominant
-    ties resolve to the lowest candidate index.
+    ties resolve to the lowest position.
     """
-    state = _pair_state(candidates, spec, knowns)
-    return _find_winner_cached(state, spec)
-
-
-def _find_winner_cached(state, spec: ScoringSpec) -> Optional[Candidate]:
-    for a in state:
-        if all(_dominates_cached(a, b, spec, strict=False)
-               for b in state if b is not a):
-            return a[0]
-    return None
+    if not candidates:
+        return None
+    i = first_dominator(*_all_pairs(candidates, spec, knowns))
+    return None if i is None else candidates[i]
 
 
 def prune_dominated(candidates: Sequence[Candidate], spec: ScoringSpec,
                     knowns: KnownStore) -> tuple[Candidate, ...]:
     """Drop candidates some other candidate strictly dominates."""
-    state = _pair_state(candidates, spec, knowns)
-    return _prune_cached(state, spec)
+    if not candidates:
+        return ()
+    keep = undominated(*_all_pairs(candidates, spec, knowns))
+    return tuple(c for c, k in zip(candidates, keep) if k)
 
 
-def _prune_cached(state, spec: ScoringSpec) -> tuple[Candidate, ...]:
-    return tuple(a[0] for a in state
-                 if not any(_dominates_cached(b, a, spec, strict=True)
-                            for b in state if b is not a))
+def _all_pairs(candidates: Sequence[Candidate], spec: ScoringSpec,
+               knowns: KnownStore) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    core = Incidence(candidates, spec)
+    lb, ub, unknown = core.bounds(knowns)
+    return lb, ub, core.cuts(unknown, np.arange(len(candidates)))
 
 
 def _one_hot(winner: Candidate, active: Sequence[Candidate]) -> WinnerDistribution:
@@ -180,7 +169,8 @@ def solve(problem: Problem, policy: Policy, oracle: Oracle, *,
     steps: list[TraceStep] = []
     pending: Optional[tuple[Question, float]] = None
     calls = 0
-    active = tuple(all_candidates)
+    core = Incidence(all_candidates, spec)
+    live = np.ones(len(all_candidates), dtype=bool)
     baseline = policy is Policy.BASELINE
     if baseline:
         ask_order = list(unknown_questions(
@@ -189,13 +179,16 @@ def solve(problem: Problem, policy: Policy, oracle: Oracle, *,
 
     while True:
         t0 = clock()
-        bounds_all = tuple(score_bounds(c, spec, knowns)
-                           for c in all_candidates)
-        state = _pair_state(active, spec, knowns)
+        lb, ub, unknown = core.bounds(knowns)
+        rows = np.flatnonzero(live)
+        cut = core.cuts(unknown, rows)
         if not baseline:
-            active = _prune_cached(state, spec)
-            state = [s for s in state if s[0] in active]
-        winner = _find_winner_cached(state, spec)
+            keep = undominated(lb[rows], ub[rows], cut)
+            live[rows[~keep]] = False
+            rows, cut = rows[keep], cut[np.ix_(keep, keep)]
+        first = first_dominator(lb[rows], ub[rows], cut)
+        winner = None if first is None else all_candidates[rows[first]]
+        active = tuple(all_candidates[i] for i in rows)
         nanos["bounds"] += clock() - t0
 
         t0 = clock()
@@ -213,8 +206,8 @@ def solve(problem: Problem, policy: Policy, oracle: Oracle, *,
 
         if pending is not None:
             q, v = pending
-            pruned = tuple(c.index for c in all_candidates
-                           if not any(a.index == c.index for a in active))
+            bounds_all = tuple(map(Interval, lb.tolist(), ub.tolist()))
+            pruned = tuple(np.flatnonzero(~live).tolist())
             steps.append(TraceStep(len(steps), q, v, bounds_all,
                                    probs_padded, step_entropy, pruned))
             pending = None

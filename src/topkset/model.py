@@ -205,7 +205,11 @@ class Problem:
         if self.k > len(self.entities):
             raise ValidationError("k exceeds entity count")
         pool = set(self.entities)
-        for c in self.candidates:
+        for position, c in enumerate(self.candidates):
+            if c.index != position:
+                raise ValidationError(
+                    f"candidate {c.index} is at position {position}; "
+                    "a candidate's index must equal its position")
             if len(c.members) != self.k:
                 raise ValidationError(f"candidate {c.index} is not a {self.k}-set")
             if not set(c.members) <= pool:

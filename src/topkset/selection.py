@@ -9,20 +9,9 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from typing import Sequence, Union
 
 from .model import Candidate, Question, ScoringSpec, questions_of
-
-
-@dataclass(frozen=True)
-class QuestionScore:
-    question: Question
-    score: float
-
-    def __post_init__(self):
-        if self.score < 0:
-            raise ValueError("question score must be >= 0")
 
 
 def entropy(probs: Sequence[float]) -> float:
@@ -43,12 +32,14 @@ def qef_score(q: Question, probs: Sequence[float],
     Zero whenever q touches every candidate or none, since then answering
     it shifts all winner probabilities together.
     """
-    affected = [i for i, c in enumerate(candidates)
-                if q in questions_of(c, spec)]
-    inside = set(affected)
-    outside = [i for i in range(len(candidates)) if i not in inside]
+    return _separation([q in questions_of(c, spec) for c in candidates], probs)
+
+
+def _separation(affected: Sequence[bool], probs: Sequence[float]) -> float:
+    inside = [i for i, hit in enumerate(affected) if hit]
+    outside = [i for i, hit in enumerate(affected) if not hit]
     total = 0.0
-    for i in affected:
+    for i in inside:
         for j in outside:
             total += abs(probs[i] - probs[j])
     return total
@@ -69,12 +60,13 @@ def select_entrred(candidates: Sequence[Candidate], probs: Sequence[float],
     for i in range(1, len(probs)):
         if probs[i] > probs[top]:
             top = i
-    mine = set(questions_of(candidates[top], spec))
-    pool = [q for q in unknowns if q in mine] or list(unknowns)
+    # `qef_score` per question, with each candidate's questions built once.
+    touched = [set(questions_of(c, spec)) for c in candidates]
+    pool = [q for q in unknowns if q in touched[top]] or list(unknowns)
     best = pool[0]
-    best_score = qef_score(best, probs, candidates, spec)
+    best_score = _separation([best in t for t in touched], probs)
     for q in pool[1:]:
-        s = qef_score(q, probs, candidates, spec)
+        s = _separation([q in t for t in touched], probs)
         if s > best_score:
             best, best_score = q, s
     return best

@@ -2,14 +2,16 @@
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from topkset import (Candidate, Construct, Interval, KnownStore, Question,
-                     ScoringSpec, dominates, eliminated_bounds,
-                     generate_synthetic, score_bounds)
-from topkset.bounds import elimination_cut, shared_unknowns
+                     ScoringSpec, dominates, eliminated_bounds, find_winner,
+                     generate_synthetic, prune_dominated, score_bounds)
+from topkset.bounds import Incidence, elimination_cut, shared_unknowns
+from topkset.harness import default_spec
 from topkset.model import question_universe, questions_of, unknown_questions
 
 
@@ -135,3 +137,68 @@ def test_answering_a_question_never_widens_bounds(seed):
              for c in problem.candidates]
     for old, new in zip(before, after):
         assert old.contains(new)
+
+
+REFERENCE_SPECS = {
+    "step-0.5": default_spec(0.5),
+    "step-0.1": default_spec(0.1),
+    "rel-weight-2": ScoringSpec((Construct("rel", 1, weight=2.0),
+                                 Construct("div", 2))),
+}
+
+
+def partial_states(spec, count):
+    """Seeded instances with a random half of their open questions answered."""
+    for seed in range(count):
+        rng = random.Random(seed)
+        problem = generate_synthetic(
+            rng.randrange(4, 8), rng.randrange(2, 5),
+            candidate_cap=rng.choice((5, 12, 20)), seed=seed, spec=spec,
+            unknown_count=rng.randrange(4, 14))
+        knowns = problem.knowns
+        for q in unknown_questions(
+                question_universe(spec, problem.candidates), knowns):
+            if rng.random() < 0.5:
+                knowns = knowns.record(spec, q, problem.ground_truth[q])
+        yield problem.candidates, knowns
+
+
+@pytest.mark.parametrize("name", REFERENCE_SPECS)
+def test_incidence_core_equals_the_per_pair_reference(name):
+    """Bounds, cuts, pruning and the winner check, exactly, with no tolerance."""
+    spec = REFERENCE_SPECS[name]
+    for cands, knowns in partial_states(spec, 67):
+        core = Incidence(cands, spec)
+        lb, ub, unknown = core.bounds(knowns)
+        cut = core.cuts(unknown, np.arange(len(cands)))
+        ref = [score_bounds(c, spec, knowns) for c in cands]
+        assert lb.tolist() == [iv.lb for iv in ref]
+        assert ub.tolist() == [iv.ub for iv in ref]
+        weak, strict = {}, {}
+        for i, a in enumerate(cands):
+            for j, b in enumerate(cands):
+                if i == j:
+                    continue
+                pair_cut = elimination_cut(
+                    shared_unknowns(a, b, spec, knowns), spec)
+                assert cut[i, j] == pair_cut
+                # What `dominates` compares. It also builds the eliminated
+                # intervals, which float error can invert at step 0.1, and
+                # then raises instead of answering.
+                weak[i, j] = ref[i].lb >= ref[j].ub - pair_cut
+                strict[i, j] = ref[i].lb > ref[j].ub - pair_cut
+                try:
+                    assert dominates(a, b, spec, knowns) == weak[i, j]
+                    assert dominates(a, b, spec, knowns, strict=True) == \
+                        strict[i, j]
+                except ValueError as err:
+                    assert "invalid interval" in str(err)
+                    assert name == "step-0.1"
+        others = [(i, [j for j in range(len(cands)) if j != i])
+                  for i in range(len(cands))]
+        winner = next((cands[i] for i, rest in others
+                       if all(weak[i, j] for j in rest)), None)
+        assert find_winner(cands, spec, knowns) == winner
+        assert prune_dominated(cands, spec, knowns) == tuple(
+            cands[i] for i, rest in others
+            if not any(strict[j, i] for j in rest))

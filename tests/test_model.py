@@ -1,5 +1,7 @@
 """Core vocabulary: questions, specs, known answers, candidates, universes."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -220,6 +222,10 @@ class TestProblem:
     def test_rejects_wrong_size_candidate(self, f1):
         with pytest.raises(ValidationError):
             Problem(("A", "B"), f1.spec, 2, (Candidate(0, ("A",)),))
+
+    def test_rejects_index_other_than_position(self, f1):
+        with pytest.raises(ValidationError, match="position"):
+            dataclasses.replace(f1, candidates=f1.candidates[1:])
 
     def test_rejects_foreign_member(self, f1):
         with pytest.raises(ValidationError):

@@ -8,7 +8,6 @@ import pytest
 from topkset import (Question, entropy, qef_score, select_entrred,
                      select_random)
 from topkset.model import question_universe, unknown_questions
-from topkset.selection import QuestionScore
 
 HOTEL_DIST = (0.75, 0.24, 0.01)
 
@@ -113,8 +112,3 @@ class TestSelectRandom:
     def test_empty_pool_rejected(self):
         with pytest.raises(ValueError):
             select_random((), 0)
-
-
-def test_question_score_rejects_negative():
-    with pytest.raises(ValueError):
-        QuestionScore(Question("rel", ("A",)), -1.0)
