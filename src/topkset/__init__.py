@@ -8,8 +8,8 @@ the most and stops as soon as the winner is provable.
 """
 
 from .bounds import Interval, dominates, eliminated_bounds, score_bounds
-from .distributions import (DiscretePdf, GridMismatchError, geq_probability,
-                            geq_probability_naive, point_mass, uniform_pdf)
+from .distributions import (DiscretePdf, geq_probability, geq_probability_naive,
+                            point_mass, uniform_pdf)
 from .engine import (Policy, SolveLimitError, SolveResult, TraceStep,
                      enumerate_candidates, find_winner, prune_dominated, solve)
 from .harness import (ExperimentConfig, generate_synthetic, load_problem,
@@ -27,7 +27,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Candidate", "CapExceededError", "Construct", "DiscretePdf",
-    "ExperimentConfig", "GridMismatchError", "Interval", "KnownStore",
+    "ExperimentConfig", "Interval", "KnownStore",
     "LlmOracle", "LlmOracleConfig", "OracleError", "OracleResponse",
     "Policy", "Problem", "Question", "ResponsePdf", "ScoringSpec",
     "SolveLimitError", "SolveResult", "TableOracle", "TraceStep",

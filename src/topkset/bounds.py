@@ -6,6 +6,9 @@ first fixes their shared unknown questions to the minimum score for both
 sides, which removes terms that would move both totals in lockstep and
 can therefore never decide the comparison.
 
+Every bound, cut and comparison here is an exact integer count of the
+spec's quantum (see `ScoringSpec`).
+
 `score_bounds`, `eliminated_bounds` and `dominates` are the per-pair
 reference definitions. `Incidence` computes the same quantities for a
 whole candidate list at once, as arrays, and is what the solve loop uses.
@@ -14,29 +17,42 @@ whole candidate list at once, as arrays, and is what the solve loop uses.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .model import (Candidate, KnownStore, Question, ScoringSpec,
-                    question_universe, questions_of)
+                    lattice_floats, question_universe, questions_of)
 
 
 @dataclass(frozen=True)
 class Interval:
-    lb: float
-    ub: float
+    """Closed score interval [lo, hi] in quanta; `lb`, `ub` and `width`
+    report it as correctly rounded floats."""
+
+    lo: int
+    hi: int
+    quantum: Fraction = Fraction(1)
 
     def __post_init__(self):
-        if self.lb > self.ub:
-            raise ValueError(f"invalid interval ({self.lb}, {self.ub})")
+        if self.lo > self.hi:
+            raise ValueError(f"invalid interval ({self.lo}, {self.hi})")
+
+    @property
+    def lb(self) -> float:
+        return lattice_floats(self.lo, self.quantum)
+
+    @property
+    def ub(self) -> float:
+        return lattice_floats(self.hi, self.quantum)
 
     @property
     def width(self) -> float:
-        return self.ub - self.lb
+        return lattice_floats(self.hi - self.lo, self.quantum)
 
     def contains(self, other: "Interval") -> bool:
-        return self.lb <= other.lb and other.ub <= self.ub
+        return self.lo <= other.lo and other.hi <= self.hi
 
 
 def score_bounds(c: Candidate, spec: ScoringSpec, knowns: KnownStore) -> Interval:
@@ -44,17 +60,17 @@ def score_bounds(c: Candidate, spec: ScoringSpec, knowns: KnownStore) -> Interva
 
     With every question answered the interval collapses to the exact score.
     """
-    lb = ub = 0.0
+    lo = hi = 0
     for q in questions_of(c, spec):
-        w = spec.construct_named(q.construct).weight
-        v = knowns.get(q)
-        if v is None:
-            lb += w * spec.min_score
-            ub += w * spec.max_score
+        i = knowns.get(q)
+        low = spec.low[q.construct]
+        if i is None:
+            lo += low
+            hi += low + spec.span(q.construct)
         else:
-            lb += w * v
-            ub += w * v
-    return Interval(lb, ub)
+            lo += low + i * spec.rise[q.construct]
+            hi += low + i * spec.rise[q.construct]
+    return Interval(lo, hi, spec.quantum)
 
 
 def shared_unknowns(ca: Candidate, cb: Candidate, spec: ScoringSpec,
@@ -65,18 +81,10 @@ def shared_unknowns(ca: Candidate, cb: Candidate, spec: ScoringSpec,
                  if q in qb and q not in knowns)
 
 
-def elimination_cut(shared, spec: ScoringSpec) -> float:
-    """Upper-bound reduction from pinning the shared unknowns to the minimum.
-
-    Summed per construct in spec order so the float result does not depend
-    on the iteration order of `shared`.
-    """
-    span = spec.max_score - spec.min_score
-    cut = 0.0
-    for con in spec.constructs:
-        n = sum(1 for q in shared if q.construct == con.name)
-        cut += n * con.weight * span
-    return cut
+def elimination_cut(shared, spec: ScoringSpec) -> int:
+    """Upper-bound reduction, in quanta, from pinning the shared unknowns
+    to the minimum."""
+    return sum(spec.span(q.construct) for q in shared)
 
 
 def eliminated_bounds(ca: Candidate, cb: Candidate, spec: ScoringSpec,
@@ -94,7 +102,8 @@ def eliminated_bounds(ca: Candidate, cb: Candidate, spec: ScoringSpec,
     cut = elimination_cut(shared_unknowns(ca, cb, spec, knowns), spec)
     a = score_bounds(ca, spec, knowns)
     b = score_bounds(cb, spec, knowns)
-    return Interval(a.lb, a.ub - cut), Interval(b.lb, b.ub - cut)
+    return (Interval(a.lo, a.hi - cut, spec.quantum),
+            Interval(b.lo, b.hi - cut, spec.quantum))
 
 
 def dominates(ca: Candidate, cb: Candidate, spec: ScoringSpec,
@@ -107,77 +116,48 @@ def dominates(ca: Candidate, cb: Candidate, spec: ScoringSpec,
     win alone, which is what pruning needs.
     """
     ia, ib = eliminated_bounds(ca, cb, spec, knowns)
-    return ia.lb > ib.ub if strict else ia.lb >= ib.ub
+    return ia.lo > ib.hi if strict else ia.lo >= ib.hi
 
 
 class Incidence:
     """Candidate × question incidence of one candidate list.
 
     Row i is the candidate at position i, column j the j-th question of
-    `question_universe`. Every result equals its per-pair reference bit
-    for bit: floats are added in the reference's order, never through a
-    reduction that reorders them.
+    `question_universe`. Every result equals its per-pair reference.
     """
 
     def __init__(self, candidates: Sequence[Candidate], spec: ScoringSpec):
-        self.spec = spec
         self.questions = question_universe(spec, candidates)
         self.position = {q: j for j, q in enumerate(self.questions)}
-        n_q = len(self.questions)
-        con_of = {con.name: i for i, con in enumerate(spec.constructs)}
-        construct = np.array([con_of[q.construct] for q in self.questions])
-        # A trailing zero-weight column pads shorter candidates' rows of
-        # `columns`; adding its +0.0 term leaves any sum unchanged.
-        self.weight = np.append(
-            [spec.constructs[i].weight for i in construct], 0.0)
-        rows = [[self.position[q] for q in questions_of(c, spec)]
-                for c in candidates]
-        width = max(map(len, rows))
-        # Each candidate's questions in `questions_of` order, which is the
-        # universe order restricted to the candidate.
-        self.columns = np.array([r + [n_q] * (width - len(r)) for r in rows])
-        self.members = np.zeros((len(candidates), n_q), dtype=bool)
-        for i, r in enumerate(rows):
-            self.members[i, r] = True
-        self.by_construct = [np.flatnonzero(construct == i)
-                             for i in range(len(spec.constructs))]
+        names = [q.construct for q in self.questions]
+        self.low = np.array([spec.low[n] for n in names], dtype=np.int64)
+        self.rise = np.array([spec.rise[n] for n in names], dtype=np.int64)
+        self.span = np.array([spec.span(n) for n in names], dtype=np.int64)
+        self.members = np.zeros((len(candidates), len(self.questions)),
+                                dtype=np.int64)
+        for i, c in enumerate(candidates):
+            cols = [self.position[q] for q in questions_of(c, spec)]
+            self.members[i, cols] = 1
 
     def bounds(self, knowns: KnownStore
                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """`score_bounds` of every candidate as (lb, ub), plus the mask of
+        """`score_bounds` of every candidate as (lo, hi), plus the mask of
         universe questions that are still unknown."""
-        n_q = len(self.questions)
-        known = np.zeros(n_q + 1, dtype=bool)
-        value = np.zeros(n_q + 1)
-        known[n_q] = True
-        for q, v in knowns.items():
+        index = np.full(len(self.questions), -1, dtype=np.int64)
+        for q, i in knowns.items():
             j = self.position.get(q)
             if j is not None:
-                known[j] = True
-                value[j] = v
-        w = self.weight
-        lo = np.where(known, w * value, w * self.spec.min_score)
-        hi = np.where(known, w * value, w * self.spec.max_score)
-        lb = np.zeros(len(self.columns))
-        ub = np.zeros(len(self.columns))
-        for col in self.columns.T:
-            lb += lo[col]
-            ub += hi[col]
-        return lb, ub, ~known[:n_q]
+                index[j] = i
+        unknown = index < 0
+        value = self.low + index * self.rise
+        lo = np.where(unknown, self.low, value)
+        hi = np.where(unknown, self.low + self.span, value)
+        return self.members @ lo, self.members @ hi, unknown
 
     def cuts(self, unknown: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """`elimination_cut` of the shared unknowns of every pair of `rows`.
-
-        Shared unknowns are counted per construct as integers, then scaled
-        and summed in spec order as the reference does.
-        """
-        span = self.spec.max_score - self.spec.min_score
-        open_ = self.members[rows] & unknown
-        cut = np.zeros((len(rows), len(rows)))
-        for con, cols in zip(self.spec.constructs, self.by_construct):
-            u = open_[:, cols].astype(np.int64)
-            cut += (u @ u.T) * con.weight * span
-        return cut
+        """`elimination_cut` of the shared unknowns of every pair of `rows`."""
+        open_ = self.members[rows] * unknown
+        return (open_ * self.span) @ open_.T
 
 
 def _dominance(lb: np.ndarray, ub: np.ndarray, cut: np.ndarray,

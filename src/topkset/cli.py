@@ -62,9 +62,8 @@ def solve_cmd(dataset_dir, k, candidate_cap, policy, oracle_kind, llm_config,
             timeout_s=float(raw.get("timeout", 30.0)),
             max_retries=int(raw.get("maxRetries", 3)),
             temperature=float(raw.get("temperature", 0.0)))
-        entity_context = {}
         oracle = LlmOracle(cfg, problem.spec, problem.query_text,
-                           entity_context)
+                           problem.entity_context)
     result = solve(problem, _POLICY_TOKENS[policy], oracle, seed=seed,
                    max_calls=max_calls, trace_path=trace_path)
     click.echo(f"winner: {{{', '.join(result.winner.members)}}}")

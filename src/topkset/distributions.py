@@ -1,42 +1,32 @@
-"""Discrete score pdfs on a shared grid and the P(A >= B) primitive.
+"""Discrete score pdfs on the score lattice and the P(A >= B) primitive.
 
 A partially known candidate score is modeled as a uniform pdf over the
-grid points of its bound interval. Comparing two such scores reduces to
-summing joint mass over the region where the first variable is at least
-the second; with both supports on one grid this is an index computation,
-so no floating point score comparisons are involved.
+lattice points of its bound interval. Comparing two such scores reduces
+to summing joint mass over the region where the first variable is at
+least the second; with both supports on one lattice this is an integer
+index computation, so no floating point score comparisons are involved.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bounds import Interval
-
-_STEP_TOL = 1e-9
 _MASS_TOL = 1e-9
-
-
-class GridMismatchError(ValueError):
-    """Two pdfs do not share a commensurable grid."""
 
 
 @dataclass(frozen=True)
 class DiscretePdf:
-    """Probability masses on equally spaced support points.
+    """Probability masses on consecutive lattice points.
 
-    Support point i sits at origin + i * step. Masses must sum to 1.
+    Support point i sits at origin + i quanta. Masses must sum to 1.
     """
 
-    origin: float
-    step: float
+    origin: int
     masses: tuple[float, ...]
 
     def __post_init__(self):
         if not self.masses:
             raise ValueError("pdf needs at least one support point")
-        if self.step <= 0:
-            raise ValueError("step must be positive")
         if any(m < 0 for m in self.masses):
             raise ValueError("masses must be nonnegative")
         if abs(sum(self.masses) - 1.0) > _MASS_TOL:
@@ -45,8 +35,8 @@ class DiscretePdf:
     def __len__(self) -> int:
         return len(self.masses)
 
-    def support(self) -> tuple[float, ...]:
-        return tuple(self.origin + i * self.step for i in range(len(self.masses)))
+    def support(self) -> tuple[int, ...]:
+        return tuple(range(self.origin, self.origin + len(self.masses)))
 
     def prefix_sums(self) -> tuple[float, ...]:
         """Cumulative masses; entry i is P(value <= support[i])."""
@@ -58,46 +48,24 @@ class DiscretePdf:
         return tuple(out)
 
 
-def uniform_pdf(iv: Interval, step: float) -> DiscretePdf:
-    """Uniform pdf over the grid points of iv, spaced by step."""
-    if step <= 0:
-        raise ValueError("step must be positive")
-    span = iv.width / step
-    n = round(span)
-    if abs(span - n) > _STEP_TOL:
-        raise ValueError(f"interval width {iv.width} is not a multiple of step {step}")
-    m = n + 1
-    return DiscretePdf(iv.lb, step, (1.0 / m,) * m)
+def uniform_pdf(lo: int, hi: int) -> DiscretePdf:
+    """Uniform pdf over the lattice points lo..hi (quanta, lo <= hi)."""
+    m = hi - lo + 1
+    return DiscretePdf(lo, (1.0 / m,) * m)
 
 
-def point_mass(v: float, step: float = 1.0) -> DiscretePdf:
-    """Degenerate pdf concentrated at v."""
-    return DiscretePdf(v, step, (1.0,))
-
-
-def _index_offset(a: DiscretePdf, b: DiscretePdf) -> int:
-    """Offset o such that a's support index i aligns with b's index i + o.
-
-    Raises GridMismatchError unless the supports live on one common grid.
-    Single-point pdfs adopt the other pdf's step.
-    """
-    if len(a) > 1 and len(b) > 1 and abs(a.step - b.step) > _STEP_TOL:
-        raise GridMismatchError(f"steps differ: {a.step} vs {b.step}")
-    step = b.step if len(a) == 1 and len(b) > 1 else a.step
-    off = (a.origin - b.origin) / step
-    if abs(off - round(off)) > _STEP_TOL:
-        raise GridMismatchError(
-            f"origins {a.origin} and {b.origin} misaligned for step {step}")
-    return round(off)
+def point_mass(n: int) -> DiscretePdf:
+    """Degenerate pdf concentrated at lattice point n."""
+    return DiscretePdf(n, (1.0,))
 
 
 def geq_probability(a: DiscretePdf, b: DiscretePdf) -> float:
-    """P(A >= B) for independent A ~ a, B ~ b on a common grid.
+    """P(A >= B) for independent A ~ a, B ~ b on the lattice.
 
     Linear in the support sizes: walks a's masses against b's cumulative
     sums.
     """
-    off = _index_offset(a, b)
+    off = a.origin - b.origin
     cdf_b = b.prefix_sums()
     last = len(b) - 1
     total = 0.0
@@ -111,21 +79,10 @@ def geq_probability(a: DiscretePdf, b: DiscretePdf) -> float:
 
 def geq_probability_naive(a: DiscretePdf, b: DiscretePdf) -> float:
     """Reference double sum over all support pairs; quadratic."""
-    off = _index_offset(a, b)
+    off = a.origin - b.origin
     total = 0.0
     for i, ma in enumerate(a.masses):
         for j, mb in enumerate(b.masses):
             if i + off >= j:
                 total += ma * mb
-    return total
-
-
-def eq_probability(a: DiscretePdf, b: DiscretePdf) -> float:
-    """P(A = B) on a common grid."""
-    off = _index_offset(a, b)
-    total = 0.0
-    for i, ma in enumerate(a.masses):
-        j = i + off
-        if 0 <= j < len(b):
-            total += ma * b.masses[j]
     return total

@@ -54,7 +54,8 @@ class TraceStep:
 
     Bounds and probabilities cover every candidate of the original
     problem; pruned candidates keep narrowing bounds and carry
-    probability zero.
+    probability zero. `response` is the grid value recorded, as a
+    correctly rounded float.
     """
 
     iteration: int
@@ -206,7 +207,8 @@ def solve(problem: Problem, policy: Policy, oracle: Oracle, *,
 
         if pending is not None:
             q, v = pending
-            bounds_all = tuple(map(Interval, lb.tolist(), ub.tolist()))
+            bounds_all = tuple(map(Interval, lb.tolist(), ub.tolist(),
+                                   itertools.repeat(spec.quantum)))
             pruned = tuple(np.flatnonzero(~live).tolist())
             steps.append(TraceStep(len(steps), q, v, bounds_all,
                                    probs_padded, step_entropy, pruned))
@@ -243,7 +245,7 @@ def solve(problem: Problem, policy: Policy, oracle: Oracle, *,
         nanos["oracle"] += clock() - t0
         calls += 1
         knowns = knowns.record(spec, question, _response_value(response))
-        pending = (question, _response_value(response))
+        pending = (question, spec.grid_values()[knowns.get(question)])
 
 
 def _step_line(s: TraceStep) -> str:

@@ -28,10 +28,13 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
+import numpy as np
+
+from .bounds import Incidence
 from .engine import Clock, Policy, enumerate_candidates, solve
 from .model import (Candidate, Construct, KnownStore, Problem, Question,
-                    ScoringSpec, ValidationError, question_universe,
-                    questions_of)
+                    ScoringSpec, ValidationError, lattice_floats,
+                    question_universe)
 from .oracle import TableOracle
 
 ENTITY_COLUMNS = ("id", "displayName", "contextText")
@@ -105,7 +108,7 @@ def load_problem(dataset_dir: str | Path, k: int,
         rows = _read_rows(path)
         if not rows:
             raise ValidationError(f"score file {path.name} has no rows")
-        for r in rows:
+        for line, r in enumerate(rows, start=2):
             q = _row_question(con, r, set(entities), path.name)
             score_text = (r.get("score") or "").strip()
             known = (r.get("known") or "1").strip() not in ("0", "false", "")
@@ -114,9 +117,15 @@ def load_problem(dataset_dir: str | Path, k: int,
                     raise ValidationError(
                         f"{path.name}: known row for {q} lacks a score")
                 continue
-            v = float(score_text)
-            if not spec.is_on_grid(v):
-                raise ValidationError(f"{path.name}: score {v} for {q} is off-grid")
+            try:
+                v = float(score_text)
+            except ValueError:
+                raise ValidationError(
+                    f"{path.name} line {line}: score {score_text!r} for {q} "
+                    "is not a number") from None
+            if spec.grid_index(v) is None:
+                raise ValidationError(
+                    f"{path.name} line {line}: score {v} for {q} is off-grid")
             if q in ground_truth and ground_truth[q] != v:
                 raise ValidationError(
                     f"{path.name}: conflicting scores for {q}: "
@@ -135,9 +144,8 @@ def load_problem(dataset_dir: str | Path, k: int,
     query_text = query_file.read_text(encoding="utf-8").strip() \
         if query_file.exists() else ""
 
-    problem = Problem(tuple(entities), spec, k, candidates, knowns,
-                      ground_truth, query_text)
-    return problem
+    return Problem(tuple(entities), spec, k, candidates, knowns,
+                   ground_truth, query_text, context)
 
 
 def _load_candidates(path: Path, k: int, entity_pool: set,
@@ -238,7 +246,7 @@ def write_bundle(problem: Problem, out_dir: str | Path) -> Path:
         w = csv.writer(fh)
         w.writerow(ENTITY_COLUMNS)
         for e in problem.entities:
-            w.writerow([e, e, ""])
+            w.writerow([e, e, problem.entity_context.get(e, "")])
 
     universe = question_universe(spec, problem.candidates)
     gt = problem.ground_truth or {}
@@ -251,10 +259,9 @@ def write_bundle(problem: Problem, out_dir: str | Path) -> Path:
             for q in universe:
                 if q.construct != con.name:
                     continue
-                v = problem.knowns.get(q)
-                known = v is not None
-                if v is None:
-                    v = gt.get(q)
+                i = problem.knowns.get(q)
+                known = i is not None
+                v = spec.grid_values()[i] if known else gt.get(q)
                 w.writerow([*q.args, "" if v is None else v, int(known)])
 
     with open(root / "candidates.csv", "w", newline="", encoding="utf-8") as fh:
@@ -315,18 +322,16 @@ def _smallest_n(k: int, want: int) -> int:
 
 def exact_scores(problem: Problem) -> list[float]:
     """Per-candidate exact totals under the full ground truth."""
-    gt = dict(problem.ground_truth or {})
-    for q, v in problem.knowns.items():
-        gt.setdefault(q, v)
-    out = []
-    for c in problem.candidates:
-        total = 0.0
-        for q in questions_of(c, problem.spec):
-            if q not in gt:
-                raise ValidationError(f"ground truth missing for {q}")
-            total += problem.spec.construct_named(q.construct).weight * gt[q]
-        out.append(total)
-    return out
+    spec = problem.spec
+    truth = dict(problem.knowns.items())
+    truth.update((q, spec.grid_index(v))
+                 for q, v in (problem.ground_truth or {}).items())
+    lo, hi, _ = Incidence(problem.candidates, spec).bounds(KnownStore(truth))
+    open_ = np.flatnonzero(lo != hi)
+    if len(open_):
+        raise ValidationError("ground truth missing for a question of "
+                              f"{problem.candidates[open_[0]].members}")
+    return lattice_floats(lo, spec.quantum).tolist()
 
 
 RUN_COLUMNS = ("dataset", "k", "M", "policy", "trial", "oracleCalls",

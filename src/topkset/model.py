@@ -11,11 +11,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 EntityId = str
 
+# How far a float may sit from a grid value and still read as it.
 GRID_TOL = 1e-9
+# Spec numbers are read as fractions with at most this denominator.
+MAX_DENOMINATOR = 10**6
+# Largest lattice numerator whose float conversion is still exact.
+MAX_QUANTA = 2**53
 
 
 class ValidationError(ValueError):
@@ -40,15 +46,41 @@ class Construct:
             raise ValidationError(f"construct {self.name}: weight must be >= 0")
 
 
+def _exact_fraction(x: float, what: str) -> Fraction:
+    """x as the fraction with denominator <= 10**6 that converts back to
+    exactly x: 0.1 reads as 1/10, 1/3 as 1/3. Below 4096 at most one does."""
+    f = Fraction(x).limit_denominator(MAX_DENOMINATOR)
+    if float(f) != x:
+        raise ValidationError(f"{what} {x!r} is not a fraction with "
+                              f"denominator <= {MAX_DENOMINATOR}")
+    return f
+
+
+def lattice_floats(n, quantum: Fraction):
+    """Correctly rounded float of n quanta, n an int or an int64 array
+    (exact while |n| * numerator and denominator stay <= 2**53)."""
+    return n * quantum.numerator / quantum.denominator
+
+
 @dataclass(frozen=True)
 class ScoringSpec:
-    """Decomposable scoring function: constructs, response range and score grid."""
+    """Decomposable scoring function: constructs, response range and score grid.
+
+    Every score lives on one lattice: an integer count of `quantum`, the
+    gcd of each construct's weight times the grid step and times the
+    range minimum. An answer at grid index i to a question of construct
+    c adds `low[c] + i * rise[c]` quanta to a candidate's total.
+    """
 
     constructs: tuple[Construct, ...]
     min_score: float = 0.0
     max_score: float = 1.0
     grid_step: float = 0.5
     aggregation: str = "sum"
+    quantum: Fraction = field(init=False, repr=False, compare=False)
+    low: dict[str, int] = field(init=False, repr=False, compare=False)
+    rise: dict[str, int] = field(init=False, repr=False, compare=False)
+    _grid: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.constructs:
@@ -62,34 +94,55 @@ class ScoringSpec:
             raise ValidationError("min_score must be < max_score")
         if self.grid_step <= 0:
             raise ValidationError("grid_step must be positive")
-        span = (self.max_score - self.min_score) / self.grid_step
-        if abs(span - round(span)) > GRID_TOL:
+        lo = _exact_fraction(self.min_score, "min_score")
+        hi = _exact_fraction(self.max_score, "max_score")
+        step = _exact_fraction(self.grid_step, "grid_step")
+        if ((hi - lo) / step).denominator != 1:
             raise ValidationError("grid_step must divide the score range exactly")
+        weights = [_exact_fraction(c.weight, f"construct {c.name}: weight")
+                   for c in self.constructs]
+        parts = [w * v for w in weights for v in (step, lo)]
+        # All weights zero: every score is 0 and any quantum serves.
+        quantum = Fraction(math.gcd(*(f.numerator for f in parts)) or 1,
+                           math.lcm(*(f.denominator for f in parts)))
+        grid = tuple(float(lo + i * step)
+                     for i in range(int((hi - lo) / step) + 1))
+        for name, value in (
+                ("quantum", quantum),
+                ("low", {c.name: int(w * lo / quantum)
+                         for c, w in zip(self.constructs, weights)}),
+                ("rise", {c.name: int(w * step / quantum)
+                          for c, w in zip(self.constructs, weights)}),
+                ("_grid", grid)):
+            object.__setattr__(self, name, value)
 
     @property
     def n_grid_values(self) -> int:
-        return round((self.max_score - self.min_score) / self.grid_step) + 1
+        return len(self._grid)
 
     def grid_values(self) -> tuple[float, ...]:
-        return tuple(self.min_score + i * self.grid_step
-                     for i in range(self.n_grid_values))
+        """The grid as correctly rounded floats."""
+        return self._grid
 
-    def is_on_grid(self, v: float) -> bool:
+    def grid_index(self, v: float) -> Optional[int]:
+        """Index of the grid value v reads as, or None when v is off the grid.
+
+        This is where scores from outside (responses, CSV scores, ground
+        truth) enter the lattice; v may miss a grid value by GRID_TOL.
+        """
         if not (self.min_score - GRID_TOL <= v <= self.max_score + GRID_TOL):
-            return False
+            return None
         k = (v - self.min_score) / self.grid_step
-        return abs(k - round(k)) <= GRID_TOL
+        return round(k) if abs(k - round(k)) <= GRID_TOL else None
+
+    def span(self, construct: str) -> int:
+        """Quanta between a construct answer's lowest and highest value."""
+        return (self.n_grid_values - 1) * self.rise[construct]
 
     def construct_named(self, name: str) -> Construct:
         for c in self.constructs:
             if c.name == name:
                 return c
-        raise ValidationError(f"unknown construct {name!r}")
-
-    def construct_index(self, name: str) -> int:
-        for i, c in enumerate(self.constructs):
-            if c.name == name:
-                return i
         raise ValidationError(f"unknown construct {name!r}")
 
 
@@ -118,34 +171,36 @@ class Question:
 
 
 class KnownStore:
-    """Immutable map from answered questions to their grid score values."""
+    """Immutable map from answered questions to the grid index of their score."""
 
     __slots__ = ("_answers",)
 
-    def __init__(self, answers: Optional[Mapping[Question, float]] = None):
-        self._answers: dict[Question, float] = dict(answers or {})
+    def __init__(self, answers: Optional[Mapping[Question, int]] = None):
+        self._answers: dict[Question, int] = dict(answers or {})
 
     def record(self, spec: ScoringSpec, q: Question, v: float) -> "KnownStore":
-        """Return a new store with q answered as v.
+        """Return a new store with q answered as the grid value v.
 
         Recording the same value twice is a no-op; a different value for an
         already answered question is rejected, since oracle responses are
         final.
         """
-        if not spec.is_on_grid(v):
+        i = spec.grid_index(v)
+        if i is None:
             raise ValidationError(
                 f"response {v} for {q} is off-grid for step {spec.grid_step} "
                 f"in [{spec.min_score}, {spec.max_score}]")
         if q in self._answers:
-            if self._answers[q] != v:
+            if self._answers[q] != i:
                 raise ValidationError(
-                    f"conflicting response for {q}: had {self._answers[q]}, got {v}")
+                    f"conflicting response for {q}: had "
+                    f"{spec.grid_values()[self._answers[q]]}, got {v}")
             return self
         merged = dict(self._answers)
-        merged[q] = v
+        merged[q] = i
         return KnownStore(merged)
 
-    def get(self, q: Question) -> Optional[float]:
+    def get(self, q: Question) -> Optional[int]:
         return self._answers.get(q)
 
     def __contains__(self, q: Question) -> bool:
@@ -154,7 +209,7 @@ class KnownStore:
     def __len__(self) -> int:
         return len(self._answers)
 
-    def items(self) -> Iterator[tuple[Question, float]]:
+    def items(self) -> Iterator[tuple[Question, int]]:
         return iter(self._answers.items())
 
 
@@ -176,10 +231,6 @@ class Candidate:
             raise ValidationError("candidate must have at least one member")
         object.__setattr__(self, "members", tuple(sorted(self.members)))
 
-    @property
-    def member_set(self) -> frozenset:
-        return frozenset(self.members)
-
 
 @dataclass(frozen=True)
 class Problem:
@@ -187,8 +238,9 @@ class Problem:
 
     `knowns` holds the initially revealed scores; `ground_truth` backs a
     simulated oracle and must cover every question the engine may ask.
-    `query_text` is carried verbatim into oracle prompts and never enters
-    any numeric computation.
+    `query_text` and `entity_context` (entity id to free text) are
+    carried verbatim into oracle prompts and never enter any numeric
+    computation. The spec's lattice must hold every k-set's score exactly.
     """
 
     entities: tuple[EntityId, ...]
@@ -198,12 +250,23 @@ class Problem:
     knowns: KnownStore = field(default_factory=KnownStore)
     ground_truth: Optional[Mapping[Question, float]] = None
     query_text: str = ""
+    entity_context: Mapping[EntityId, str] = field(default_factory=dict)
 
     def __post_init__(self):
         if len(set(self.entities)) != len(self.entities):
             raise ValidationError("duplicate entity ids")
         if self.k > len(self.entities):
             raise ValidationError("k exceeds entity count")
+        spec = self.spec
+        most = sum(math.comb(self.k, c.arity)
+                   * max(abs(spec.low[c.name]),
+                         abs(spec.low[c.name] + spec.span(c.name)))
+                   for c in spec.constructs)
+        if max(most * spec.quantum.numerator,
+               spec.quantum.denominator) > MAX_QUANTA:
+            raise ValidationError(
+                f"a {self.k}-set's score needs up to {most} quanta of "
+                f"{spec.quantum}, beyond the exact range of 2**53")
         pool = set(self.entities)
         for position, c in enumerate(self.candidates):
             if c.index != position:
@@ -216,7 +279,7 @@ class Problem:
                 raise ValidationError(f"candidate {c.index} references unknown entities")
         if self.ground_truth:
             for q, v in self.ground_truth.items():
-                if not self.spec.is_on_grid(v):
+                if spec.grid_index(v) is None:
                     raise ValidationError(f"ground truth {v} for {q} is off-grid")
 
 

@@ -19,9 +19,8 @@ from typing import Mapping, Optional, Sequence
 
 import requests
 
-from .model import Question, ScoringSpec, ValidationError
+from .model import GRID_TOL, Question, ScoringSpec, ValidationError
 
-_GRID_TOL = 1e-9
 _NUMBER_RE = re.compile(r"-?\d+(?:\.\d+)?")
 
 
@@ -95,7 +94,7 @@ def process_responses(responses: Sequence[OracleResponse],
     total = 0
     for r in responses:
         lo, hi = r.bounds()
-        hit = [v for v in grid if lo - _GRID_TOL <= v <= hi + _GRID_TOL]
+        hit = [v for v in grid if lo - GRID_TOL <= v <= hi + GRID_TOL]
         if not hit:
             raise OracleError(f"response range ({lo}, {hi}) contains no grid value")
         for v in hit:
@@ -108,7 +107,8 @@ def process_responses(responses: Sequence[OracleResponse],
 def snap_to_grid(v: float, spec: ScoringSpec) -> float:
     """Clamp v into the response range and round to the nearest grid value.
 
-    Exact midpoints round down, toward the range minimum.
+    Exact midpoints round down, toward the range minimum. The result is
+    the grid value as a correctly rounded float.
     """
     if not math.isfinite(v):
         raise OracleError(f"non-finite oracle value {v!r}")
@@ -116,7 +116,7 @@ def snap_to_grid(v: float, spec: ScoringSpec) -> float:
     k = (v - spec.min_score) / spec.grid_step
     lower = math.floor(k)
     k = lower if (k - lower) <= 0.5 else lower + 1
-    return spec.min_score + min(k, spec.n_grid_values - 1) * spec.grid_step
+    return spec.grid_values()[min(k, spec.n_grid_values - 1)]
 
 
 class TableOracle:

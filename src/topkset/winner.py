@@ -13,8 +13,8 @@ candidate followed by normalization:
 brute_force_dist enumerates every grid completion of the unknowns and is
 the exact reference the estimators are tested against.
 
-Construct weights must keep candidate scores on one common grid for the
-pdf comparisons; the default weight 1.0 always does.
+Scores, bounds and pdf supports are integer counts of the spec's quantum,
+so every comparison between candidate scores is exact.
 """
 
 from __future__ import annotations
@@ -24,8 +24,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .bounds import Interval, elimination_cut, score_bounds
-from .distributions import DiscretePdf, geq_probability, geq_probability_naive, uniform_pdf
+from .bounds import elimination_cut, score_bounds
+from .distributions import geq_probability, geq_probability_naive, uniform_pdf
 from .model import (Candidate, KnownStore, ScoringSpec, question_universe,
                     questions_of, unknown_questions)
 
@@ -67,16 +67,11 @@ def normalize(raw: Sequence[float]) -> tuple[tuple[float, ...], bool]:
     return tuple(r / total for r in raw), False
 
 
-def _candidate_pdfs(candidates: Sequence[Candidate], spec: ScoringSpec,
-                    knowns: KnownStore) -> list[DiscretePdf]:
-    return [uniform_pdf(score_bounds(c, spec, knowns), spec.grid_step)
-            for c in candidates]
-
-
 def prob_ind(candidates: Sequence[Candidate], spec: ScoringSpec,
              knowns: KnownStore) -> WinnerDistribution:
     """Independence estimate: product of P(c beats c_i) over full pdfs."""
-    pdfs = _candidate_pdfs(candidates, spec, knowns)
+    bounds = [score_bounds(c, spec, knowns) for c in candidates]
+    pdfs = [uniform_pdf(iv.lo, iv.hi) for iv in bounds]
     m = len(candidates)
     raw = []
     for i in range(m):
@@ -104,8 +99,8 @@ def prob_dep(candidates: Sequence[Candidate], spec: ScoringSpec,
     for i in range(m):
         for j in range(i + 1, m):
             cut = elimination_cut(unk[i] & unk[j], spec)
-            pi = uniform_pdf(Interval(full[i].lb, full[i].ub - cut), spec.grid_step)
-            pj = uniform_pdf(Interval(full[j].lb, full[j].ub - cut), spec.grid_step)
+            pi = uniform_pdf(full[i].lo, full[i].hi - cut)
+            pj = uniform_pdf(full[j].lo, full[j].hi - cut)
             raw[i] *= geq_probability_naive(pi, pj)
             raw[j] *= geq_probability_naive(pj, pi)
     probs, flagged = normalize(raw)
@@ -123,32 +118,31 @@ def brute_force_dist(candidates: Sequence[Candidate], spec: ScoringSpec,
     exceeds `cap`.
     """
     unknowns = unknown_questions(question_universe(spec, candidates), knowns)
-    grid = np.array(spec.grid_values())
-    g, u, m = len(grid), len(unknowns), len(candidates)
+    g, u, m = spec.n_grid_values, len(unknowns), len(candidates)
     total = g ** u
     if total > cap:
         raise CapExceededError(f"{g}^{u} assignments exceed cap {cap}")
 
-    base = np.zeros(m)
-    incidence = np.zeros((u, m))
+    # Scores in quanta: base plus, per unknown, its grid index times rise.
+    base = np.zeros(m, dtype=np.int64)
+    rise = np.zeros((u, m), dtype=np.int64)
     qpos = {q: r for r, q in enumerate(unknowns)}
     for ci, c in enumerate(candidates):
         for q in questions_of(c, spec):
-            w = spec.construct_named(q.construct).weight
-            v = knowns.get(q)
-            if v is not None:
-                base[ci] += w * v
+            i = knowns.get(q)
+            base[ci] += spec.low[q.construct]
+            if i is not None:
+                base[ci] += i * spec.rise[q.construct]
             else:
-                incidence[qpos[q], ci] += w
+                rise[qpos[q], ci] += spec.rise[q.construct]
 
     counts = np.zeros(m)
-    powers = g ** np.arange(u - 1, -1, -1, dtype=np.int64) if u else np.array([], dtype=np.int64)
+    powers = g ** np.arange(u - 1, -1, -1, dtype=np.int64)
     for start in range(0, total, chunk):
         idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        digits = (idx[:, None] // powers[None, :]) % g if u else np.zeros((len(idx), 0), dtype=np.int64)
-        scores = base[None, :] + grid[digits] @ incidence
-        top = scores.max(axis=1)
-        tied = np.isclose(scores, top[:, None], rtol=0.0, atol=1e-9)
+        digits = (idx[:, None] // powers[None, :]) % g
+        scores = base[None, :] + digits @ rise
+        tied = scores == scores.max(axis=1, keepdims=True)
         counts += (tied / tied.sum(axis=1, keepdims=True)).sum(axis=0)
 
     probs, flagged = normalize([float(x) for x in counts])

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 import threading
+from fractions import Fraction
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
@@ -43,12 +45,12 @@ def hotel_spec() -> ScoringSpec:
 
 def hotel_problem() -> Problem:
     spec = hotel_spec()
+    ground_truth = {Question("rel", (e,)): v for e, v in REL_KNOWN.items()}
+    ground_truth.update(
+        (Question("div", pair), v) for pair, v in DIV_KNOWN.items())
     knowns = KnownStore()
-    for e, v in REL_KNOWN.items():
-        knowns = knowns.record(spec, Question("rel", (e,)), v)
-    for pair, v in DIV_KNOWN.items():
-        knowns = knowns.record(spec, Question("div", pair), v)
-    ground_truth = dict(knowns.items())
+    for q, v in ground_truth.items():
+        knowns = knowns.record(spec, q, v)
     ground_truth.update(HIDDEN_TRUTH)
     candidates = tuple(
         Candidate(i, members) for i, members in enumerate(
@@ -57,6 +59,21 @@ def hotel_problem() -> Problem:
         entities=HOTELS, spec=spec, k=3, candidates=candidates,
         knowns=knowns, ground_truth=ground_truth,
         query_text="affordable hotels in midtown Manhattan")
+
+
+def fraction_totals(problem: Problem) -> list[Fraction]:
+    """Each candidate's exact total from the ground truth, in Fractions.
+
+    Built without the engine's lattice: every weight and score is read
+    as the nearest fraction with denominator <= 1000.
+    """
+    def exact(x):
+        return Fraction(x).limit_denominator(1000)
+    truth = {q: exact(v) for q, v in problem.ground_truth.items()}
+    return [sum(exact(con.weight) * truth[Question(con.name, args)]
+                for con in problem.spec.constructs
+                for args in itertools.combinations(c.members, con.arity))
+            for c in problem.candidates]
 
 
 @pytest.fixture

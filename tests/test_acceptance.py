@@ -13,7 +13,7 @@ import time
 
 import pytest
 
-from topkset import (Candidate, Interval, KnownStore, OracleResponse, Policy,
+from topkset import (Candidate, KnownStore, OracleResponse, Policy,
                      Question, TableOracle, brute_force_dist,
                      eliminated_bounds, entropy, generate_synthetic,
                      geq_probability, prob_dep, prob_ind, process_responses,
@@ -73,8 +73,8 @@ def test_criterion_02_elimination_and_max_convolution(f1):
     pairs_ok = (
         tuple((iv.lb, iv.ub) for iv in e12) == ((3.5, 4.5), (2.5, 3.5))
         and tuple((iv.lb, iv.ub) for iv in e23) == ((2.5, 3.5), (3.0, 4.0)))
-    p = geq_probability(uniform_pdf(Interval(2.5, 3.5), 0.5),
-                        uniform_pdf(Interval(3.5, 4.5), 0.5))
+    # [2.5, 3.5] and [3.5, 4.5] in quanta of 1/2.
+    p = geq_probability(uniform_pdf(5, 7), uniform_pdf(7, 9))
     geq_ok = p == 1 / 9
     _report(2, "elimination and max-convolution", pairs_ok and geq_ok)
     assert pairs_ok, (e12, e23)

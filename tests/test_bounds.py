@@ -1,6 +1,7 @@
 """Score intervals, shared-unknown elimination and dominance."""
 
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,7 +11,8 @@ from hypothesis import strategies as st
 from topkset import (Candidate, Construct, Interval, KnownStore, Question,
                      ScoringSpec, dominates, eliminated_bounds, find_winner,
                      generate_synthetic, prune_dominated, score_bounds)
-from topkset.bounds import Incidence, elimination_cut, shared_unknowns
+from topkset.bounds import (Incidence, elimination_cut, shared_unknowns,
+                            undominated)
 from topkset.harness import default_spec
 from topkset.model import question_universe, questions_of, unknown_questions
 
@@ -50,12 +52,13 @@ def test_weights_scale_contributions():
 class TestInterval:
     def test_rejects_inverted(self):
         with pytest.raises(ValueError):
-            Interval(1.0, 0.0)
+            Interval(1, 0)
 
     def test_width_and_contains(self):
-        outer = Interval(0.0, 2.0)
-        inner = Interval(0.5, 1.5)
-        assert outer.width == 2.0
+        outer = Interval(0, 4, Fraction(1, 2))
+        inner = Interval(1, 3, Fraction(1, 2))
+        assert (outer.lb, outer.ub, outer.width) == (0.0, 2.0, 2.0)
+        assert Interval(1, 2, Fraction(1, 10)).width == 0.1
         assert outer.contains(inner)
         assert not inner.contains(outer)
 
@@ -74,8 +77,9 @@ def test_shared_unknowns_on_hotel_pairs(f1):
 def test_elimination_cut_ignores_iteration_order(f1):
     qs = [Question("rel", ("HNY",)), Question("div", ("MLN", "HYN")),
           Question("div", ("MLN", "SHN"))]
+    # 3.0 in quanta of 1/2.
     assert elimination_cut(qs, f1.spec) == \
-        elimination_cut(list(reversed(qs)), f1.spec) == 3.0
+        elimination_cut(list(reversed(qs)), f1.spec) == 6
 
 
 def test_eliminated_bounds_on_hotel_pairs(f1):
@@ -98,6 +102,28 @@ def test_elimination_shrinks_both_supports_equally(f1):
     e1, e2 = eliminated_bounds(c1, c2, f1.spec, f1.knowns)
     assert full1.width - e1.width == full2.width - e2.width == 1.0
     assert e1.lb == full1.lb and e2.lb == full2.lb
+
+
+def test_exact_tie_over_a_shared_unknown_is_never_pruned():
+    """At step 0.1 both totals are 0.2 + rel(C).
+
+    In floats, 0.0 + 1.0 + 0.2 - 1.0 is 0.19999999999999996, so each
+    candidate's upper bound fell below the other's lower bound and both
+    were pruned.
+    """
+    spec = default_spec(0.1)
+    cands = (Candidate(0, ("A", "C")), Candidate(1, ("B", "C")))
+    knowns = KnownStore()
+    for q, v in ((Question("rel", ("A",)), 0.0),
+                 (Question("div", ("A", "C")), 0.2),
+                 (Question("rel", ("B",)), 0.2),
+                 (Question("div", ("B", "C")), 0.0)):
+        knowns = knowns.record(spec, q, v)
+    core = Incidence(cands, spec)
+    lb, ub, unknown = core.bounds(knowns)
+    assert undominated(lb, ub, core.cuts(unknown, np.arange(2))).all()
+    assert prune_dominated(cands, spec, knowns) == cands
+    assert find_winner(cands, spec, knowns) == cands[0]
 
 
 class TestDominance:
@@ -144,6 +170,8 @@ REFERENCE_SPECS = {
     "step-0.1": default_spec(0.1),
     "rel-weight-2": ScoringSpec((Construct("rel", 1, weight=2.0),
                                  Construct("div", 2))),
+    "rel-weight-0.3": ScoringSpec((Construct("rel", 1, weight=0.3),
+                                   Construct("div", 2))),
 }
 
 
@@ -172,28 +200,17 @@ def test_incidence_core_equals_the_per_pair_reference(name):
         lb, ub, unknown = core.bounds(knowns)
         cut = core.cuts(unknown, np.arange(len(cands)))
         ref = [score_bounds(c, spec, knowns) for c in cands]
-        assert lb.tolist() == [iv.lb for iv in ref]
-        assert ub.tolist() == [iv.ub for iv in ref]
+        assert lb.tolist() == [iv.lo for iv in ref]
+        assert ub.tolist() == [iv.hi for iv in ref]
         weak, strict = {}, {}
         for i, a in enumerate(cands):
             for j, b in enumerate(cands):
                 if i == j:
                     continue
-                pair_cut = elimination_cut(
+                assert cut[i, j] == elimination_cut(
                     shared_unknowns(a, b, spec, knowns), spec)
-                assert cut[i, j] == pair_cut
-                # What `dominates` compares. It also builds the eliminated
-                # intervals, which float error can invert at step 0.1, and
-                # then raises instead of answering.
-                weak[i, j] = ref[i].lb >= ref[j].ub - pair_cut
-                strict[i, j] = ref[i].lb > ref[j].ub - pair_cut
-                try:
-                    assert dominates(a, b, spec, knowns) == weak[i, j]
-                    assert dominates(a, b, spec, knowns, strict=True) == \
-                        strict[i, j]
-                except ValueError as err:
-                    assert "invalid interval" in str(err)
-                    assert name == "step-0.1"
+                weak[i, j] = dominates(a, b, spec, knowns)
+                strict[i, j] = dominates(a, b, spec, knowns, strict=True)
         others = [(i, [j for j in range(len(cands)) if j != i])
                   for i in range(len(cands))]
         winner = next((cands[i] for i, rest in others

@@ -1,6 +1,8 @@
 """Exit codes and printed output of the command line interface."""
 
+import csv
 import json
+import shutil
 from pathlib import Path
 
 from topkset.cli import entrypoint
@@ -82,6 +84,40 @@ def test_llm_oracle_round_trip(tmp_path, capsys, chat_server):
     assert code == 0
     assert "winner: {HNY, HYN, MLN}" in out
     assert len(chat_server.requests) == 1
+    # The one question asked is div(MLN, HYN); its entities' context
+    # from entities.csv reaches the prompt, no other entity's does.
+    prompt = chat_server.requests[0]["body"]["messages"][0]["content"]
+    with open(Path(F1_DIR) / "entities.csv", encoding="utf-8") as fh:
+        context = {r["id"]: r["contextText"] for r in csv.DictReader(fh)}
+    for entity, text in context.items():
+        assert (text in prompt) == (entity in ("MLN", "HYN")), entity
+
+
+def test_non_numeric_score_is_a_validation_error(tmp_path, capsys):
+    ds = tmp_path / "ds"
+    shutil.copytree(F1_DIR, ds)
+    with open(ds / "rel.csv", "a", encoding="utf-8") as fh:
+        fh.write("HNY,abc,0\n")
+    code, _, err = run(["solve", "--dataset", str(ds), "--k", "3"], capsys)
+    assert code == 2
+    assert "rel.csv line 7: score 'abc' for rel(HNY) is not a number" in err
+
+
+def test_spec_beyond_the_exact_lattice_asks_nothing(tmp_path, capsys,
+                                                    chat_server):
+    """rel weight 1e16 at step 0.5: a 3-set reaches 6e16 quanta of 1/2."""
+    ds = tmp_path / "ds"
+    shutil.copytree(F1_DIR, ds)
+    spec = json.loads((ds / "spec.json").read_text())
+    spec["constructs"][0]["weight"] = 1e16
+    (ds / "spec.json").write_text(json.dumps(spec))
+    cfg = tmp_path / "llm.json"
+    cfg.write_text(json.dumps({"endpointUrl": chat_server.url}))
+    code, _, err = run(["solve", "--dataset", str(ds), "--k", "3",
+                        "--oracle", "llm", "--llm-config", str(cfg)], capsys)
+    assert code == 2
+    assert "2**53" in err
+    assert chat_server.requests == []
 
 
 def test_gen_then_solve(tmp_path, capsys):

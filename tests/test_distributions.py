@@ -1,103 +1,81 @@
-"""Grid pdfs and the P(A >= B) primitive in both linear and naive form."""
+"""Lattice pdfs and the P(A >= B) primitive in both linear and naive form."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from topkset import (DiscretePdf, GridMismatchError, Interval, geq_probability,
-                     geq_probability_naive, point_mass, uniform_pdf)
-from topkset.distributions import eq_probability
+from topkset import (DiscretePdf, geq_probability, geq_probability_naive,
+                     point_mass, uniform_pdf)
 
 
 class TestDiscretePdf:
     def test_support_points(self):
-        pdf = DiscretePdf(2.5, 0.5, (0.25, 0.25, 0.5))
-        assert pdf.support() == (2.5, 3.0, 3.5)
+        pdf = DiscretePdf(5, (0.25, 0.25, 0.5))
+        assert pdf.support() == (5, 6, 7)
         assert len(pdf) == 3
 
     def test_prefix_sums_end_at_one(self):
-        pdf = uniform_pdf(Interval(0.0, 1.0), 0.5)
+        pdf = uniform_pdf(0, 2)
         sums = pdf.prefix_sums()
         assert sums[-1] == pytest.approx(1.0)
         assert all(a <= b for a, b in zip(sums, sums[1:]))
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            DiscretePdf(0.0, 0.5, ())
+            DiscretePdf(0, ())
         with pytest.raises(ValueError):
-            DiscretePdf(0.0, 0.0, (1.0,))
+            DiscretePdf(0, (0.7, 0.2))
         with pytest.raises(ValueError):
-            DiscretePdf(0.0, 0.5, (0.7, 0.2))
-        with pytest.raises(ValueError):
-            DiscretePdf(0.0, 0.5, (1.5, -0.5))
+            DiscretePdf(0, (1.5, -0.5))
 
 
 def test_uniform_pdf_splits_mass_evenly():
-    pdf = uniform_pdf(Interval(2.5, 3.5), 0.5)
+    pdf = uniform_pdf(5, 7)
     assert pdf.masses == (1 / 3, 1 / 3, 1 / 3)
-    assert pdf.support() == (2.5, 3.0, 3.5)
-
-
-def test_uniform_pdf_rejects_off_step_interval():
-    with pytest.raises(ValueError):
-        uniform_pdf(Interval(0.0, 0.7), 0.5)
+    assert pdf.support() == (5, 6, 7)
 
 
 def test_point_mass_has_single_support():
-    pdf = point_mass(1.5)
+    pdf = point_mass(3)
     assert pdf.masses == (1.0,)
-    assert pdf.support() == (1.5,)
+    assert pdf.support() == (3,)
 
 
 class TestGeqProbability:
     def test_hotel_eliminated_pair_is_exactly_one_ninth(self):
-        """The single overlapping grid point contributes (1/3)*(1/3)."""
-        low = uniform_pdf(Interval(2.5, 3.5), 0.5)
-        high = uniform_pdf(Interval(3.5, 4.5), 0.5)
+        """The single overlapping grid point contributes (1/3)*(1/3).
+
+        In quanta of 1/2: [2.5, 3.5] is 5..7 and [3.5, 4.5] is 7..9.
+        """
+        low = uniform_pdf(5, 7)
+        high = uniform_pdf(7, 9)
         assert geq_probability(low, high) == 1 / 9
 
     def test_self_comparison_counts_ties_fully(self):
-        pdf = uniform_pdf(Interval(0.0, 1.0), 0.5)
+        pdf = uniform_pdf(0, 2)
         # 6 of the 9 ordered pairs satisfy a >= b.
         assert geq_probability(pdf, pdf) == pytest.approx(2 / 3)
 
     def test_separated_supports_are_certain(self):
-        low = uniform_pdf(Interval(0.0, 1.0), 0.5)
-        high = uniform_pdf(Interval(2.0, 3.0), 0.5)
+        low = uniform_pdf(0, 2)
+        high = uniform_pdf(4, 6)
         assert geq_probability(low, high) == 0.0
         assert geq_probability(high, low) == 1.0
 
     def test_point_against_uniform(self):
-        pdf = uniform_pdf(Interval(0.0, 1.0), 0.5)
-        assert geq_probability(point_mass(1.0), pdf) == pytest.approx(1.0)
-        assert geq_probability(point_mass(0.5), pdf) == pytest.approx(2 / 3)
-        assert geq_probability(pdf, point_mass(0.0)) == pytest.approx(1.0)
-
-    def test_mismatched_steps_rejected(self):
-        a = uniform_pdf(Interval(0.0, 1.0), 0.5)
-        b = uniform_pdf(Interval(0.0, 1.0), 0.25)
-        with pytest.raises(GridMismatchError):
-            geq_probability(a, b)
-
-    def test_misaligned_origins_rejected(self):
-        a = uniform_pdf(Interval(0.0, 1.0), 0.5)
-        b = uniform_pdf(Interval(0.25, 1.25), 0.5)
-        with pytest.raises(GridMismatchError):
-            geq_probability(a, b)
-
-    def test_off_grid_point_mass_rejected(self):
-        pdf = uniform_pdf(Interval(0.0, 1.0), 0.5)
-        with pytest.raises(GridMismatchError):
-            geq_probability(point_mass(0.4), pdf)
+        pdf = uniform_pdf(0, 2)
+        assert geq_probability(point_mass(2), pdf) == pytest.approx(1.0)
+        assert geq_probability(point_mass(1), pdf) == pytest.approx(2 / 3)
+        assert geq_probability(pdf, point_mass(0)) == pytest.approx(1.0)
 
 
 @settings(deadline=None, max_examples=120)
 @given(st.integers(0, 8), st.integers(1, 9), st.integers(0, 8),
-       st.integers(1, 9), st.sampled_from([0.25, 0.5, 1.0]))
-def test_linear_walk_matches_naive_double_sum(lo_a, n_a, lo_b, n_b, step):
+       st.integers(1, 9))
+def test_linear_walk_matches_naive_double_sum(lo_a, n_a, lo_b, n_b):
     """Both evaluation orders compute the same joint mass."""
-    a = uniform_pdf(Interval(lo_a * step, (lo_a + n_a) * step), step)
-    b = uniform_pdf(Interval(lo_b * step, (lo_b + n_b) * step), step)
+    a = uniform_pdf(lo_a, lo_a + n_a)
+    b = uniform_pdf(lo_b, lo_b + n_b)
     assert geq_probability(a, b) == pytest.approx(
         geq_probability_naive(a, b), abs=1e-12)
 
@@ -106,14 +84,9 @@ def test_linear_walk_matches_naive_double_sum(lo_a, n_a, lo_b, n_b, step):
 @given(st.integers(0, 8), st.integers(1, 9), st.integers(0, 8),
        st.integers(1, 9))
 def test_geq_and_reverse_overlap_by_exactly_the_tie_mass(lo_a, n_a, lo_b, n_b):
-    a = uniform_pdf(Interval(lo_a * 0.5, (lo_a + n_a) * 0.5), 0.5)
-    b = uniform_pdf(Interval(lo_b * 0.5, (lo_b + n_b) * 0.5), 0.5)
+    a = uniform_pdf(lo_a, lo_a + n_a)
+    b = uniform_pdf(lo_b, lo_b + n_b)
+    tie = sum(ma * b.masses[n - b.origin]
+              for n, ma in zip(a.support(), a.masses) if n in b.support())
     total = geq_probability(a, b) + geq_probability(b, a)
-    assert total == pytest.approx(1.0 + eq_probability(a, b), abs=1e-12)
-
-
-def test_eq_probability():
-    pdf = uniform_pdf(Interval(0.0, 1.0), 0.5)
-    assert eq_probability(pdf, pdf) == pytest.approx(1 / 3)
-    far = uniform_pdf(Interval(2.0, 3.0), 0.5)
-    assert eq_probability(pdf, far) == 0.0
+    assert total == pytest.approx(1.0 + tie, abs=1e-12)

@@ -103,7 +103,7 @@ def test_synthetic_winners_match_ground_truth(policy):
         result = solve(problem, policy, TableOracle(problem.ground_truth),
                        seed=seed)
         truth = exact_scores(problem)
-        assert truth[result.winner.index] == pytest.approx(max(truth))
+        assert truth[result.winner.index] == max(truth)
 
 
 def test_bounds_narrow_monotonically_along_the_trace():

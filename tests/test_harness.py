@@ -199,7 +199,8 @@ class TestGenerateSynthetic:
 
     def test_scores_live_on_the_grid(self):
         p = generate_synthetic(5, 2, seed=9)
-        assert all(p.spec.is_on_grid(v) for v in p.ground_truth.values())
+        assert all(p.spec.grid_index(v) is not None
+                   for v in p.ground_truth.values())
 
 
 def test_write_bundle_round_trips(tmp_path):

@@ -162,8 +162,8 @@ def test_brute_force_matches_independent_enumeration():
             for c in cands:
                 total = Fraction(0)
                 for q in questions_of(c, spec):
-                    v = knowns.get(q)
-                    total += Fraction(v) if v is not None else fill[q]
+                    i = knowns.get(q)
+                    total += Fraction(i, 2) if i is not None else fill[q]
                 scores.append(total)
             best = max(scores)
             tied = [i for i, s in enumerate(scores) if s == best]
