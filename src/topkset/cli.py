@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import json
 import sys
-from pathlib import Path
 
 import click
 
@@ -52,16 +51,7 @@ def solve_cmd(dataset_dir, k, candidate_cap, policy, oracle_kind, llm_config,
     else:
         if not llm_config:
             raise ValidationError("--oracle llm needs --llm-config")
-        raw = json.loads(Path(llm_config).read_text(encoding="utf-8"))
-        cfg = LlmOracleConfig(
-            endpoint_url=raw["endpointUrl"],
-            api_key_env=raw.get("apiKeyEnvVar", ""),
-            model=raw.get("model", ""),
-            prompt_template=raw.get("promptTemplate",
-                                    LlmOracleConfig.prompt_template),
-            timeout_s=float(raw.get("timeout", 30.0)),
-            max_retries=int(raw.get("maxRetries", 3)),
-            temperature=float(raw.get("temperature", 0.0)))
+        cfg = LlmOracleConfig.from_json(llm_config)
         oracle = LlmOracle(cfg, problem.spec, problem.query_text,
                            problem.entity_context)
     result = solve(problem, _POLICY_TOKENS[policy], oracle, seed=seed,

@@ -41,8 +41,14 @@ ENTITY_COLUMNS = ("id", "displayName", "contextText")
 
 
 def _read_rows(path: Path) -> list[dict]:
-    with open(path, newline="", encoding="utf-8") as fh:
-        return list(csv.DictReader(fh))
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            return list(csv.DictReader(fh))
+    except FileNotFoundError:
+        raise ValidationError(f"dataset {path.parent} has no {path.name}") \
+            from None
+    except (OSError, ValueError, csv.Error) as exc:
+        raise ValidationError(f"cannot read {path.name}: {exc}") from None
 
 
 def load_spec(path: Path) -> ScoringSpec:

@@ -1,20 +1,22 @@
 """Oracle backends and response handling.
 
 The engine asks one question at a time and accepts either a single score
-or a score range per expert. Free-form numeric replies are clamped into
-the response range and snapped onto the score grid. A ground-truth table
-stands in for a live model during offline runs; the HTTP client speaks
-the common chat-completion JSON shape.
+or a score range per expert. A free-form reply scores its last number,
+clamped into the response range and snapped onto the score grid. A
+ground-truth table stands in for a live model during offline runs; the
+HTTP client speaks the common chat-completion JSON shape.
 """
 
 from __future__ import annotations
 
+import json
 import math
 import os
 import re
 import time
 from dataclasses import dataclass
 from enum import Enum
+from pathlib import Path
 from typing import Mapping, Optional, Sequence
 
 import requests
@@ -145,6 +147,49 @@ class LlmOracleConfig:
     max_retries: int = 3
     temperature: float = 0.0
 
+    @classmethod
+    def from_json(cls, path: str | Path) -> "LlmOracleConfig":
+        """Read an `llm.json`; a bad file or key is a ValidationError."""
+        try:
+            raw = json.loads(Path(path).read_text(encoding="utf-8"))
+        except (OSError, ValueError) as exc:
+            raise ValidationError(f"cannot read LLM config {path}: {exc}")
+        if not isinstance(raw, dict):
+            raise ValidationError(f"LLM config {path} is not a JSON object")
+        if "endpointUrl" not in raw:
+            raise ValidationError(f"LLM config {path} lacks 'endpointUrl'")
+
+        def bad(key: str, what: str) -> ValidationError:
+            return ValidationError(
+                f"LLM config {path}: {key} {raw[key]!r} is not {what}")
+
+        def text(key: str, default: str) -> str:
+            value = raw.get(key, default)
+            if not isinstance(value, str):
+                raise bad(key, "a string")
+            return value
+
+        def number(key, kind, default, what, valid=lambda v: True):
+            try:
+                value = kind(raw.get(key, default))
+            except (TypeError, ValueError, OverflowError):
+                raise bad(key, what) from None
+            if not (math.isfinite(value) and valid(value)):
+                raise bad(key, what)
+            return value
+
+        return cls(
+            endpoint_url=text("endpointUrl", ""),
+            api_key_env=text("apiKeyEnvVar", cls.api_key_env),
+            model=text("model", cls.model),
+            prompt_template=text("promptTemplate", cls.prompt_template),
+            timeout_s=number("timeout", float, cls.timeout_s,
+                             "a positive number", lambda v: v > 0),
+            max_retries=number("maxRetries", int, cls.max_retries,
+                               "a nonnegative integer", lambda v: v >= 0),
+            temperature=number("temperature", float, cls.temperature,
+                               "a number"))
+
 
 # Seconds before the first retry; doubled per attempt. Module level so
 # tests can shrink it.
@@ -218,11 +263,13 @@ class LlmOracle:
             except (ValueError, KeyError, IndexError) as exc:
                 last_error = f"malformed reply: {exc}"
                 continue
-            match = _NUMBER_RE.search(raw)
-            if match is None:
+            numbers = _NUMBER_RE.findall(raw)
+            if not numbers:
                 last_error = "no numeric token in reply"
                 continue
-            return OracleResponse.point(snap_to_grid(float(match.group()), self.spec))
+            # The answer comes last: "On a 0-1 scale: 0.8" scores 0.8.
+            return OracleResponse.point(snap_to_grid(float(numbers[-1]),
+                                                     self.spec))
         raise OracleError(
             f"oracle gave no usable answer for {q} after "
             f"{self.cfg.max_retries + 1} attempts: {last_error}", raw_reply=raw)

@@ -4,7 +4,10 @@ Two estimators share one shape, a product of pairwise beat terms per
 candidate followed by normalization:
 
 - prob_ind treats every pairwise comparison on the candidates' full score
-  pdfs, ignoring score dependence through shared questions.
+  pdfs, ignoring score dependence through shared questions. Each beat
+  term is an exact integer pair count over the product of the two
+  support sizes, computed in O(1) per pair (`geq_count`), so its cost
+  does not depend on the grid resolution.
 - prob_dep first pins the unknowns shared by each compared pair to the
   range minimum, so terms that would move both scores identically drop
   out of the comparison. On candidates that share no entities it
@@ -25,7 +28,11 @@ from typing import Sequence
 import numpy as np
 
 from .bounds import elimination_cut, score_bounds
-from .distributions import geq_probability, geq_probability_naive, uniform_pdf
+# perfbench/tracing.py wraps uniform_pdf, geq_probability and
+# geq_probability_naive by name on `winner`; no estimator here calls
+# geq_probability any more, but keep it importable.
+from .distributions import (geq_count, geq_probability, geq_probability_naive,
+                            uniform_pdf)
 from .model import (Candidate, KnownStore, ScoringSpec, question_universe,
                     questions_of, unknown_questions)
 
@@ -69,17 +76,23 @@ def normalize(raw: Sequence[float]) -> tuple[tuple[float, ...], bool]:
 
 def prob_ind(candidates: Sequence[Candidate], spec: ScoringSpec,
              knowns: KnownStore) -> WinnerDistribution:
-    """Independence estimate: product of P(c beats c_i) over full pdfs."""
-    bounds = [score_bounds(c, spec, knowns) for c in candidates]
-    pdfs = [uniform_pdf(iv.lo, iv.hi) for iv in bounds]
+    """Independence estimate: product of P(c beats c_i) over full pdfs.
+
+    Each unordered pair is visited once and yields both beat terms as
+    exact pair counts over na * nb, one correctly rounded division each.
+    Every candidate's factors still arrive in ascending opponent order.
+    """
+    spans = [(iv.lo, iv.hi, iv.hi - iv.lo + 1)
+             for iv in (score_bounds(c, spec, knowns) for c in candidates)]
     m = len(candidates)
-    raw = []
+    raw = [1.0] * m
     for i in range(m):
-        r = 1.0
-        for j in range(m):
-            if j != i:
-                r *= geq_probability(pdfs[i], pdfs[j])
-        raw.append(r)
+        lo_i, hi_i, n_i = spans[i]
+        for j in range(i + 1, m):
+            lo_j, hi_j, n_j = spans[j]
+            pairs = n_i * n_j
+            raw[i] *= geq_count(lo_i, hi_i, lo_j, hi_j) / pairs
+            raw[j] *= geq_count(lo_j, hi_j, lo_i, hi_i) / pairs
     probs, flagged = normalize(raw)
     return WinnerDistribution(probs, tuple(raw), flagged)
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import random
 import threading
 from fractions import Fraction
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -11,7 +12,8 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import pytest
 
 from topkset import (Candidate, Construct, KnownStore, Problem, Question,
-                     ScoringSpec)
+                     ScoringSpec, generate_synthetic)
+from topkset.model import question_universe, unknown_questions
 
 HOTELS = ("HNY", "MLN", "HYN", "SHN", "WLD")
 
@@ -74,6 +76,22 @@ def fraction_totals(problem: Problem) -> list[Fraction]:
                 for con in problem.spec.constructs
                 for args in itertools.combinations(c.members, con.arity))
             for c in problem.candidates]
+
+
+def partial_states(spec, count):
+    """Seeded instances with a random half of their open questions answered."""
+    for seed in range(count):
+        rng = random.Random(seed)
+        problem = generate_synthetic(
+            rng.randrange(4, 8), rng.randrange(2, 5),
+            candidate_cap=rng.choice((5, 12, 20)), seed=seed, spec=spec,
+            unknown_count=rng.randrange(4, 14))
+        knowns = problem.knowns
+        for q in unknown_questions(
+                question_universe(spec, problem.candidates), knowns):
+            if rng.random() < 0.5:
+                knowns = knowns.record(spec, q, problem.ground_truth[q])
+        yield problem.candidates, knowns
 
 
 @pytest.fixture

@@ -16,6 +16,8 @@ from topkset.bounds import (Incidence, elimination_cut, shared_unknowns,
 from topkset.harness import default_spec
 from topkset.model import question_universe, questions_of, unknown_questions
 
+from .conftest import partial_states
+
 
 def test_hotel_bounds_are_exact(f1):
     got = [score_bounds(c, f1.spec, f1.knowns) for c in f1.candidates]
@@ -173,22 +175,6 @@ REFERENCE_SPECS = {
     "rel-weight-0.3": ScoringSpec((Construct("rel", 1, weight=0.3),
                                    Construct("div", 2))),
 }
-
-
-def partial_states(spec, count):
-    """Seeded instances with a random half of their open questions answered."""
-    for seed in range(count):
-        rng = random.Random(seed)
-        problem = generate_synthetic(
-            rng.randrange(4, 8), rng.randrange(2, 5),
-            candidate_cap=rng.choice((5, 12, 20)), seed=seed, spec=spec,
-            unknown_count=rng.randrange(4, 14))
-        knowns = problem.knowns
-        for q in unknown_questions(
-                question_universe(spec, problem.candidates), knowns):
-            if rng.random() < 0.5:
-                knowns = knowns.record(spec, q, problem.ground_truth[q])
-        yield problem.candidates, knowns
 
 
 @pytest.mark.parametrize("name", REFERENCE_SPECS)

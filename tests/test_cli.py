@@ -5,6 +5,8 @@ import json
 import shutil
 from pathlib import Path
 
+import pytest
+
 from topkset.cli import entrypoint
 
 F1_DIR = str(Path(__file__).resolve().parent.parent / "datasets" / "f1")
@@ -91,6 +93,48 @@ def test_llm_oracle_round_trip(tmp_path, capsys, chat_server):
         context = {r["id"]: r["contextText"] for r in csv.DictReader(fh)}
     for entity, text in context.items():
         assert (text in prompt) == (entity in ("MLN", "HYN")), entity
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"endpointUrl": "http://localhost:9",', "cannot read LLM config"),
+    ('["http://localhost:9"]', "is not a JSON object"),
+    ('{"model": "judge-1"}', "lacks 'endpointUrl'"),
+    ('{"endpointUrl": 9}', "endpointUrl 9 is not a string"),
+    ('{"endpointUrl": "http://localhost:9", "timeout": "soon"}',
+     "timeout 'soon' is not a positive number"),
+    ('{"endpointUrl": "http://localhost:9", "timeout": 0}',
+     "timeout 0 is not a positive number"),
+    ('{"endpointUrl": "http://localhost:9", "maxRetries": "many"}',
+     "maxRetries 'many' is not a nonnegative integer"),
+    ('{"endpointUrl": "http://localhost:9", "maxRetries": -1}',
+     "maxRetries -1 is not a nonnegative integer"),
+    ('{"endpointUrl": "http://localhost:9", "temperature": "warm"}',
+     "temperature 'warm' is not a number"),
+], ids=["invalid-json", "not-an-object", "no-endpoint", "endpoint-type",
+        "timeout-text", "timeout-zero", "retries-text", "retries-negative",
+        "temperature-text"])
+def test_bad_llm_config_is_a_validation_error(tmp_path, capsys, text,
+                                              message):
+    cfg = tmp_path / "llm.json"
+    cfg.write_text(text)
+    code, _, err = run(["solve", "--dataset", F1_DIR, "--k", "3",
+                        "--oracle", "llm", "--llm-config", str(cfg)], capsys)
+    assert code == 2
+    assert message in err
+
+
+@pytest.mark.parametrize("name, message", [
+    ("spec.json", "cannot read scoring spec"),
+    ("entities.csv", "has no entities.csv"),
+    ("rel.csv", "missing score file rel.csv"),
+])
+def test_dataset_missing_a_required_file(tmp_path, capsys, name, message):
+    ds = tmp_path / "ds"
+    shutil.copytree(F1_DIR, ds)
+    (ds / name).unlink()
+    code, _, err = run(["solve", "--dataset", str(ds), "--k", "3"], capsys)
+    assert code == 2
+    assert message in err and name in err
 
 
 def test_non_numeric_score_is_a_validation_error(tmp_path, capsys):

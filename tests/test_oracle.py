@@ -114,10 +114,22 @@ class TestLlmOracle:
         got = make_llm(chat_server).ask(Question("rel", ("HNY",)))
         assert got == OracleResponse.point(0.5)
 
-    def test_first_number_in_prose_is_used(self, chat_server):
+    def test_number_in_prose_is_used(self, chat_server):
         chat_server.default_reply = "Score: 1 (the hotels differ a lot)"
         got = make_llm(chat_server).ask(Question("div", ("MLN", "HYN")))
         assert got.value == 1.0
+
+    @pytest.mark.parametrize("reply, value", [
+        ("On a 0-1 scale: 0.8", 1.0),
+        ("On a 0-1 scale: 0.7", 0.5),
+        ("Between 0 and 1 I would give it 0.9", 1.0),
+        ("-2 is too low; 0.6", 0.5),
+    ])
+    def test_last_number_in_the_reply_is_the_score(self, chat_server, reply,
+                                                   value):
+        chat_server.default_reply = reply
+        got = make_llm(chat_server).ask(Question("rel", ("HNY",)))
+        assert got.value == value
 
     def test_off_grid_reply_is_snapped(self, chat_server):
         chat_server.default_reply = "I would say roughly 0.68."

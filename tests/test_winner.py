@@ -2,18 +2,21 @@
 
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from topkset import (Candidate, CapExceededError, KnownStore, Question,
-                     WinnerDistribution, brute_force_dist, generate_synthetic,
-                     normalize, prob_dep, prob_ind)
+from topkset import (Candidate, CapExceededError, Construct, KnownStore,
+                     Question, ScoringSpec, WinnerDistribution,
+                     brute_force_dist, generate_synthetic, normalize, prob_dep,
+                     prob_ind, score_bounds)
+from topkset.harness import default_spec
 from topkset.model import question_universe, questions_of, unknown_questions
 
-from .conftest import hotel_spec
+from .conftest import hotel_spec, partial_states
 
 EXACT = pytest.approx
 
@@ -51,6 +54,42 @@ def test_prob_ind_on_hotels(f1):
     assert list(dist.probs) == exact(
         [Fraction(418, 668), Fraction(60, 668), Fraction(190, 668)])
     assert dist.top_index() == 0
+
+
+@pytest.mark.parametrize("spec", [
+    default_spec(0.5), default_spec(0.1),
+    ScoringSpec((Construct("rel", 1, weight=0.3), Construct("div", 2)))],
+    ids=["step-0.5", "step-0.1", "rel-weight-0.3"])
+def test_prob_ind_raw_is_the_product_of_exact_pair_counts(spec):
+    """Each beat term is K / (na * nb), one correctly rounded division,
+    multiplied in ascending opponent order; K counted point by point."""
+    for cands, knowns in partial_states(spec, 40):
+        spans = [(iv.lo, iv.hi) for iv in
+                 (score_bounds(c, spec, knowns) for c in cands)]
+        expected = []
+        for i, (a_lo, a_hi) in enumerate(spans):
+            r = 1.0
+            for j, (b_lo, b_hi) in enumerate(spans):
+                if j != i:
+                    nb = b_hi - b_lo + 1
+                    k = sum(min(max(x - b_lo + 1, 0), nb)
+                            for x in range(a_lo, a_hi + 1))
+                    r *= k / ((a_hi - a_lo + 1) * nb)
+            expected.append(r)
+        assert prob_ind(cands, spec, knowns).raw == tuple(expected)
+
+
+def test_prob_ind_cost_does_not_grow_with_lattice_resolution():
+    """div weight 1e-5 at step 0.5 makes the quantum 1/200000, so each
+    interval spans about a million lattice points."""
+    spec = ScoringSpec((Construct("rel", 1), Construct("div", 2, weight=1e-5)))
+    problem = generate_synthetic(5, 2, candidate_cap=6, seed=1, spec=spec)
+    assert spec.quantum == Fraction(1, 200_000)
+    t0 = time.perf_counter()
+    dist = prob_ind(problem.candidates, spec, problem.knowns)
+    assert time.perf_counter() - t0 < 1.0
+    assert len(dist.probs) == 6
+    assert sum(dist.probs) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_prob_dep_on_hotels(f1):
