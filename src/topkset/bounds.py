@@ -60,17 +60,25 @@ def score_bounds(c: Candidate, spec: ScoringSpec, knowns: KnownStore) -> Interva
 
     With every question answered the interval collapses to the exact score.
     """
+    return bounds_and_unknowns(c, spec, knowns)[0]
+
+
+def bounds_and_unknowns(c: Candidate, spec: ScoringSpec, knowns: KnownStore
+                        ) -> tuple[Interval, tuple[Question, ...]]:
+    """`score_bounds(c)` and c's unanswered questions, from one scan."""
     lo = hi = 0
+    unknown = []
     for q in questions_of(c, spec):
         i = knowns.get(q)
         low = spec.low[q.construct]
         if i is None:
             lo += low
             hi += low + spec.span(q.construct)
+            unknown.append(q)
         else:
             lo += low + i * spec.rise[q.construct]
             hi += low + i * spec.rise[q.construct]
-    return Interval(lo, hi, spec.quantum)
+    return Interval(lo, hi, spec.quantum), tuple(unknown)
 
 
 def shared_unknowns(ca: Candidate, cb: Candidate, spec: ScoringSpec,

@@ -100,7 +100,11 @@ def geq_probability(a: DiscretePdf, b: DiscretePdf) -> float:
 
 
 def geq_probability_naive(a: DiscretePdf, b: DiscretePdf) -> float:
-    """Reference double sum over all support pairs; quadratic."""
+    """Reference double sum over all support pairs; quadratic.
+
+    No estimator calls it: it is the reference that tests hold
+    `geq_probability` to.
+    """
     off = a.origin - b.origin
     total = 0.0
     for i, ma in enumerate(a.masses):

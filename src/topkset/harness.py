@@ -40,15 +40,21 @@ from .oracle import TableOracle
 ENTITY_COLUMNS = ("id", "displayName", "contextText")
 
 
-def _read_rows(path: Path) -> list[dict]:
+def _read(path: Path, parse, newline: Optional[str] = None):
+    """parse(open text file), with any failure to read it as a
+    ValidationError naming the file."""
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            return list(csv.DictReader(fh))
+        with open(path, newline=newline, encoding="utf-8") as fh:
+            return parse(fh)
     except FileNotFoundError:
         raise ValidationError(f"dataset {path.parent} has no {path.name}") \
             from None
     except (OSError, ValueError, csv.Error) as exc:
         raise ValidationError(f"cannot read {path.name}: {exc}") from None
+
+
+def _read_rows(path: Path, reader=csv.DictReader) -> list:
+    return _read(path, lambda fh: list(reader(fh)), newline="")
 
 
 def load_spec(path: Path) -> ScoringSpec:
@@ -147,7 +153,7 @@ def load_problem(dataset_dir: str | Path, k: int,
                     f"table oracle needs a score for {q} but none was given")
 
     query_file = root / "query.txt"
-    query_text = query_file.read_text(encoding="utf-8").strip() \
+    query_text = _read(query_file, lambda fh: fh.read()).strip() \
         if query_file.exists() else ""
 
     return Problem(tuple(entities), spec, k, candidates, knowns,
@@ -157,21 +163,20 @@ def load_problem(dataset_dir: str | Path, k: int,
 def _load_candidates(path: Path, k: int, entity_pool: set,
                      cap: Optional[int]) -> tuple[Candidate, ...]:
     out: list[Candidate] = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        for row in csv.reader(fh):
-            members = tuple(x.strip() for x in row if x.strip())
-            if not members:
-                continue
-            if len(members) != k:
+    for row in _read_rows(path, csv.reader):
+        members = tuple(x.strip() for x in row if x.strip())
+        if not members:
+            continue
+        if len(members) != k:
+            raise ValidationError(
+                f"candidates.csv row {members} is not a {k}-set")
+        for e in members:
+            if e not in entity_pool:
                 raise ValidationError(
-                    f"candidates.csv row {members} is not a {k}-set")
-            for e in members:
-                if e not in entity_pool:
-                    raise ValidationError(
-                        f"candidates.csv references unknown entity {e!r}")
-            out.append(Candidate(len(out), members))
-            if cap is not None and len(out) >= cap:
-                break
+                    f"candidates.csv references unknown entity {e!r}")
+        out.append(Candidate(len(out), members))
+        if cap is not None and len(out) >= cap:
+            break
     if not out:
         raise ValidationError("candidates.csv has no rows")
     return tuple(out)

@@ -10,8 +10,10 @@ candidate followed by normalization:
   does not depend on the grid resolution.
 - prob_dep first pins the unknowns shared by each compared pair to the
   range minimum, so terms that would move both scores identically drop
-  out of the comparison. On candidates that share no entities it
-  degenerates to prob_ind.
+  out of the comparison. Each beat term walks one eliminated pdf against
+  the other's cumulative sums (`geq_probability`), so its cost is linear
+  in the support sizes and grows with the grid resolution. On candidates
+  that share no entities it degenerates to prob_ind.
 
 brute_force_dist enumerates every grid completion of the unknowns and is
 the exact reference the estimators are tested against.
@@ -27,12 +29,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .bounds import elimination_cut, score_bounds
+from .bounds import bounds_and_unknowns, elimination_cut, score_bounds
 # perfbench/tracing.py wraps uniform_pdf, geq_probability and
 # geq_probability_naive by name on `winner`; no estimator here calls
-# geq_probability any more, but keep it importable.
-from .distributions import (geq_count, geq_probability, geq_probability_naive,
-                            uniform_pdf)
+# geq_probability_naive any more, but keep it importable.
+from .distributions import (DiscretePdf, geq_count, geq_probability,
+                            geq_probability_naive, uniform_pdf)
 from .model import (Candidate, KnownStore, ScoringSpec, question_universe,
                     questions_of, unknown_questions)
 
@@ -102,20 +104,33 @@ def prob_dep(candidates: Sequence[Candidate], spec: ScoringSpec,
     """Pairwise estimate with shared-unknown elimination.
 
     Each beat term P(c >= c_i) is evaluated on the pair's eliminated pdfs
-    by the quadratic double sum, visiting opponents in candidate order.
+    by the linear walk of `geq_probability`, and every candidate's
+    factors arrive in ascending opponent order. A candidate's eliminated
+    pdf depends only on the cut, so each distinct (candidate, cut) pdf is
+    built once and serves every opponent with that cut; every pair that
+    shares no unknowns uses the full pdfs.
     """
     m = len(candidates)
-    full = [score_bounds(c, spec, knowns) for c in candidates]
-    unk = [frozenset(q for q in questions_of(c, spec) if q not in knowns)
-           for c in candidates]
+    full, unk = [], []
+    for c in candidates:
+        iv, unknown = bounds_and_unknowns(c, spec, knowns)
+        full.append(iv)
+        unk.append(frozenset(unknown))
+    pdfs: dict[tuple[int, int], DiscretePdf] = {}
+
+    def eliminated(i: int, cut: int) -> DiscretePdf:
+        pdf = pdfs.get((i, cut))
+        if pdf is None:
+            pdf = pdfs[i, cut] = uniform_pdf(full[i].lo, full[i].hi - cut)
+        return pdf
+
     raw = [1.0] * m
     for i in range(m):
         for j in range(i + 1, m):
             cut = elimination_cut(unk[i] & unk[j], spec)
-            pi = uniform_pdf(full[i].lo, full[i].hi - cut)
-            pj = uniform_pdf(full[j].lo, full[j].hi - cut)
-            raw[i] *= geq_probability_naive(pi, pj)
-            raw[j] *= geq_probability_naive(pj, pi)
+            pi, pj = eliminated(i, cut), eliminated(j, cut)
+            raw[i] *= geq_probability(pi, pj)
+            raw[j] *= geq_probability(pj, pi)
     probs, flagged = normalize(raw)
     return WinnerDistribution(probs, tuple(raw), flagged)
 

@@ -137,6 +137,25 @@ def test_dataset_missing_a_required_file(tmp_path, capsys, name, message):
     assert message in err and name in err
 
 
+def test_query_txt_that_is_a_directory(tmp_path, capsys):
+    ds = tmp_path / "ds"
+    shutil.copytree(F1_DIR, ds)
+    (ds / "query.txt").unlink()
+    (ds / "query.txt").mkdir()
+    code, _, err = run(["solve", "--dataset", str(ds), "--k", "3"], capsys)
+    assert code == 2
+    assert "cannot read query.txt" in err
+
+
+def test_candidates_csv_that_is_not_utf8(tmp_path, capsys):
+    ds = tmp_path / "ds"
+    shutil.copytree(F1_DIR, ds)
+    (ds / "candidates.csv").write_bytes(b"HNY,MLN,\xff\xfe\n")
+    code, _, err = run(["solve", "--dataset", str(ds), "--k", "3"], capsys)
+    assert code == 2
+    assert "cannot read candidates.csv" in err
+
+
 def test_non_numeric_score_is_a_validation_error(tmp_path, capsys):
     ds = tmp_path / "ds"
     shutil.copytree(F1_DIR, ds)

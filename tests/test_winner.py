@@ -11,8 +11,10 @@ from hypothesis import strategies as st
 
 from topkset import (Candidate, CapExceededError, Construct, KnownStore,
                      Question, ScoringSpec, WinnerDistribution,
-                     brute_force_dist, generate_synthetic, normalize, prob_dep,
-                     prob_ind, score_bounds)
+                     brute_force_dist, eliminated_bounds, generate_synthetic,
+                     normalize, prob_dep, prob_ind, score_bounds)
+from topkset.distributions import (geq_probability, geq_probability_naive,
+                                   uniform_pdf)
 from topkset.harness import default_spec
 from topkset.model import question_universe, questions_of, unknown_questions
 
@@ -101,6 +103,44 @@ def test_prob_dep_on_hotels(f1):
     assert dist.top_index() == 0
     # Unnormalized products keep the middle candidate last.
     assert dist.raw[1] < dist.raw[2] < dist.raw[0]
+
+
+@pytest.mark.parametrize("spec", [
+    default_spec(0.5), default_spec(0.1),
+    ScoringSpec((Construct("rel", 1, weight=0.3), Construct("div", 2)))],
+    ids=["step-0.5", "step-0.1", "rel-weight-0.3"])
+def test_prob_dep_raw_is_the_product_of_linear_walks(spec):
+    """Each beat term is geq_probability on the pair's eliminated uniform
+    pdfs, multiplied in ascending opponent order, and agrees with the
+    quadratic reference sum."""
+    for cands, knowns in partial_states(spec, 40):
+        expected = []
+        for i, ca in enumerate(cands):
+            r = 1.0
+            for j, cb in enumerate(cands):
+                if j != i:
+                    a, b = eliminated_bounds(ca, cb, spec, knowns)
+                    pa, pb = uniform_pdf(a.lo, a.hi), uniform_pdf(b.lo, b.hi)
+                    term = geq_probability(pa, pb)
+                    assert term == pytest.approx(
+                        geq_probability_naive(pa, pb), rel=0, abs=1e-12)
+                    r *= term
+            expected.append(r)
+        assert prob_dep(cands, spec, knowns).raw == tuple(expected)
+
+
+def test_prob_dep_stays_fast_at_a_fine_quantum():
+    """div weight 0.001 at step 0.5 makes the quantum 1/2000; beat terms
+    linear in the support size take milliseconds here, a quadratic double
+    sum takes seconds."""
+    spec = ScoringSpec((Construct("rel", 1), Construct("div", 2, weight=0.001)))
+    problem = generate_synthetic(5, 2, candidate_cap=6, seed=3, spec=spec)
+    assert spec.quantum == Fraction(1, 2000)
+    t0 = time.perf_counter()
+    dist = prob_dep(problem.candidates, spec, problem.knowns)
+    assert time.perf_counter() - t0 < 1.0
+    assert len(dist.probs) == 6
+    assert sum(dist.probs) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_brute_force_on_hotels(f1):
