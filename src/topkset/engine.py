@@ -22,9 +22,10 @@ from typing import Callable, Optional, Protocol, Sequence
 
 import numpy as np
 
-# perfbench/tracing.py wraps module functions by name on `engine`, among
-# them score_bounds, elimination_cut and questions_of, which the solve loop
-# does not call; keep them importable here.
+# perfbench/tracing.py wraps module functions by name on `engine`.
+# score_bounds, elimination_cut and questions_of are imported only for it;
+# question_universe and unknown_questions only order a baseline solve's
+# questions, once per solve.
 from .bounds import (Incidence, Interval, elimination_cut, first_dominator,
                      score_bounds, undominated)
 from .model import (Candidate, KnownStore, Problem, Question, ScoringSpec,
@@ -94,6 +95,8 @@ def enumerate_candidates(entities: Sequence[str], k: int,
         raise ValidationError("k must be >= 1")
     if k > len(entities):
         raise ValidationError(f"k={k} exceeds {len(entities)} entities")
+    if cap is not None and cap < 1:
+        raise ValidationError(f"candidate cap must be >= 1, got {cap}")
     combos = itertools.combinations(sorted(entities), k)
     if cap is not None:
         combos = itertools.islice(combos, cap)
@@ -159,6 +162,8 @@ def solve(problem: Problem, policy: Policy, oracle: Oracle, *,
     `clock` must be a nanosecond counter; injecting a deterministic one
     makes the emitted trace byte-for-byte reproducible.
     """
+    if max_calls is not None and max_calls < 0:
+        raise ValidationError(f"max_calls must be >= 0, got {max_calls}")
     clock = clock or time.perf_counter_ns
     spec = problem.spec
     all_candidates = problem.candidates
@@ -196,11 +201,13 @@ def solve(problem: Problem, policy: Policy, oracle: Oracle, *,
         if winner is not None:
             dist = _one_hot(winner, active)
         elif policy is Policy.ENTRRED_DEP:
-            dist = prob_dep(active, spec, knowns)
+            dist = prob_dep(active, spec, knowns, lo=lb[rows].tolist(),
+                            hi=ub[rows].tolist(), cut=cut.tolist())
         else:
             # Observability for the random and baseline policies; their
             # selection never reads it.
-            dist = prob_ind(active, spec, knowns)
+            dist = prob_ind(active, spec, knowns, lo=lb[rows].tolist(),
+                            hi=ub[rows].tolist())
         probs_padded = _pad(dist, active, len(all_candidates))
         step_entropy = entropy(probs_padded)
         nanos["probability"] += clock() - t0
@@ -228,11 +235,15 @@ def solve(problem: Problem, policy: Policy, oracle: Oracle, *,
             question = ask_order[next_q]
             next_q += 1
         else:
-            unknowns = unknown_questions(question_universe(spec, active), knowns)
+            # Open questions of the live candidates, in universe order.
+            cols = np.flatnonzero(unknown & core.members[rows].any(axis=0))
+            unknowns = [core.questions[j] for j in cols]
             if policy is Policy.RANDOM:
                 question = select_random(unknowns, rng)
             else:
-                question = select_entrred(active, dist.probs, unknowns, spec)
+                affected = core.members[np.ix_(rows, cols)].T.astype(bool)
+                question = select_entrred(active, dist.probs, unknowns, spec,
+                                          affected=affected.tolist())
         nanos["selection"] += clock() - t0
 
         if max_calls is not None and calls >= max_calls:

@@ -162,6 +162,8 @@ def load_problem(dataset_dir: str | Path, k: int,
 
 def _load_candidates(path: Path, k: int, entity_pool: set,
                      cap: Optional[int]) -> tuple[Candidate, ...]:
+    if cap is not None and cap < 1:
+        raise ValidationError(f"candidate cap must be >= 1, got {cap}")
     out: list[Candidate] = []
     for row in _read_rows(path, csv.reader):
         members = tuple(x.strip() for x in row if x.strip())

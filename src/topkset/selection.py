@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Sequence, Union
+from typing import Optional, Sequence, Union
 
 from .model import Candidate, Question, ScoringSpec, questions_of
 
@@ -46,8 +46,15 @@ def _separation(affected: Sequence[bool], probs: Sequence[float]) -> float:
 
 
 def select_entrred(candidates: Sequence[Candidate], probs: Sequence[float],
-                   unknowns: Sequence[Question], spec: ScoringSpec) -> Question:
+                   unknowns: Sequence[Question], spec: ScoringSpec, *,
+                   affected: Optional[Sequence[Sequence[bool]]] = None
+                   ) -> Question:
     """Highest-scoring open question of the most probable candidate.
+
+    `affected[r][i]` says whether `unknowns[r]` contributes to candidate
+    i's score, as the solve loop already holds it; without it the rows
+    come from each candidate's `questions_of`. Both forms score the same
+    way.
 
     Ties on probability go to the lowest candidate index; ties on question
     score go to the earliest question in `unknowns` order. When the top
@@ -60,16 +67,19 @@ def select_entrred(candidates: Sequence[Candidate], probs: Sequence[float],
     for i in range(1, len(probs)):
         if probs[i] > probs[top]:
             top = i
-    # `qef_score` per question, with each candidate's questions built once.
-    touched = [set(questions_of(c, spec)) for c in candidates]
-    pool = [q for q in unknowns if q in touched[top]] or list(unknowns)
+    if affected is None:
+        touched = [set(questions_of(c, spec)) for c in candidates]
+        affected = [[q in t for t in touched] for q in unknowns]
+    # `qef_score` per question, read from its row.
+    pool = ([r for r, row in enumerate(affected) if row[top]]
+            or range(len(unknowns)))
     best = pool[0]
-    best_score = _separation([best in t for t in touched], probs)
-    for q in pool[1:]:
-        s = _separation([q in t for t in touched], probs)
+    best_score = _separation(affected[best], probs)
+    for r in pool[1:]:
+        s = _separation(affected[r], probs)
         if s > best_score:
-            best, best_score = q, s
-    return best
+            best, best_score = r, s
+    return unknowns[best]
 
 
 def select_random(unknowns: Sequence[Question],

@@ -25,7 +25,7 @@ so every comparison between candidate scores is exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -77,15 +77,23 @@ def normalize(raw: Sequence[float]) -> tuple[tuple[float, ...], bool]:
 
 
 def prob_ind(candidates: Sequence[Candidate], spec: ScoringSpec,
-             knowns: KnownStore) -> WinnerDistribution:
+             knowns: KnownStore, *, lo: Optional[Sequence[int]] = None,
+             hi: Optional[Sequence[int]] = None) -> WinnerDistribution:
     """Independence estimate: product of P(c beats c_i) over full pdfs.
+
+    `lo` and `hi` are the candidates' `score_bounds` in quanta, as the
+    solve loop already holds them; without them each candidate's bounds
+    are read through `score_bounds` once. Both forms run the same loop.
 
     Each unordered pair is visited once and yields both beat terms as
     exact pair counts over na * nb, one correctly rounded division each.
     Every candidate's factors still arrive in ascending opponent order.
     """
-    spans = [(iv.lo, iv.hi, iv.hi - iv.lo + 1)
-             for iv in (score_bounds(c, spec, knowns) for c in candidates)]
+    if lo is None or hi is None:
+        spans = [(iv.lo, iv.hi, iv.hi - iv.lo + 1)
+                 for iv in (score_bounds(c, spec, knowns) for c in candidates)]
+    else:
+        spans = [(a, b, b - a + 1) for a, b in zip(lo, hi)]
     m = len(candidates)
     raw = [1.0] * m
     for i in range(m):
@@ -100,8 +108,18 @@ def prob_ind(candidates: Sequence[Candidate], spec: ScoringSpec,
 
 
 def prob_dep(candidates: Sequence[Candidate], spec: ScoringSpec,
-             knowns: KnownStore) -> WinnerDistribution:
+             knowns: KnownStore, *, lo: Optional[Sequence[int]] = None,
+             hi: Optional[Sequence[int]] = None,
+             cut: Optional[Sequence[Sequence[int]]] = None
+             ) -> WinnerDistribution:
     """Pairwise estimate with shared-unknown elimination.
+
+    `lo` and `hi` are the candidates' `score_bounds` and `cut[i][j]` the
+    `elimination_cut` of candidates i and j, all in quanta, as the solve
+    loop already holds them. Without them each candidate's bounds and
+    open questions come from one `bounds_and_unknowns` scan and each
+    unordered pair's cut from one `elimination_cut`. Both forms run the
+    same loop.
 
     Each beat term P(c >= c_i) is evaluated on the pair's eliminated pdfs
     by the linear walk of `geq_probability`, and every candidate's
@@ -111,24 +129,30 @@ def prob_dep(candidates: Sequence[Candidate], spec: ScoringSpec,
     shares no unknowns uses the full pdfs.
     """
     m = len(candidates)
-    full, unk = [], []
-    for c in candidates:
-        iv, unknown = bounds_and_unknowns(c, spec, knowns)
-        full.append(iv)
-        unk.append(frozenset(unknown))
+    if lo is None or hi is None or cut is None:
+        lo, hi, unk = [], [], []
+        for c in candidates:
+            iv, unknown = bounds_and_unknowns(c, spec, knowns)
+            lo.append(iv.lo)
+            hi.append(iv.hi)
+            unk.append(frozenset(unknown))
+        cut = [[0] * m for _ in range(m)]
+        for i in range(m):
+            for j in range(i + 1, m):
+                cut[i][j] = elimination_cut(unk[i] & unk[j], spec)
     pdfs: dict[tuple[int, int], DiscretePdf] = {}
 
-    def eliminated(i: int, cut: int) -> DiscretePdf:
-        pdf = pdfs.get((i, cut))
+    def eliminated(i: int, drop: int) -> DiscretePdf:
+        pdf = pdfs.get((i, drop))
         if pdf is None:
-            pdf = pdfs[i, cut] = uniform_pdf(full[i].lo, full[i].hi - cut)
+            pdf = pdfs[i, drop] = uniform_pdf(lo[i], hi[i] - drop)
         return pdf
 
     raw = [1.0] * m
     for i in range(m):
+        row = cut[i]
         for j in range(i + 1, m):
-            cut = elimination_cut(unk[i] & unk[j], spec)
-            pi, pj = eliminated(i, cut), eliminated(j, cut)
+            pi, pj = eliminated(i, row[j]), eliminated(j, row[j])
             raw[i] *= geq_probability(pi, pj)
             raw[j] *= geq_probability(pj, pi)
     probs, flagged = normalize(raw)

@@ -226,55 +226,52 @@ def test_criterion_08_estimator_properties(suite6):
     assert dominance_ok
 
 
-def _median_ns(fn, repeats):
-    reps = []
-    for _ in range(repeats):
-        t0 = time.perf_counter_ns()
-        fn()
-        reps.append(time.perf_counter_ns() - t0)
-    return statistics.median(reps)
+def _interleaved_best_ns(fns, rounds, passes=5):
+    """Each callable's best wall time, as the median over `passes`.
 
-
-def _interleaved_ratio(args, repeats):
-    """dep/ind wall-time ratio from interleaved best-of-N samples.
-
-    Interleaving keeps clock drift and scheduler noise from landing on
-    one estimator only; the minimum discards additive noise.
+    A pass calls every function in turn, `rounds` times, and keeps each
+    one's best time: a slow stretch of the host then lands on every
+    function instead of on one, and the minimum discards additive noise.
+    The median over passes keeps one pass whose samples were all slowed
+    from deciding the result.
     """
-    ind_best = dep_best = None
-    for _ in range(repeats):
-        t0 = time.perf_counter_ns()
-        prob_ind(*args)
-        a = time.perf_counter_ns() - t0
-        t0 = time.perf_counter_ns()
-        prob_dep(*args)
-        b = time.perf_counter_ns() - t0
-        ind_best = a if ind_best is None else min(ind_best, a)
-        dep_best = b if dep_best is None else min(dep_best, b)
-    return dep_best / ind_best
+    per_pass = []
+    for _ in range(passes):
+        best = [None] * len(fns)
+        for _ in range(rounds):
+            for k, fn in enumerate(fns):
+                t0 = time.perf_counter_ns()
+                fn()
+                t = time.perf_counter_ns() - t0
+                best[k] = t if best[k] is None else min(best[k], t)
+        per_pass.append(best)
+    return [statistics.median(ts) for ts in zip(*per_pass)]
 
 
 def test_criterion_09_complexity_trends():
     sizes = (20, 40, 80, 160)
     fine_spec = default_spec(1 / 16)
-    times = []
+    fns = []
     for m_cand in sizes:
         problem = generate_synthetic(m_cand, 1, seed=97, spec=fine_spec)
         fn = lambda p=problem: prob_ind(p.candidates, p.spec, p.knowns)
         fn()
-        times.append(_median_ns(fn, 3))
+        fns.append(fn)
+    times = _interleaved_best_ns(fns, rounds=3)
     slope = statistics.linear_regression(
         [math.log(m) for m in sizes], [math.log(t) for t in times]).slope
     slope_ok = 1.5 <= slope <= 2.5
 
-    ratios = []
-    for step, reps in ((1 / 2, 25), (1 / 4, 15), (1 / 8, 9), (1 / 16, 5)):
+    fns = []
+    for step in (1 / 2, 1 / 4, 1 / 8, 1 / 16):
         problem = generate_synthetic(8, 3, candidate_cap=8, seed=97,
                                      spec=default_spec(step))
         args = (problem.candidates, problem.spec, problem.knowns)
         prob_ind(*args)
         prob_dep(*args)
-        ratios.append(_interleaved_ratio(args, reps))
+        fns += [lambda a=args: prob_ind(*a), lambda a=args: prob_dep(*a)]
+    best = _interleaved_best_ns(fns, rounds=25)
+    ratios = [dep / ind for ind, dep in zip(best[::2], best[1::2])]
     ratio_ok = all(b > a for a, b in zip(ratios, ratios[1:]))
 
     dep_total = ind_total = 0

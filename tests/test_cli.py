@@ -183,6 +183,34 @@ def test_spec_beyond_the_exact_lattice_asks_nothing(tmp_path, capsys,
     assert chat_server.requests == []
 
 
+@pytest.mark.parametrize("drop_candidates, argv, message", [
+    (True, ["--k", "2", "--candidates", "-1"],
+     "candidate cap must be >= 1, got -1"),
+    (False, ["--k", "3", "--candidates", "0"],
+     "candidate cap must be >= 1, got 0"),
+    (False, ["--k", "3", "--candidates", "-1"],
+     "candidate cap must be >= 1, got -1"),
+    (False, ["--k", "3", "--max-calls", "-1"],
+     "max_calls must be >= 0, got -1"),
+], ids=["enumerated-cap-negative", "listed-cap-zero", "listed-cap-negative",
+        "max-calls-negative"])
+def test_bad_cap_or_budget_asks_nothing(tmp_path, capsys, chat_server,
+                                        drop_candidates, argv, message):
+    ds = tmp_path / "ds"
+    shutil.copytree(F1_DIR, ds)
+    if drop_candidates:
+        (ds / "candidates.csv").unlink()
+    cfg = tmp_path / "llm.json"
+    cfg.write_text(json.dumps({"endpointUrl": chat_server.url}))
+    code, out, err = run(["solve", "--dataset", str(ds), *argv,
+                          "--oracle", "llm", "--llm-config", str(cfg)],
+                         capsys)
+    assert code == 2
+    assert message in err
+    assert "winner" not in out
+    assert chat_server.requests == []
+
+
 def test_gen_then_solve(tmp_path, capsys):
     out_dir = tmp_path / "synth"
     code, out, _ = run(["gen", "--n", "5", "--k", "2", "--seed", "3",

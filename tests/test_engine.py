@@ -7,7 +7,9 @@ import pytest
 from topkset import (OracleResponse, Policy, Question, SolveLimitError,
                      TableOracle, ValidationError, enumerate_candidates,
                      find_winner, generate_synthetic, prune_dominated, solve)
+from topkset import bounds, engine, selection, winner
 from topkset.harness import exact_scores
+from topkset.model import questions_of
 
 ALL_POLICIES = (Policy.ENTRRED_DEP, Policy.ENTRRED_IND, Policy.RANDOM,
                 Policy.BASELINE)
@@ -104,6 +106,27 @@ def test_synthetic_winners_match_ground_truth(policy):
                        seed=seed)
         truth = exact_scores(problem)
         assert truth[result.winner.index] == max(truth)
+
+
+@pytest.mark.parametrize("policy", [Policy.ENTRRED_IND, Policy.ENTRRED_DEP,
+                                    Policy.RANDOM])
+def test_solve_scans_each_candidate_once(monkeypatch, policy):
+    """Bounds, estimates and selection read the incidence core, so the
+    only `questions_of` calls are its one-time build."""
+    calls = []
+
+    def counted(c, spec):
+        calls.append(c)
+        return questions_of(c, spec)
+
+    for module in (engine, bounds, selection, winner):
+        monkeypatch.setattr(module, "questions_of", counted)
+    problem = generate_synthetic(8, 3, candidate_cap=30, seed=5,
+                                 unknown_count=16)
+    result = solve(problem, policy, TableOracle(problem.ground_truth),
+                   seed=5)
+    assert result.oracle_calls >= 3
+    assert len(calls) == len(problem.candidates)
 
 
 def test_bounds_narrow_monotonically_along_the_trace():

@@ -5,6 +5,7 @@ import random
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,7 +13,9 @@ from hypothesis import strategies as st
 from topkset import (Candidate, CapExceededError, Construct, KnownStore,
                      Question, ScoringSpec, WinnerDistribution,
                      brute_force_dist, eliminated_bounds, generate_synthetic,
-                     normalize, prob_dep, prob_ind, score_bounds)
+                     normalize, prob_dep, prob_ind, score_bounds,
+                     select_entrred)
+from topkset.bounds import Incidence
 from topkset.distributions import (geq_probability, geq_probability_naive,
                                    uniform_pdf)
 from topkset.harness import default_spec
@@ -21,6 +24,11 @@ from topkset.model import question_universe, questions_of, unknown_questions
 from .conftest import hotel_spec, partial_states
 
 EXACT = pytest.approx
+
+PARTIAL_SPECS = pytest.mark.parametrize("spec", [
+    default_spec(0.5), default_spec(0.1),
+    ScoringSpec((Construct("rel", 1, weight=0.3), Construct("div", 2)))],
+    ids=["step-0.5", "step-0.1", "rel-weight-0.3"])
 
 
 def exact(fracs):
@@ -58,10 +66,7 @@ def test_prob_ind_on_hotels(f1):
     assert dist.top_index() == 0
 
 
-@pytest.mark.parametrize("spec", [
-    default_spec(0.5), default_spec(0.1),
-    ScoringSpec((Construct("rel", 1, weight=0.3), Construct("div", 2)))],
-    ids=["step-0.5", "step-0.1", "rel-weight-0.3"])
+@PARTIAL_SPECS
 def test_prob_ind_raw_is_the_product_of_exact_pair_counts(spec):
     """Each beat term is K / (na * nb), one correctly rounded division,
     multiplied in ascending opponent order; K counted point by point."""
@@ -105,10 +110,7 @@ def test_prob_dep_on_hotels(f1):
     assert dist.raw[1] < dist.raw[2] < dist.raw[0]
 
 
-@pytest.mark.parametrize("spec", [
-    default_spec(0.5), default_spec(0.1),
-    ScoringSpec((Construct("rel", 1, weight=0.3), Construct("div", 2)))],
-    ids=["step-0.5", "step-0.1", "rel-weight-0.3"])
+@PARTIAL_SPECS
 def test_prob_dep_raw_is_the_product_of_linear_walks(spec):
     """Each beat term is geq_probability on the pair's eliminated uniform
     pdfs, multiplied in ascending opponent order, and agrees with the
@@ -127,6 +129,33 @@ def test_prob_dep_raw_is_the_product_of_linear_walks(spec):
                     r *= term
             expected.append(r)
         assert prob_dep(cands, spec, knowns).raw == tuple(expected)
+
+
+@PARTIAL_SPECS
+def test_core_arrays_give_the_derived_result(spec):
+    """The solve loop's arrays and the (candidates, spec, knowns) form
+    give the same estimates and the same next question."""
+    for cands, knowns in partial_states(spec, 40):
+        core = Incidence(cands, spec)
+        lb, ub, unknown = core.bounds(knowns)
+        cut = core.cuts(unknown, np.arange(len(cands)))
+        lo, hi = lb.tolist(), ub.tolist()
+        ind = prob_ind(cands, spec, knowns)
+        assert prob_ind(cands, spec, knowns, lo=lo, hi=hi).raw == ind.raw
+        dep = prob_dep(cands, spec, knowns)
+        assert prob_dep(cands, spec, knowns, lo=lo, hi=hi,
+                        cut=cut.tolist()).raw == dep.raw
+        cols = np.flatnonzero(unknown & core.members.any(axis=0))
+        unknowns = [core.questions[j] for j in cols]
+        assert unknowns == list(unknown_questions(
+            question_universe(spec, cands), knowns))
+        if not unknowns:
+            continue
+        affected = core.members[:, cols].T.astype(bool).tolist()
+        for dist in (ind, dep):
+            assert select_entrred(cands, dist.probs, unknowns, spec,
+                                  affected=affected) == \
+                select_entrred(cands, dist.probs, unknowns, spec)
 
 
 def test_prob_dep_stays_fast_at_a_fine_quantum():
