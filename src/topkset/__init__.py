@@ -9,9 +9,9 @@ the most and stops as soon as the winner is provable.
 
 from .bounds import Interval, dominates, eliminated_bounds, score_bounds
 from .distributions import (DiscretePdf, geq_probability, geq_probability_naive,
-                            point_mass, uniform_pdf)
+                            uniform_pdf)
 from .engine import (Policy, SolveLimitError, SolveResult, TraceStep,
-                     enumerate_candidates, find_winner, prune_dominated, solve)
+                     enumerate_candidates, solve)
 from .harness import (ExperimentConfig, generate_synthetic, load_problem,
                       run_experiment, write_bundle)
 from .model import (Candidate, Construct, KnownStore, Problem, Question,
@@ -32,10 +32,10 @@ __all__ = [
     "Policy", "Problem", "Question", "ResponsePdf", "ScoringSpec",
     "SolveLimitError", "SolveResult", "TableOracle", "TraceStep",
     "ValidationError", "WinnerDistribution", "brute_force_dist", "dominates",
-    "eliminated_bounds", "entropy", "enumerate_candidates", "find_winner",
+    "eliminated_bounds", "entropy", "enumerate_candidates",
     "generate_synthetic", "geq_probability", "geq_probability_naive",
-    "load_problem", "normalize", "point_mass", "prob_dep", "prob_ind",
-    "process_responses", "prune_dominated", "qef_score", "question_universe",
+    "load_problem", "normalize", "prob_dep", "prob_ind",
+    "process_responses", "qef_score", "question_universe",
     "questions_of", "run_experiment", "score_bounds", "select_entrred",
     "select_random", "snap_to_grid", "solve", "uniform_pdf",
     "unknown_questions", "write_bundle",

@@ -28,8 +28,8 @@ from .model import (Candidate, KnownStore, Question, ScoringSpec,
 
 @dataclass(frozen=True)
 class Interval:
-    """Closed score interval [lo, hi] in quanta; `lb`, `ub` and `width`
-    report it as correctly rounded floats."""
+    """Closed score interval [lo, hi] in quanta; `lb` and `ub` report it
+    as correctly rounded floats."""
 
     lo: int
     hi: int
@@ -47,38 +47,23 @@ class Interval:
     def ub(self) -> float:
         return lattice_floats(self.hi, self.quantum)
 
-    @property
-    def width(self) -> float:
-        return lattice_floats(self.hi - self.lo, self.quantum)
-
-    def contains(self, other: "Interval") -> bool:
-        return self.lo <= other.lo and other.hi <= self.hi
-
 
 def score_bounds(c: Candidate, spec: ScoringSpec, knowns: KnownStore) -> Interval:
     """Tightest interval containing c's total score given the known answers.
 
     With every question answered the interval collapses to the exact score.
     """
-    return bounds_and_unknowns(c, spec, knowns)[0]
-
-
-def bounds_and_unknowns(c: Candidate, spec: ScoringSpec, knowns: KnownStore
-                        ) -> tuple[Interval, tuple[Question, ...]]:
-    """`score_bounds(c)` and c's unanswered questions, from one scan."""
     lo = hi = 0
-    unknown = []
     for q in questions_of(c, spec):
         i = knowns.get(q)
         low = spec.low[q.construct]
         if i is None:
             lo += low
             hi += low + spec.span(q.construct)
-            unknown.append(q)
         else:
             lo += low + i * spec.rise[q.construct]
             hi += low + i * spec.rise[q.construct]
-    return Interval(lo, hi, spec.quantum), tuple(unknown)
+    return Interval(lo, hi, spec.quantum)
 
 
 def shared_unknowns(ca: Candidate, cb: Candidate, spec: ScoringSpec,

@@ -56,11 +56,6 @@ def uniform_pdf(lo: int, hi: int) -> DiscretePdf:
     return DiscretePdf(lo, (1.0 / m,) * m)
 
 
-def point_mass(n: int) -> DiscretePdf:
-    """Degenerate pdf concentrated at lattice point n."""
-    return DiscretePdf(n, (1.0,))
-
-
 def geq_count(a_lo: int, a_hi: int, b_lo: int, b_hi: int) -> int:
     """Number of lattice pairs (x, y) in [a_lo, a_hi] x [b_lo, b_hi] with x >= y.
 

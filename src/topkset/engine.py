@@ -28,12 +28,12 @@ import numpy as np
 # questions, once per solve.
 from .bounds import (Incidence, Interval, elimination_cut, first_dominator,
                      score_bounds, undominated)
-from .model import (Candidate, KnownStore, Problem, Question, ScoringSpec,
+from .model import (Candidate, KnownStore, Problem, Question,
                     ValidationError, question_universe, questions_of,
                     unknown_questions)
 from .oracle import OracleResponse, ResponseKind
 from .selection import entropy, select_entrred, select_random
-from .winner import WinnerDistribution, prob_dep, prob_ind
+from .winner import prob_dep, prob_ind
 
 Clock = Callable[[], int]
 
@@ -103,45 +103,11 @@ def enumerate_candidates(entities: Sequence[str], k: int,
     return tuple(Candidate(i, c) for i, c in enumerate(combos))
 
 
-def find_winner(candidates: Sequence[Candidate], spec: ScoringSpec,
-                knowns: KnownStore) -> Optional[Candidate]:
-    """The candidate provably at least as good as every other, if one exists.
-
-    Dominance is checked on pairwise eliminated bounds. Mutually dominant
-    ties resolve to the lowest position.
-    """
-    if not candidates:
-        return None
-    i = first_dominator(*_all_pairs(candidates, spec, knowns))
-    return None if i is None else candidates[i]
-
-
-def prune_dominated(candidates: Sequence[Candidate], spec: ScoringSpec,
-                    knowns: KnownStore) -> tuple[Candidate, ...]:
-    """Drop candidates some other candidate strictly dominates."""
-    if not candidates:
-        return ()
-    keep = undominated(*_all_pairs(candidates, spec, knowns))
-    return tuple(c for c, k in zip(candidates, keep) if k)
-
-
-def _all_pairs(candidates: Sequence[Candidate], spec: ScoringSpec,
-               knowns: KnownStore) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    core = Incidence(candidates, spec)
-    lb, ub, unknown = core.bounds(knowns)
-    return lb, ub, core.cuts(unknown, np.arange(len(candidates)))
-
-
-def _one_hot(winner: Candidate, active: Sequence[Candidate]) -> WinnerDistribution:
-    probs = tuple(1.0 if c.index == winner.index else 0.0 for c in active)
-    return WinnerDistribution(probs, probs)
-
-
-def _pad(dist: WinnerDistribution, active: Sequence[Candidate],
+def _pad(probs: Sequence[float], rows: np.ndarray,
          n_total: int) -> tuple[float, ...]:
     out = [0.0] * n_total
-    for c, p in zip(active, dist.probs):
-        out[c.index] = p
+    for i, p in zip(rows.tolist(), probs):
+        out[i] = p
     return tuple(out)
 
 
@@ -194,21 +160,20 @@ def solve(problem: Problem, policy: Policy, oracle: Oracle, *,
             rows, cut = rows[keep], cut[np.ix_(keep, keep)]
         first = first_dominator(lb[rows], ub[rows], cut)
         winner = None if first is None else all_candidates[rows[first]]
-        active = tuple(all_candidates[i] for i in rows)
         nanos["bounds"] += clock() - t0
 
         t0 = clock()
         if winner is not None:
-            dist = _one_hot(winner, active)
+            probs = [0.0] * len(rows)
+            probs[first] = 1.0
         elif policy is Policy.ENTRRED_DEP:
-            dist = prob_dep(active, spec, knowns, lo=lb[rows].tolist(),
-                            hi=ub[rows].tolist(), cut=cut.tolist())
+            probs = prob_dep(lb[rows].tolist(), ub[rows].tolist(),
+                             cut.tolist()).probs
         else:
             # Observability for the random and baseline policies; their
             # selection never reads it.
-            dist = prob_ind(active, spec, knowns, lo=lb[rows].tolist(),
-                            hi=ub[rows].tolist())
-        probs_padded = _pad(dist, active, len(all_candidates))
+            probs = prob_ind(lb[rows].tolist(), ub[rows].tolist()).probs
+        probs_padded = _pad(probs, rows, len(all_candidates))
         step_entropy = entropy(probs_padded)
         nanos["probability"] += clock() - t0
 
@@ -242,8 +207,7 @@ def solve(problem: Problem, policy: Policy, oracle: Oracle, *,
                 question = select_random(unknowns, rng)
             else:
                 affected = core.members[np.ix_(rows, cols)].T.astype(bool)
-                question = select_entrred(active, dist.probs, unknowns, spec,
-                                          affected=affected.tolist())
+                question = select_entrred(unknowns, probs, affected.tolist())
         nanos["selection"] += clock() - t0
 
         if max_calls is not None and calls >= max_calls:

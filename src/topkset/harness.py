@@ -220,6 +220,9 @@ def generate_synthetic(n: int, k: int, candidate_cap: Optional[int] = None,
     """
     if n < k:
         raise ValidationError("need n >= k")
+    if unknown_count is not None and unknown_count < 0:
+        raise ValidationError(
+            f"unknown question count must be >= 0, got {unknown_count}")
     spec = spec or default_spec()
     entities = tuple(f"E{i:03d}" for i in range(n))
     candidates = enumerate_candidates(entities, k, cap=candidate_cap)

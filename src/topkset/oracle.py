@@ -23,7 +23,9 @@ import requests
 
 from .model import GRID_TOL, Question, ScoringSpec, ValidationError
 
-_NUMBER_RE = re.compile(r"-?\d+(?:\.\d+)?")
+# Signed decimals with optional leading or trailing dot and exponent:
+# "1", "0.5", ".5", "5.", "5e-1".
+_NUMBER_RE = re.compile(r"-?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][-+]?\d+)?")
 
 
 class OracleError(RuntimeError):
@@ -259,17 +261,21 @@ class LlmOracle:
                 last_error = f"HTTP {resp.status_code}"
                 continue
             try:
-                raw = resp.json()["choices"][0]["message"]["content"]
-            except (ValueError, KeyError, IndexError) as exc:
+                content = resp.json()["choices"][0]["message"]["content"]
+            except (ValueError, KeyError, IndexError, TypeError) as exc:
                 last_error = f"malformed reply: {exc}"
                 continue
-            numbers = _NUMBER_RE.findall(raw)
-            if not numbers:
-                last_error = "no numeric token in reply"
+            if not isinstance(content, str):
+                last_error = f"malformed reply: content is {content!r}"
                 continue
+            raw = content
+            numbers = _NUMBER_RE.findall(raw)
             # The answer comes last: "On a 0-1 scale: 0.8" scores 0.8.
-            return OracleResponse.point(snap_to_grid(float(numbers[-1]),
-                                                     self.spec))
+            value = float(numbers[-1]) if numbers else math.nan
+            if not math.isfinite(value):
+                last_error = "no finite number in reply"
+                continue
+            return OracleResponse.point(snap_to_grid(value, self.spec))
         raise OracleError(
             f"oracle gave no usable answer for {q} after "
             f"{self.cfg.max_retries + 1} attempts: {last_error}", raw_reply=raw)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 from .model import Candidate, Question, ScoringSpec, questions_of
 
@@ -45,16 +45,13 @@ def _separation(affected: Sequence[bool], probs: Sequence[float]) -> float:
     return total
 
 
-def select_entrred(candidates: Sequence[Candidate], probs: Sequence[float],
-                   unknowns: Sequence[Question], spec: ScoringSpec, *,
-                   affected: Optional[Sequence[Sequence[bool]]] = None
-                   ) -> Question:
+def select_entrred(unknowns: Sequence[Question], probs: Sequence[float],
+                   affected: Sequence[Sequence[bool]]) -> Question:
     """Highest-scoring open question of the most probable candidate.
 
     `affected[r][i]` says whether `unknowns[r]` contributes to candidate
-    i's score, as the solve loop already holds it; without it the rows
-    come from each candidate's `questions_of`. Both forms score the same
-    way.
+    i's score, with candidates in `probs` order; the solve loop reads the
+    rows from its incidence core. Each question scores as `qef_score`.
 
     Ties on probability go to the lowest candidate index; ties on question
     score go to the earliest question in `unknowns` order. When the top
@@ -67,10 +64,6 @@ def select_entrred(candidates: Sequence[Candidate], probs: Sequence[float],
     for i in range(1, len(probs)):
         if probs[i] > probs[top]:
             top = i
-    if affected is None:
-        touched = [set(questions_of(c, spec)) for c in candidates]
-        affected = [[q in t for t in touched] for q in unknowns]
-    # `qef_score` per question, read from its row.
     pool = ([r for r, row in enumerate(affected) if row[top]]
             or range(len(unknowns)))
     best = pool[0]

@@ -15,8 +15,11 @@ candidate followed by normalization:
   in the support sizes and grows with the grid resolution. On candidates
   that share no entities it degenerates to prob_ind.
 
-brute_force_dist enumerates every grid completion of the unknowns and is
-the exact reference the estimators are tested against.
+Both estimators read only the candidates' score bounds and, for
+prob_dep, each pair's shared-unknown cut, as the incidence core holds
+them (`bounds.Incidence`). brute_force_dist enumerates every grid
+completion of the unknowns from (candidates, spec, knowns) and is the
+exact reference the estimators are tested against.
 
 Scores, bounds and pdf supports are integer counts of the spec's quantum,
 so every comparison between candidate scores is exact.
@@ -25,11 +28,10 @@ so every comparison between candidate scores is exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .bounds import bounds_and_unknowns, elimination_cut, score_bounds
 # perfbench/tracing.py wraps uniform_pdf, geq_probability and
 # geq_probability_naive by name on `winner`; no estimator here calls
 # geq_probability_naive any more, but keep it importable.
@@ -76,25 +78,18 @@ def normalize(raw: Sequence[float]) -> tuple[tuple[float, ...], bool]:
     return tuple(r / total for r in raw), False
 
 
-def prob_ind(candidates: Sequence[Candidate], spec: ScoringSpec,
-             knowns: KnownStore, *, lo: Optional[Sequence[int]] = None,
-             hi: Optional[Sequence[int]] = None) -> WinnerDistribution:
+def prob_ind(lo: Sequence[int], hi: Sequence[int]) -> WinnerDistribution:
     """Independence estimate: product of P(c beats c_i) over full pdfs.
 
-    `lo` and `hi` are the candidates' `score_bounds` in quanta, as the
-    solve loop already holds them; without them each candidate's bounds
-    are read through `score_bounds` once. Both forms run the same loop.
+    `lo[i]` and `hi[i]` are candidate i's `score_bounds` in quanta, as
+    Python ints; the solve loop reads them from its incidence core.
 
     Each unordered pair is visited once and yields both beat terms as
     exact pair counts over na * nb, one correctly rounded division each.
     Every candidate's factors still arrive in ascending opponent order.
     """
-    if lo is None or hi is None:
-        spans = [(iv.lo, iv.hi, iv.hi - iv.lo + 1)
-                 for iv in (score_bounds(c, spec, knowns) for c in candidates)]
-    else:
-        spans = [(a, b, b - a + 1) for a, b in zip(lo, hi)]
-    m = len(candidates)
+    spans = [(a, b, b - a + 1) for a, b in zip(lo, hi)]
+    m = len(spans)
     raw = [1.0] * m
     for i in range(m):
         lo_i, hi_i, n_i = spans[i]
@@ -107,19 +102,14 @@ def prob_ind(candidates: Sequence[Candidate], spec: ScoringSpec,
     return WinnerDistribution(probs, tuple(raw), flagged)
 
 
-def prob_dep(candidates: Sequence[Candidate], spec: ScoringSpec,
-             knowns: KnownStore, *, lo: Optional[Sequence[int]] = None,
-             hi: Optional[Sequence[int]] = None,
-             cut: Optional[Sequence[Sequence[int]]] = None
-             ) -> WinnerDistribution:
+def prob_dep(lo: Sequence[int], hi: Sequence[int],
+             cut: Sequence[Sequence[int]]) -> WinnerDistribution:
     """Pairwise estimate with shared-unknown elimination.
 
-    `lo` and `hi` are the candidates' `score_bounds` and `cut[i][j]` the
-    `elimination_cut` of candidates i and j, all in quanta, as the solve
-    loop already holds them. Without them each candidate's bounds and
-    open questions come from one `bounds_and_unknowns` scan and each
-    unordered pair's cut from one `elimination_cut`. Both forms run the
-    same loop.
+    `lo[i]` and `hi[i]` are candidate i's `score_bounds` and `cut[i][j]`
+    (read for i < j) the `elimination_cut` of candidates i and j's shared
+    unknowns, all in quanta, as Python ints; the solve loop reads them
+    from its incidence core.
 
     Each beat term P(c >= c_i) is evaluated on the pair's eliminated pdfs
     by the linear walk of `geq_probability`, and every candidate's
@@ -128,18 +118,7 @@ def prob_dep(candidates: Sequence[Candidate], spec: ScoringSpec,
     built once and serves every opponent with that cut; every pair that
     shares no unknowns uses the full pdfs.
     """
-    m = len(candidates)
-    if lo is None or hi is None or cut is None:
-        lo, hi, unk = [], [], []
-        for c in candidates:
-            iv, unknown = bounds_and_unknowns(c, spec, knowns)
-            lo.append(iv.lo)
-            hi.append(iv.hi)
-            unk.append(frozenset(unknown))
-        cut = [[0] * m for _ in range(m)]
-        for i in range(m):
-            for j in range(i + 1, m):
-                cut[i][j] = elimination_cut(unk[i] & unk[j], spec)
+    m = len(lo)
     pdfs: dict[tuple[int, int], DiscretePdf] = {}
 
     def eliminated(i: int, drop: int) -> DiscretePdf:

@@ -1,4 +1,5 @@
-"""Shared fixtures: the hotel worked example, a fake clock and a chat stub."""
+"""Shared fixtures: the hotel worked example, the incidence core's arrays,
+a fake clock and a chat stub."""
 
 from __future__ import annotations
 
@@ -8,11 +9,14 @@ import random
 import threading
 from fractions import Fraction
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from typing import NamedTuple
 
+import numpy as np
 import pytest
 
 from topkset import (Candidate, Construct, KnownStore, Problem, Question,
                      ScoringSpec, generate_synthetic)
+from topkset.bounds import Incidence
 from topkset.model import question_universe, unknown_questions
 
 HOTELS = ("HNY", "MLN", "HYN", "SHN", "WLD")
@@ -92,6 +96,33 @@ def partial_states(spec, count):
             if rng.random() < 0.5:
                 knowns = knowns.record(spec, q, problem.ground_truth[q])
         yield problem.candidates, knowns
+
+
+class CoreArrays(NamedTuple):
+    """What the solve loop passes the estimators and question selection."""
+
+    lo: list[int]
+    hi: list[int]
+    cut: list[list[int]]
+    unknowns: list[Question]
+    affected: list[list[bool]]
+
+
+def core_arrays(candidates, spec, knowns) -> CoreArrays:
+    """Bounds, pair cuts, open questions and their incidence rows of every
+    candidate, read from `Incidence` as `solve` reads them for its live rows.
+
+    `prob_ind(a.lo, a.hi)`, `prob_dep(a.lo, a.hi, a.cut)` and
+    `select_entrred(a.unknowns, probs, a.affected)` then estimate and
+    select on the state (candidates, spec, knowns).
+    """
+    core = Incidence(candidates, spec)
+    lb, ub, unknown = core.bounds(knowns)
+    cut = core.cuts(unknown, np.arange(len(candidates)))
+    cols = np.flatnonzero(unknown & core.members.any(axis=0))
+    return CoreArrays(lb.tolist(), ub.tolist(), cut.tolist(),
+                      [core.questions[j] for j in cols],
+                      core.members[:, cols].T.astype(bool).tolist())
 
 
 @pytest.fixture

@@ -18,10 +18,10 @@ from topkset import (Candidate, KnownStore, OracleResponse, Policy,
                      eliminated_bounds, entropy, generate_synthetic,
                      geq_probability, prob_dep, prob_ind, process_responses,
                      qef_score, question_universe, score_bounds,
-                     select_entrred, solve, uniform_pdf, unknown_questions)
+                     select_entrred, solve, uniform_pdf)
 from topkset.harness import default_spec, exact_scores
 
-from .conftest import FakeClock, hotel_spec
+from .conftest import FakeClock, core_arrays, hotel_spec
 
 ALL_POLICIES = (Policy.ENTRRED_DEP, Policy.ENTRRED_IND, Policy.RANDOM,
                 Policy.BASELINE)
@@ -96,9 +96,8 @@ def test_criterion_04_question_scoring_and_selection(f1):
     div_q = Question("div", ("MLN", "HYN"))
     rel_score = qef_score(rel_q, probs, f1.candidates, f1.spec)
     div_score = qef_score(div_q, probs, f1.candidates, f1.spec)
-    unknowns = unknown_questions(
-        question_universe(f1.spec, f1.candidates), f1.knowns)
-    picked = select_entrred(f1.candidates, probs, unknowns, f1.spec)
+    a = core_arrays(f1.candidates, f1.spec, f1.knowns)
+    picked = select_entrred(a.unknowns, probs, a.affected)
     ok = rel_score == 0.0 and div_score == 1.25 and picked == div_q
     _report(4, "question scoring and selection", ok)
     assert rel_score == 0.0, rel_score
@@ -181,8 +180,9 @@ def test_criterion_08_estimator_properties(suite6):
     for _, problem in suite6:
         cands, spec, knowns = problem.candidates, problem.spec, problem.knowns
         bf = brute_force_dist(cands, spec, knowns)
-        dep = prob_dep(cands, spec, knowns)
-        ind = prob_ind(cands, spec, knowns)
+        arrays = core_arrays(cands, spec, knowns)
+        dep = prob_dep(arrays.lo, arrays.hi, arrays.cut)
+        ind = prob_ind(arrays.lo, arrays.hi)
         for dist in (bf, dep, ind):
             if abs(sum(dist.probs) - 1.0) > 1e-9:
                 sum_bad += 1
@@ -206,16 +206,20 @@ def test_criterion_08_estimator_properties(suite6):
         hidden = rng.randrange(1, 4)
         for q, v in list(zip(universe, values))[hidden:]:
             knowns = knowns.record(spec, q, v)
-        ind = prob_ind(cands, spec, knowns)
-        dep = prob_dep(cands, spec, knowns)
+        arrays = core_arrays(cands, spec, knowns)
+        ind = prob_ind(arrays.lo, arrays.hi)
+        dep = prob_dep(arrays.lo, arrays.hi, arrays.cut)
         disjoint_gap = max(disjoint_gap,
                            max(abs(a - b)
                                for a, b in zip(ind.probs, dep.probs)))
 
     cands, dom_spec, knowns = _separated_pair()
+    arrays = core_arrays(cands, dom_spec, knowns)
     dominance_ok = all(
-        estimator(cands, dom_spec, knowns).probs == (1.0, 0.0)
-        for estimator in (prob_ind, prob_dep, brute_force_dist))
+        dist.probs == (1.0, 0.0)
+        for dist in (prob_ind(arrays.lo, arrays.hi),
+                     prob_dep(arrays.lo, arrays.hi, arrays.cut),
+                     brute_force_dist(cands, dom_spec, knowns)))
 
     ok = (sum_bad == 0 and agreement >= 0.95 and disjoint_gap <= 1e-12
           and dominance_ok)
@@ -254,7 +258,8 @@ def test_criterion_09_complexity_trends():
     fns = []
     for m_cand in sizes:
         problem = generate_synthetic(m_cand, 1, seed=97, spec=fine_spec)
-        fn = lambda p=problem: prob_ind(p.candidates, p.spec, p.knowns)
+        a = core_arrays(problem.candidates, problem.spec, problem.knowns)
+        fn = lambda a=a: prob_ind(a.lo, a.hi)
         fn()
         fns.append(fn)
     times = _interleaved_best_ns(fns, rounds=3)
@@ -266,10 +271,11 @@ def test_criterion_09_complexity_trends():
     for step in (1 / 2, 1 / 4, 1 / 8, 1 / 16):
         problem = generate_synthetic(8, 3, candidate_cap=8, seed=97,
                                      spec=default_spec(step))
-        args = (problem.candidates, problem.spec, problem.knowns)
-        prob_ind(*args)
-        prob_dep(*args)
-        fns += [lambda a=args: prob_ind(*a), lambda a=args: prob_dep(*a)]
+        a = core_arrays(problem.candidates, problem.spec, problem.knowns)
+        prob_ind(a.lo, a.hi)
+        prob_dep(a.lo, a.hi, a.cut)
+        fns += [lambda a=a: prob_ind(a.lo, a.hi),
+                lambda a=a: prob_dep(a.lo, a.hi, a.cut)]
     best = _interleaved_best_ns(fns, rounds=25)
     ratios = [dep / ind for ind, dep in zip(best[::2], best[1::2])]
     ratio_ok = all(b > a for a, b in zip(ratios, ratios[1:]))

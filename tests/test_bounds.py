@@ -9,10 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from topkset import (Candidate, Construct, Interval, KnownStore, Question,
-                     ScoringSpec, dominates, eliminated_bounds, find_winner,
-                     generate_synthetic, prune_dominated, score_bounds)
-from topkset.bounds import (Incidence, elimination_cut, shared_unknowns,
-                            undominated)
+                     ScoringSpec, dominates, eliminated_bounds,
+                     generate_synthetic, score_bounds)
+from topkset.bounds import (Incidence, elimination_cut, first_dominator,
+                            shared_unknowns, undominated)
 from topkset.harness import default_spec
 from topkset.model import question_universe, questions_of, unknown_questions
 
@@ -36,7 +36,7 @@ def test_fully_known_candidate_collapses_to_a_point(f1):
         store = store.record(f1.spec, q, 0.5)
     iv = score_bounds(c, f1.spec, store)
     assert (iv.lb, iv.ub) == (3.0, 3.0)
-    assert iv.width == 0.0
+    assert iv.lo == iv.hi
 
 
 def test_weights_scale_contributions():
@@ -56,13 +56,11 @@ class TestInterval:
         with pytest.raises(ValueError):
             Interval(1, 0)
 
-    def test_width_and_contains(self):
-        outer = Interval(0, 4, Fraction(1, 2))
-        inner = Interval(1, 3, Fraction(1, 2))
-        assert (outer.lb, outer.ub, outer.width) == (0.0, 2.0, 2.0)
-        assert Interval(1, 2, Fraction(1, 10)).width == 0.1
-        assert outer.contains(inner)
-        assert not inner.contains(outer)
+    def test_float_endpoints(self):
+        half = Interval(0, 4, Fraction(1, 2))
+        tenth = Interval(1, 3, Fraction(1, 10))
+        assert (half.lb, half.ub) == (0.0, 2.0)
+        assert (tenth.lb, tenth.ub) == (0.1, 0.3)
 
 
 def test_shared_unknowns_on_hotel_pairs(f1):
@@ -102,7 +100,8 @@ def test_elimination_shrinks_both_supports_equally(f1):
     full1 = score_bounds(c1, f1.spec, f1.knowns)
     full2 = score_bounds(c2, f1.spec, f1.knowns)
     e1, e2 = eliminated_bounds(c1, c2, f1.spec, f1.knowns)
-    assert full1.width - e1.width == full2.width - e2.width == 1.0
+    # 1.0 in quanta of 1/2.
+    assert full1.hi - e1.hi == full2.hi - e2.hi == 2
     assert e1.lb == full1.lb and e2.lb == full2.lb
 
 
@@ -123,9 +122,9 @@ def test_exact_tie_over_a_shared_unknown_is_never_pruned():
         knowns = knowns.record(spec, q, v)
     core = Incidence(cands, spec)
     lb, ub, unknown = core.bounds(knowns)
-    assert undominated(lb, ub, core.cuts(unknown, np.arange(2))).all()
-    assert prune_dominated(cands, spec, knowns) == cands
-    assert find_winner(cands, spec, knowns) == cands[0]
+    cut = core.cuts(unknown, np.arange(2))
+    assert undominated(lb, ub, cut).all()
+    assert first_dominator(lb, ub, cut) == 0
 
 
 class TestDominance:
@@ -164,7 +163,7 @@ def test_answering_a_question_never_widens_bounds(seed):
     after = [score_bounds(c, problem.spec, after_store)
              for c in problem.candidates]
     for old, new in zip(before, after):
-        assert old.contains(new)
+        assert old.lo <= new.lo and new.hi <= old.hi
 
 
 REFERENCE_SPECS = {
@@ -199,9 +198,8 @@ def test_incidence_core_equals_the_per_pair_reference(name):
                 strict[i, j] = dominates(a, b, spec, knowns, strict=True)
         others = [(i, [j for j in range(len(cands)) if j != i])
                   for i in range(len(cands))]
-        winner = next((cands[i] for i, rest in others
+        winner = next((i for i, rest in others
                        if all(weak[i, j] for j in rest)), None)
-        assert find_winner(cands, spec, knowns) == winner
-        assert prune_dominated(cands, spec, knowns) == tuple(
-            cands[i] for i, rest in others
-            if not any(strict[j, i] for j in rest))
+        assert first_dominator(lb, ub, cut) == winner
+        assert undominated(lb, ub, cut).tolist() == [
+            not any(strict[j, i] for j in rest) for i, rest in others]

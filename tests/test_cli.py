@@ -230,6 +230,24 @@ def test_gen_rejects_n_below_k(tmp_path, capsys):
     assert "need n >= k" in err
 
 
+@pytest.mark.parametrize("command", ["gen", "experiment"])
+def test_negative_unknown_count_is_a_validation_error(tmp_path, capsys,
+                                                      command):
+    if command == "gen":
+        argv = ["gen", "--n", "5", "--k", "2", "--unknown", "-1",
+                "--out", str(tmp_path / "synth")]
+    else:
+        cfg = tmp_path / "exp.json"
+        cfg.write_text(json.dumps({
+            "kList": [2], "candidateCountList": [4],
+            "policies": ["random"], "trials": 1, "unknownCount": -1}))
+        argv = ["experiment", "--config", str(cfg),
+                "--out", str(tmp_path / "results")]
+    code, _, err = run(argv, capsys)
+    assert code == 2
+    assert "got -1" in err
+
+
 def test_experiment_command(tmp_path, capsys):
     cfg = tmp_path / "exp.json"
     cfg.write_text(json.dumps({

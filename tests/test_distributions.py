@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from topkset import (DiscretePdf, geq_probability, geq_probability_naive,
-                     point_mass, uniform_pdf)
+                     uniform_pdf)
 from topkset.distributions import geq_count
 
 
@@ -36,12 +36,9 @@ def test_uniform_pdf_splits_mass_evenly():
     pdf = uniform_pdf(5, 7)
     assert pdf.masses == (1 / 3, 1 / 3, 1 / 3)
     assert pdf.support() == (5, 6, 7)
-
-
-def test_point_mass_has_single_support():
-    pdf = point_mass(3)
-    assert pdf.masses == (1.0,)
-    assert pdf.support() == (3,)
+    point = uniform_pdf(3, 3)
+    assert point.masses == (1.0,)
+    assert point.support() == (3,)
 
 
 class TestGeqProbability:
@@ -67,9 +64,9 @@ class TestGeqProbability:
 
     def test_point_against_uniform(self):
         pdf = uniform_pdf(0, 2)
-        assert geq_probability(point_mass(2), pdf) == pytest.approx(1.0)
-        assert geq_probability(point_mass(1), pdf) == pytest.approx(2 / 3)
-        assert geq_probability(pdf, point_mass(0)) == pytest.approx(1.0)
+        assert geq_probability(uniform_pdf(2, 2), pdf) == pytest.approx(1.0)
+        assert geq_probability(uniform_pdf(1, 1), pdf) == pytest.approx(2 / 3)
+        assert geq_probability(pdf, uniform_pdf(0, 0)) == pytest.approx(1.0)
 
 
 @settings(deadline=None, max_examples=120)

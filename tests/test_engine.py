@@ -2,14 +2,18 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from topkset import (OracleResponse, Policy, Question, SolveLimitError,
                      TableOracle, ValidationError, enumerate_candidates,
-                     find_winner, generate_synthetic, prune_dominated, solve)
+                     generate_synthetic, solve)
 from topkset import bounds, engine, selection, winner
+from topkset.bounds import first_dominator, undominated
 from topkset.harness import exact_scores
 from topkset.model import questions_of
+
+from .conftest import core_arrays
 
 ALL_POLICIES = (Policy.ENTRRED_DEP, Policy.ENTRRED_IND, Policy.RANDOM,
                 Policy.BASELINE)
@@ -33,18 +37,25 @@ class TestEnumerateCandidates:
             enumerate_candidates(("A",), 2)
 
 
+def bounds_and_cuts(cands, spec, knowns):
+    """The arrays the solve loop's winner check and pruning read."""
+    a = core_arrays(cands, spec, knowns)
+    return np.array(a.lo), np.array(a.hi), np.array(a.cut)
+
+
 class TestFindWinnerAndPrune:
+    """The solve loop's winner check and pruning on the core's arrays."""
+
     def test_open_hotel_race_has_no_winner(self, f1):
-        assert find_winner(f1.candidates, f1.spec, f1.knowns) is None
-        assert prune_dominated(f1.candidates, f1.spec, f1.knowns) == \
-            f1.candidates
+        arrays = bounds_and_cuts(f1.candidates, f1.spec, f1.knowns)
+        assert first_dominator(*arrays) is None
+        assert undominated(*arrays).all()
 
     def test_one_answer_settles_the_race(self, f1):
         knowns = f1.knowns.record(f1.spec, Question("div", ("MLN", "HYN")), 1.0)
-        winner = find_winner(f1.candidates, f1.spec, knowns)
-        assert winner is f1.candidates[0]
-        assert prune_dominated(f1.candidates, f1.spec, knowns) == \
-            (f1.candidates[0],)
+        arrays = bounds_and_cuts(f1.candidates, f1.spec, knowns)
+        assert first_dominator(*arrays) == 0
+        assert undominated(*arrays).tolist() == [True, False, False]
 
     def test_exact_tie_resolves_to_lowest_index(self):
         from topkset import Candidate, KnownStore
@@ -53,7 +64,7 @@ class TestFindWinnerAndPrune:
         cands = (Candidate(0, ("A",)), Candidate(1, ("B",)))
         knowns = KnownStore().record(spec, Question("rel", ("A",)), 0.5)
         knowns = knowns.record(spec, Question("rel", ("B",)), 0.5)
-        assert find_winner(cands, spec, knowns) is cands[0]
+        assert first_dominator(*bounds_and_cuts(cands, spec, knowns)) == 0
 
 
 class FixedOracle:

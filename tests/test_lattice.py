@@ -9,7 +9,7 @@ from topkset import (Construct, Policy, ScoringSpec, TableOracle,
                      solve)
 from topkset.harness import default_spec
 
-from .conftest import fraction_totals
+from .conftest import core_arrays, fraction_totals
 
 
 def test_step_tenth_tie_returns_the_exact_argmax():
@@ -43,6 +43,10 @@ def test_every_policy_returns_an_exact_argmax(n, k, cap, step, weights,
     for policy in Policy:
         result = solve(problem, policy, oracle, seed=seed)
         assert totals[result.winner.index] == max(totals), policy
-    for estimator in (prob_ind, prob_dep, brute_force_dist):
-        dist = estimator(problem.candidates, spec, problem.knowns)
-        assert abs(sum(dist.probs) - 1.0) <= 1e-9, estimator.__name__
+    a = core_arrays(problem.candidates, spec, problem.knowns)
+    for name, dist in (
+            ("prob_ind", prob_ind(a.lo, a.hi)),
+            ("prob_dep", prob_dep(a.lo, a.hi, a.cut)),
+            ("brute_force_dist",
+             brute_force_dist(problem.candidates, spec, problem.knowns))):
+        assert abs(sum(dist.probs) - 1.0) <= 1e-9, name

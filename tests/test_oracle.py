@@ -124,6 +124,8 @@ class TestLlmOracle:
         ("On a 0-1 scale: 0.7", 0.5),
         ("Between 0 and 1 I would give it 0.9", 1.0),
         ("-2 is too low; 0.6", 0.5),
+        ("Score: .5", 0.5),
+        ("5e-1", 0.5),
     ])
     def test_last_number_in_the_reply_is_the_score(self, chat_server, reply,
                                                    value):
@@ -178,12 +180,42 @@ class TestLlmOracle:
             llm.ask(Question("rel", ("HNY",)))
         assert err.value.raw_reply == "no idea"
 
+    def test_overflowing_number_is_retried(self, chat_server, fast_retries):
+        chat_server.script = [
+            (200, {"choices": [{"message": {"content": "1e999"}}]})]
+        llm = make_llm(chat_server, max_retries=1)
+        assert llm.ask(Question("rel", ("HNY",))).value == 0.5
+        assert len(chat_server.requests) == 2
+
     def test_malformed_json_is_retried_then_fails(self, chat_server,
                                                   fast_retries):
         chat_server.script = [(200, "not json")] * 5
         llm = make_llm(chat_server, max_retries=1)
         with pytest.raises(OracleError):
             llm.ask(Question("rel", ("HNY",)))
+
+    @pytest.mark.parametrize("payload", [
+        [], {"choices": None}, {"choices": [{"message": {"content": None}}]},
+    ], ids=["list-body", "null-choices", "null-content"])
+    def test_wrong_shaped_reply_is_retried(self, chat_server, fast_retries,
+                                           payload):
+        chat_server.script = [(200, payload)]
+        llm = make_llm(chat_server, max_retries=1)
+        assert llm.ask(Question("rel", ("HNY",))).value == 0.5
+        assert len(chat_server.requests) == 2
+
+    @pytest.mark.parametrize("payload", [
+        [], {"choices": None}, {"choices": [{"message": {"content": None}}]},
+    ], ids=["list-body", "null-choices", "null-content"])
+    def test_wrong_shaped_reply_fails_like_a_malformed_one(
+            self, chat_server, fast_retries, payload):
+        text = {"choices": [{"message": {"content": "no idea"}}]}
+        chat_server.script = [(200, text)] + [(200, payload)] * 5
+        llm = make_llm(chat_server, max_retries=2)
+        with pytest.raises(OracleError, match="malformed reply") as err:
+            llm.ask(Question("rel", ("HNY",)))
+        assert err.value.raw_reply == "no idea"
+        assert len(chat_server.requests) == 3
 
     def test_template_must_mention_both_slots(self, chat_server):
         llm = make_llm(chat_server, prompt_template="{entityA} only: {query}")

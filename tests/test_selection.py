@@ -9,6 +9,8 @@ from topkset import (Question, entropy, qef_score, select_entrred,
                      select_random)
 from topkset.model import question_universe, unknown_questions
 
+from .conftest import core_arrays
+
 HOTEL_DIST = (0.75, 0.24, 0.01)
 
 
@@ -55,39 +57,38 @@ class TestQefScore:
 
 
 def test_select_entrred_picks_the_separating_question(f1):
-    universe = question_universe(f1.spec, f1.candidates)
-    unknowns = unknown_questions(universe, f1.knowns)
-    got = select_entrred(f1.candidates, HOTEL_DIST, unknowns, f1.spec)
+    a = core_arrays(f1.candidates, f1.spec, f1.knowns)
+    got = select_entrred(a.unknowns, HOTEL_DIST, a.affected)
     assert got == Question("div", ("MLN", "HYN"))
 
 
 def test_select_entrred_prefers_top_candidates_own_questions(f1):
-    universe = question_universe(f1.spec, f1.candidates)
-    unknowns = unknown_questions(universe, f1.knowns)
+    a = core_arrays(f1.candidates, f1.spec, f1.knowns)
     # With the mass on the last candidate the open div question of that
     # candidate wins, not the first-listed one.
-    got = select_entrred(f1.candidates, (0.01, 0.24, 0.75), unknowns, f1.spec)
+    got = select_entrred(a.unknowns, (0.01, 0.24, 0.75), a.affected)
     assert got == Question("div", ("MLN", "WLD"))
 
 
 def test_select_entrred_tie_takes_earliest_open_question(f1):
-    universe = question_universe(f1.spec, f1.candidates)
-    unknowns = unknown_questions(universe, f1.knowns)
+    a = core_arrays(f1.candidates, f1.spec, f1.knowns)
     # A flat distribution scores every question zero; the first open
     # question of the first candidate is returned.
-    got = select_entrred(f1.candidates, (1 / 3, 1 / 3, 1 / 3), unknowns, f1.spec)
-    assert got == unknowns[0]
+    got = select_entrred(a.unknowns, (1 / 3, 1 / 3, 1 / 3), a.affected)
+    assert got == a.unknowns[0]
 
 
-def test_select_entrred_requires_open_questions(f1):
+def test_select_entrred_requires_open_questions():
     with pytest.raises(ValueError):
-        select_entrred(f1.candidates, HOTEL_DIST, (), f1.spec)
+        select_entrred((), HOTEL_DIST, ())
 
 
 def test_select_entrred_falls_back_to_all_questions(f1):
+    a = core_arrays(f1.candidates, f1.spec, f1.knowns)
     # Questions of candidates other than the top one only.
     pool = (Question("div", ("MLN", "SHN")), Question("div", ("MLN", "WLD")))
-    got = select_entrred(f1.candidates, HOTEL_DIST, pool, f1.spec)
+    affected = [a.affected[a.unknowns.index(q)] for q in pool]
+    got = select_entrred(pool, HOTEL_DIST, affected)
     assert got in pool
 
 

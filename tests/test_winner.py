@@ -5,7 +5,6 @@ import random
 import time
 from fractions import Fraction
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,15 +12,14 @@ from hypothesis import strategies as st
 from topkset import (Candidate, CapExceededError, Construct, KnownStore,
                      Question, ScoringSpec, WinnerDistribution,
                      brute_force_dist, eliminated_bounds, generate_synthetic,
-                     normalize, prob_dep, prob_ind, score_bounds,
-                     select_entrred)
+                     normalize, prob_dep, prob_ind, score_bounds)
 from topkset.bounds import Incidence
 from topkset.distributions import (geq_probability, geq_probability_naive,
                                    uniform_pdf)
 from topkset.harness import default_spec
 from topkset.model import question_universe, questions_of, unknown_questions
 
-from .conftest import hotel_spec, partial_states
+from .conftest import core_arrays, hotel_spec, partial_states
 
 EXACT = pytest.approx
 
@@ -33,6 +31,13 @@ PARTIAL_SPECS = pytest.mark.parametrize("spec", [
 
 def exact(fracs):
     return pytest.approx([float(f) for f in fracs], rel=1e-12)
+
+
+def estimates(cands, spec, knowns):
+    """prob_ind, prob_dep and brute_force_dist on one state."""
+    a = core_arrays(cands, spec, knowns)
+    return (prob_ind(a.lo, a.hi), prob_dep(a.lo, a.hi, a.cut),
+            brute_force_dist(cands, spec, knowns))
 
 
 class TestNormalize:
@@ -58,7 +63,8 @@ def test_top_index_breaks_ties_low():
 
 
 def test_prob_ind_on_hotels(f1):
-    dist = prob_ind(f1.candidates, f1.spec, f1.knowns)
+    a = core_arrays(f1.candidates, f1.spec, f1.knowns)
+    dist = prob_ind(a.lo, a.hi)
     assert list(dist.raw) == exact(
         [Fraction(418, 625), Fraction(12, 125), Fraction(38, 125)])
     assert list(dist.probs) == exact(
@@ -83,7 +89,8 @@ def test_prob_ind_raw_is_the_product_of_exact_pair_counts(spec):
                             for x in range(a_lo, a_hi + 1))
                     r *= k / ((a_hi - a_lo + 1) * nb)
             expected.append(r)
-        assert prob_ind(cands, spec, knowns).raw == tuple(expected)
+        a = core_arrays(cands, spec, knowns)
+        assert prob_ind(a.lo, a.hi).raw == tuple(expected)
 
 
 def test_prob_ind_cost_does_not_grow_with_lattice_resolution():
@@ -92,15 +99,17 @@ def test_prob_ind_cost_does_not_grow_with_lattice_resolution():
     spec = ScoringSpec((Construct("rel", 1), Construct("div", 2, weight=1e-5)))
     problem = generate_synthetic(5, 2, candidate_cap=6, seed=1, spec=spec)
     assert spec.quantum == Fraction(1, 200_000)
+    a = core_arrays(problem.candidates, spec, problem.knowns)
     t0 = time.perf_counter()
-    dist = prob_ind(problem.candidates, spec, problem.knowns)
+    dist = prob_ind(a.lo, a.hi)
     assert time.perf_counter() - t0 < 1.0
     assert len(dist.probs) == 6
     assert sum(dist.probs) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_prob_dep_on_hotels(f1):
-    dist = prob_dep(f1.candidates, f1.spec, f1.knowns)
+    a = core_arrays(f1.candidates, f1.spec, f1.knowns)
+    dist = prob_dep(a.lo, a.hi, a.cut)
     assert list(dist.raw) == exact(
         [Fraction(8, 9), Fraction(1, 27), Fraction(8, 27)])
     assert list(dist.probs) == exact(
@@ -128,34 +137,24 @@ def test_prob_dep_raw_is_the_product_of_linear_walks(spec):
                         geq_probability_naive(pa, pb), rel=0, abs=1e-12)
                     r *= term
             expected.append(r)
-        assert prob_dep(cands, spec, knowns).raw == tuple(expected)
+        arrays = core_arrays(cands, spec, knowns)
+        assert prob_dep(arrays.lo, arrays.hi, arrays.cut).raw == \
+            tuple(expected)
 
 
 @PARTIAL_SPECS
 def test_core_arrays_give_the_derived_result(spec):
-    """The solve loop's arrays and the (candidates, spec, knowns) form
-    give the same estimates and the same next question."""
+    """The arrays the estimators and selection read are the ones the
+    model defines: the core's open questions are `unknown_questions` of
+    the universe, in order, and its incidence rows are `questions_of`."""
     for cands, knowns in partial_states(spec, 40):
         core = Incidence(cands, spec)
-        lb, ub, unknown = core.bounds(knowns)
-        cut = core.cuts(unknown, np.arange(len(cands)))
-        lo, hi = lb.tolist(), ub.tolist()
-        ind = prob_ind(cands, spec, knowns)
-        assert prob_ind(cands, spec, knowns, lo=lo, hi=hi).raw == ind.raw
-        dep = prob_dep(cands, spec, knowns)
-        assert prob_dep(cands, spec, knowns, lo=lo, hi=hi,
-                        cut=cut.tolist()).raw == dep.raw
-        cols = np.flatnonzero(unknown & core.members.any(axis=0))
-        unknowns = [core.questions[j] for j in cols]
-        assert unknowns == list(unknown_questions(
-            question_universe(spec, cands), knowns))
-        if not unknowns:
-            continue
-        affected = core.members[:, cols].T.astype(bool).tolist()
-        for dist in (ind, dep):
-            assert select_entrred(cands, dist.probs, unknowns, spec,
-                                  affected=affected) == \
-                select_entrred(cands, dist.probs, unknowns, spec)
+        assert core_arrays(cands, spec, knowns).unknowns == list(
+            unknown_questions(question_universe(spec, cands), knowns))
+        for i, c in enumerate(cands):
+            own = set(questions_of(c, spec))
+            assert [bool(x) for x in core.members[i]] == \
+                [q in own for q in core.questions]
 
 
 def test_prob_dep_stays_fast_at_a_fine_quantum():
@@ -165,8 +164,9 @@ def test_prob_dep_stays_fast_at_a_fine_quantum():
     spec = ScoringSpec((Construct("rel", 1), Construct("div", 2, weight=0.001)))
     problem = generate_synthetic(5, 2, candidate_cap=6, seed=3, spec=spec)
     assert spec.quantum == Fraction(1, 2000)
+    a = core_arrays(problem.candidates, spec, problem.knowns)
     t0 = time.perf_counter()
-    dist = prob_dep(problem.candidates, spec, problem.knowns)
+    dist = prob_dep(a.lo, a.hi, a.cut)
     assert time.perf_counter() - t0 < 1.0
     assert len(dist.probs) == 6
     assert sum(dist.probs) == pytest.approx(1.0, abs=1e-12)
@@ -181,8 +181,8 @@ def test_brute_force_on_hotels(f1):
 
 def test_single_candidate_is_certain(f1):
     c = (f1.candidates[0],)
-    for estimator in (prob_ind, prob_dep, brute_force_dist):
-        assert estimator(c, f1.spec, f1.knowns).probs == (1.0,)
+    for dist in estimates(c, f1.spec, f1.knowns):
+        assert dist.probs == (1.0,)
 
 
 def test_separated_bounds_force_certainty():
@@ -190,15 +190,15 @@ def test_separated_bounds_force_certainty():
     cands = (Candidate(0, ("A",)), Candidate(1, ("B",)))
     knowns = KnownStore().record(spec, Question("rel", ("A",)), 0.0)
     knowns = knowns.record(spec, Question("rel", ("B",)), 1.0)
-    for estimator in (prob_ind, prob_dep, brute_force_dist):
-        assert estimator(cands, spec, knowns).probs == (0.0, 1.0)
+    for dist in estimates(cands, spec, knowns):
+        assert dist.probs == (0.0, 1.0)
 
 
 def test_identical_disjoint_candidates_split_evenly():
     spec = hotel_spec()
     cands = (Candidate(0, ("A",)), Candidate(1, ("B",)))
-    dist = prob_ind(cands, spec, KnownStore())
-    assert dist.probs == EXACT((0.5, 0.5))
+    a = core_arrays(cands, spec, KnownStore())
+    assert prob_ind(a.lo, a.hi).probs == EXACT((0.5, 0.5))
 
 
 def test_disjoint_candidates_make_both_estimators_agree():
@@ -217,8 +217,7 @@ def test_disjoint_candidates_make_both_estimators_agree():
         values = [rng.choice([0.0, 0.5, 1.0]) for _ in universe]
         for q, v in list(zip(universe, values))[hidden:]:
             knowns = knowns.record(spec, q, v)
-        ind = prob_ind(cands, spec, knowns)
-        dep = prob_dep(cands, spec, knowns)
+        ind, dep, _ = estimates(cands, spec, knowns)
         for a, b in zip(ind.probs, dep.probs):
             assert a == pytest.approx(b, abs=1e-12)
 
@@ -230,8 +229,7 @@ def test_separated_supports_give_probability_one():
     knowns = KnownStore()
     for e, v in (("A", 1.0), ("B", 1.0), ("C", 0.0), ("D", 0.0)):
         knowns = knowns.record(spec, Question("rel", (e,)), v)
-    for estimator in (prob_ind, prob_dep, brute_force_dist):
-        dist = estimator(cands, spec, knowns)
+    for dist in estimates(cands, spec, knowns):
         assert dist.probs == (1.0, 0.0)
 
 
@@ -242,10 +240,9 @@ def test_elimination_sees_dominance_that_the_product_form_misses(f1):
     the shared rel(HNY) separates the pair and settles the race.
     """
     knowns = f1.knowns.record(f1.spec, Question("div", ("MLN", "HYN")), 1.0)
-    for estimator in (prob_dep, brute_force_dist):
-        dist = estimator(f1.candidates, f1.spec, knowns)
+    ind, dep, bf = estimates(f1.candidates, f1.spec, knowns)
+    for dist in (dep, bf):
         assert dist.probs == (1.0, 0.0, 0.0)
-    ind = prob_ind(f1.candidates, f1.spec, knowns)
     assert ind.top_index() == 0
     assert 0.8 < ind.probs[0] < 1.0
 
@@ -289,7 +286,6 @@ def test_all_estimators_return_proper_distributions(seed):
     rng = random.Random(seed)
     problem = generate_synthetic(rng.randrange(4, 7), rng.randrange(1, 4),
                                  seed=seed, unknown_count=rng.randrange(1, 5))
-    for estimator in (prob_ind, prob_dep, brute_force_dist):
-        dist = estimator(problem.candidates, problem.spec, problem.knowns)
+    for dist in estimates(problem.candidates, problem.spec, problem.knowns):
         assert all(p >= 0 for p in dist.probs)
         assert sum(dist.probs) == pytest.approx(1.0, abs=1e-9)
