@@ -16,6 +16,7 @@ whole candidate list at once, as arrays, and is what the solve loop uses.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -121,16 +122,28 @@ class Incidence:
 
     def __init__(self, candidates: Sequence[Candidate], spec: ScoringSpec):
         self.questions = question_universe(spec, candidates)
-        self.position = {q: j for j, q in enumerate(self.questions)}
+        # (construct, args) -> column; a candidate's questions are the
+        # arity-subsets of its sorted members, so rows need no Question.
+        self.position = {(q.construct, q.args): j
+                         for j, q in enumerate(self.questions)}
         names = [q.construct for q in self.questions]
         self.low = np.array([spec.low[n] for n in names], dtype=np.int64)
         self.rise = np.array([spec.rise[n] for n in names], dtype=np.int64)
         self.span = np.array([spec.span(n) for n in names], dtype=np.int64)
+        rows: list[int] = []
+        cols: list[int] = []
+        for i, c in enumerate(candidates):
+            for con in spec.constructs:
+                for args in itertools.combinations(c.members, con.arity):
+                    cols.append(self.position[con.name, args])
+            rows.extend([i] * (len(cols) - len(rows)))
         self.members = np.zeros((len(candidates), len(self.questions)),
                                 dtype=np.int64)
-        for i, c in enumerate(candidates):
-            cols = [self.position[q] for q in questions_of(c, spec)]
-            self.members[i, cols] = 1
+        self.members[rows, cols] = 1
+
+    def column(self, q: Question) -> Optional[int]:
+        """Column of q, or None when no candidate's score involves it."""
+        return self.position.get((q.construct, q.args))
 
     def bounds(self, knowns: KnownStore
                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -138,7 +151,7 @@ class Incidence:
         universe questions that are still unknown."""
         index = np.full(len(self.questions), -1, dtype=np.int64)
         for q, i in knowns.items():
-            j = self.position.get(q)
+            j = self.column(q)
             if j is not None:
                 index[j] = i
         unknown = index < 0
@@ -151,6 +164,20 @@ class Incidence:
         """`elimination_cut` of the shared unknowns of every pair of `rows`."""
         open_ = self.members[rows] * unknown
         return (open_ * self.span) @ open_.T
+
+    def fold(self, j: int, index: int, lo: np.ndarray, hi: np.ndarray,
+             unknown: np.ndarray, cut: np.ndarray) -> None:
+        """Fold the answer `index` (a grid index) to open column j into
+        `bounds` and the all-rows `cuts`, in place.
+
+        Afterwards the arrays equal `bounds` and `cuts` recomputed with j
+        answered; only the rows containing j change.
+        """
+        rows = np.flatnonzero(self.members[:, j])
+        lo[rows] += index * self.rise[j]
+        hi[rows] += index * self.rise[j] - self.span[j]
+        cut[np.ix_(rows, rows)] -= self.span[j]
+        unknown[j] = False
 
 
 def _dominance(lb: np.ndarray, ub: np.ndarray, cut: np.ndarray,

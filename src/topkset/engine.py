@@ -18,6 +18,7 @@ import random
 import time
 from dataclasses import dataclass
 from enum import Enum
+from fractions import Fraction
 from typing import Callable, Optional, Protocol, Sequence
 
 import numpy as np
@@ -29,9 +30,9 @@ import numpy as np
 from .bounds import (Incidence, Interval, elimination_cut, first_dominator,
                      score_bounds, undominated)
 from .model import (Candidate, KnownStore, Problem, Question,
-                    ValidationError, question_universe, questions_of,
-                    unknown_questions)
-from .oracle import OracleResponse, ResponseKind
+                    ValidationError, lattice_floats, question_universe,
+                    questions_of, unknown_questions)
+from .oracle import OracleError, OracleResponse, ResponseKind
 from .selection import entropy, select_entrred, select_random
 from .winner import prob_dep, prob_ind
 
@@ -55,17 +56,25 @@ class TraceStep:
 
     Bounds and probabilities cover every candidate of the original
     problem; pruned candidates keep narrowing bounds and carry
-    probability zero. `response` is the grid value recorded, as a
-    correctly rounded float.
+    probability zero. `lo` and `hi` are each candidate's score bounds in
+    quanta of `quantum`; `bounds` builds them as `Interval`s when read.
+    `response` is the grid value recorded, as a correctly rounded float.
     """
 
     iteration: int
     question: Question
     response: float
-    bounds: tuple[Interval, ...]
+    lo: tuple[int, ...]
+    hi: tuple[int, ...]
+    quantum: Fraction
     probs: tuple[float, ...]
     entropy: float
     pruned: tuple[int, ...]
+
+    @property
+    def bounds(self) -> tuple[Interval, ...]:
+        return tuple(map(Interval, self.lo, self.hi,
+                         itertools.repeat(self.quantum)))
 
 
 @dataclass(frozen=True)
@@ -149,11 +158,18 @@ def solve(problem: Problem, policy: Policy, oracle: Oracle, *,
             question_universe(spec, all_candidates), knowns))
         next_q = 0
 
+    def end(status: str, winner: Optional[Candidate] = None) -> None:
+        if trace_path:
+            _write_trace(trace_path, steps, status, winner, calls, nanos)
+
+    # Bounds of every candidate and cuts of every pair, kept current by
+    # folding in each answer (`Incidence.fold`) in the bounds bucket.
+    t0 = clock()
+    lb, ub, unknown = core.bounds(knowns)
+    cut_all = core.cuts(unknown, np.arange(len(all_candidates)))
     while True:
-        t0 = clock()
-        lb, ub, unknown = core.bounds(knowns)
         rows = np.flatnonzero(live)
-        cut = core.cuts(unknown, rows)
+        cut = cut_all[np.ix_(rows, rows)]
         if not baseline:
             keep = undominated(lb[rows], ub[rows], cut)
             live[rows[~keep]] = False
@@ -179,10 +195,9 @@ def solve(problem: Problem, policy: Policy, oracle: Oracle, *,
 
         if pending is not None:
             q, v = pending
-            bounds_all = tuple(map(Interval, lb.tolist(), ub.tolist(),
-                                   itertools.repeat(spec.quantum)))
             pruned = tuple(np.flatnonzero(~live).tolist())
-            steps.append(TraceStep(len(steps), q, v, bounds_all,
+            steps.append(TraceStep(len(steps), q, v, tuple(lb.tolist()),
+                                   tuple(ub.tolist()), spec.quantum,
                                    probs_padded, step_entropy, pruned))
             pending = None
 
@@ -190,10 +205,8 @@ def solve(problem: Problem, policy: Policy, oracle: Oracle, *,
         if done:
             if winner is None:
                 raise RuntimeError("exhausted questions without provable winner")
-            result = SolveResult(winner, calls, tuple(steps), nanos, knowns)
-            if trace_path:
-                _write_trace(trace_path, result)
-            return result
+            end("ok", winner)
+            return SolveResult(winner, calls, tuple(steps), nanos, knowns)
 
         t0 = clock()
         if baseline:
@@ -211,16 +224,23 @@ def solve(problem: Problem, policy: Policy, oracle: Oracle, *,
         nanos["selection"] += clock() - t0
 
         if max_calls is not None and calls >= max_calls:
-            if trace_path:
-                _write_trace(trace_path, None, steps=tuple(steps))
+            end("limit")
             raise SolveLimitError(max_calls, tuple(steps), nanos)
 
         t0 = clock()
-        response = oracle.ask(question)
+        try:
+            response = oracle.ask(question)
+        except OracleError:
+            nanos["oracle"] += clock() - t0
+            end("oracle_error")
+            raise
         nanos["oracle"] += clock() - t0
         calls += 1
         knowns = knowns.record(spec, question, _response_value(response))
-        pending = (question, spec.grid_values()[knowns.get(question)])
+        index = knowns.get(question)
+        pending = (question, spec.grid_values()[index])
+        t0 = clock()
+        core.fold(core.column(question), index, lb, ub, unknown, cut_all)
 
 
 def _step_line(s: TraceStep) -> str:
@@ -229,21 +249,30 @@ def _step_line(s: TraceStep) -> str:
         "question": {"construct": s.question.construct,
                      "args": list(s.question.args)},
         "response": s.response,
-        "bounds": [[iv.lb, iv.ub] for iv in s.bounds],
+        "bounds": [[lattice_floats(lo, s.quantum),
+                    lattice_floats(hi, s.quantum)]
+                   for lo, hi in zip(s.lo, s.hi)],
         "probs": list(s.probs),
         "entropy": s.entropy,
         "pruned": list(s.pruned),
     }, separators=(",", ":"))
 
 
-def _write_trace(path: str, result: Optional[SolveResult],
-                 steps: Optional[tuple[TraceStep, ...]] = None) -> None:
-    lines = [_step_line(s) for s in (result.steps if result else steps or ())]
-    if result is not None:
-        lines.append(json.dumps({
-            "winner": list(result.winner.members),
-            "oracleCalls": result.oracle_calls,
-            "perTaskNanos": result.per_task_nanos,
-        }, separators=(",", ":")))
+def _write_trace(path: str, steps: Sequence[TraceStep], status: str,
+                 winner: Optional[Candidate], calls: int,
+                 nanos: dict[str, int]) -> None:
+    """One line per step, then a status line: "ok" (with the winner),
+    "limit" or "oracle_error", the calls and time so far, and every
+    answer paid for, so a failed solve keeps them."""
+    summary: dict = {"status": status}
+    if winner is not None:
+        summary["winner"] = list(winner.members)
+    summary.update(
+        oracleCalls=calls, perTaskNanos=nanos,
+        answered=[{"construct": s.question.construct,
+                   "args": list(s.question.args), "response": s.response}
+                  for s in steps])
+    lines = [_step_line(s) for s in steps]
+    lines.append(json.dumps(summary, separators=(",", ":")))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -301,11 +301,24 @@ class ExperimentConfig:
     workers: int = 1
 
     def __post_init__(self):
+        """Reject every value a cell would fail on, before
+        `run_experiment` creates anything."""
         if self.trials < 1:
             raise ValidationError("trials must be >= 1")
         if not self.k_list or not self.candidate_count_list or not self.policies:
             raise ValidationError("k_list, candidate_count_list and policies "
                                   "must be nonempty")
+        for name, values in (("k", self.k_list),
+                             ("candidate count", self.candidate_count_list)):
+            for v in values:
+                if v < 1:
+                    raise ValidationError(f"{name} must be >= 1, got {v}")
+        if self.unknown_count is not None and self.unknown_count < 0:
+            raise ValidationError(f"unknown question count must be >= 0, "
+                                  f"got {self.unknown_count}")
+        if self.workers < 1:
+            raise ValidationError(f"workers must be >= 1, got {self.workers}")
+        default_spec(self.grid_step)
 
     @classmethod
     def from_json(cls, path: str | Path) -> "ExperimentConfig":

@@ -1,10 +1,11 @@
 """Oracle backends and response handling.
 
 The engine asks one question at a time and accepts either a single score
-or a score range per expert. A free-form reply scores its last number,
-clamped into the response range and snapped onto the score grid. A
-ground-truth table stands in for a live model during offline runs; the
-HTTP client speaks the common chat-completion JSON shape.
+or a score range per expert. A free-form reply scores the number in its
+`<score>` tag, or else its last number, clamped into the response range
+and snapped onto the score grid. A ground-truth table stands in for a
+live model during offline runs; the HTTP client speaks the common
+chat-completion JSON shape.
 """
 
 from __future__ import annotations
@@ -26,6 +27,22 @@ from .model import GRID_TOL, Question, ScoringSpec, ValidationError
 # Signed decimals with optional leading or trailing dot and exponent:
 # "1", "0.5", ".5", "5.", "5e-1".
 _NUMBER_RE = re.compile(r"-?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][-+]?\d+)?")
+# An explicit answer tag, "<score>0.5</score>".
+_SCORE_TAG_RE = re.compile(r"<score>(.*?)</score>", re.IGNORECASE | re.DOTALL)
+
+
+def _reply_score(reply: str) -> float:
+    """The score a free-form reply gives, NaN when it gives none.
+
+    The content of the last `<score>` tag wins and must be one number;
+    without a tag the answer comes last: "On a 0-1 scale: 0.8" scores 0.8.
+    """
+    tags = _SCORE_TAG_RE.findall(reply)
+    if tags:
+        text = tags[-1].strip()
+        return float(text) if _NUMBER_RE.fullmatch(text) else math.nan
+    numbers = _NUMBER_RE.findall(reply)
+    return float(numbers[-1]) if numbers else math.nan
 
 
 class OracleError(RuntimeError):
@@ -269,9 +286,7 @@ class LlmOracle:
                 last_error = f"malformed reply: content is {content!r}"
                 continue
             raw = content
-            numbers = _NUMBER_RE.findall(raw)
-            # The answer comes last: "On a 0-1 scale: 0.8" scores 0.8.
-            value = float(numbers[-1]) if numbers else math.nan
+            value = _reply_score(raw)
             if not math.isfinite(value):
                 last_error = "no finite number in reply"
                 continue

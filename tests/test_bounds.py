@@ -203,3 +203,44 @@ def test_incidence_core_equals_the_per_pair_reference(name):
         assert first_dominator(lb, ub, cut) == winner
         assert undominated(lb, ub, cut).tolist() == [
             not any(strict[j, i] for j in rest) for i, rest in others]
+
+
+@pytest.mark.parametrize("name", ["step-0.5", "step-0.1", "rel-weight-0.3"])
+def test_folded_answers_equal_the_state_rebuilt_from_scratch(name):
+    """`Incidence.fold` after every answer of a random order leaves the
+    bounds, open mask and all-rows cuts exactly equal to `bounds` and
+    `cuts` rebuilt from the known answers, and the live rows the solve
+    loop reads equal `cuts` of those rows, while pruned rows stay in."""
+    spec = REFERENCE_SPECS[name]
+    pruned_seen = False
+    for seed in range(30):
+        rng = random.Random(seed)
+        problem = generate_synthetic(
+            rng.randrange(5, 8), rng.randrange(2, 4),
+            candidate_cap=rng.choice((8, 20, None)), seed=seed, spec=spec,
+            unknown_count=rng.randrange(4, 12))
+        core = Incidence(problem.candidates, spec)
+        every = np.arange(len(problem.candidates))
+        knowns = problem.knowns
+        lo, hi, unknown = core.bounds(knowns)
+        cut = core.cuts(unknown, every)
+        live = np.ones(len(every), dtype=bool)
+        order = np.flatnonzero(unknown).tolist()
+        rng.shuffle(order)
+        for j in order:
+            q = core.questions[j]
+            knowns = knowns.record(spec, q, problem.ground_truth[q])
+            core.fold(j, knowns.get(q), lo, hi, unknown, cut)
+            want_lo, want_hi, want_unknown = core.bounds(knowns)
+            assert lo.tolist() == want_lo.tolist()
+            assert hi.tolist() == want_hi.tolist()
+            assert unknown.tolist() == want_unknown.tolist()
+            assert cut.tolist() == core.cuts(want_unknown, every).tolist()
+            rows = np.flatnonzero(live)
+            keep = undominated(lo[rows], hi[rows], cut[np.ix_(rows, rows)])
+            live[rows[~keep]] = False
+            rows = np.flatnonzero(live)
+            assert cut[np.ix_(rows, rows)].tolist() == \
+                core.cuts(want_unknown, rows).tolist()
+            pruned_seen = pruned_seen or not live.all()
+    assert pruned_seen

@@ -95,6 +95,60 @@ def test_llm_oracle_round_trip(tmp_path, capsys, chat_server):
         assert (text in prompt) == (entity in ("MLN", "HYN")), entity
 
 
+def _llm_baseline_run(tmp_path, capsys, chat_server, *extra):
+    """Baseline solve of f1 through the chat stub, no retries, traced.
+
+    Baseline asks rel(HNY), div(HYN, MLN), div(MLN, SHN), div(MLN, WLD)
+    in that order. Returns the exit code, stderr and the trace lines."""
+    cfg = tmp_path / "llm.json"
+    cfg.write_text(json.dumps({"endpointUrl": chat_server.url,
+                               "maxRetries": 0}))
+    trace = tmp_path / "run.jsonl"
+    code, _, err = run(["solve", "--dataset", F1_DIR, "--k", "3",
+                        "--policy", "baseline", "--oracle", "llm",
+                        "--llm-config", str(cfg), "--trace", str(trace),
+                        *extra], capsys)
+    return code, err, [json.loads(x) for x in trace.read_text().splitlines()]
+
+
+def test_oracle_failure_trace_keeps_the_paid_answers(tmp_path, capsys,
+                                                     chat_server):
+    # The second call fails; the first answer was already paid for.
+    chat_server.script = [(200, {"choices": [{"message": {"content": "1"}}]}),
+                          (500, "boom")]
+    code, err, lines = _llm_baseline_run(tmp_path, capsys, chat_server)
+    assert code == 3
+    assert "HTTP 500" in err
+    assert len(chat_server.requests) == 2
+    *steps, summary = lines
+    assert [s["question"] for s in steps] == [
+        {"construct": "rel", "args": ["HNY"]}]
+    assert summary["status"] == "oracle_error"
+    assert "winner" not in summary
+    assert summary["oracleCalls"] == 1
+    assert summary["answered"] == [
+        {"construct": "rel", "args": ["HNY"], "response": 1.0}]
+    assert set(summary["perTaskNanos"]) == \
+        {"bounds", "probability", "selection", "oracle"}
+
+
+def test_call_limit_trace_ends_with_a_status_line(tmp_path, capsys,
+                                                  chat_server):
+    code, err, lines = _llm_baseline_run(tmp_path, capsys, chat_server,
+                                         "--max-calls", "2")
+    assert code == 3
+    assert "no provable winner within 2 oracle calls" in err
+    *steps, summary = lines
+    assert summary["status"] == "limit"
+    assert "winner" not in summary
+    assert summary["oracleCalls"] == 2
+    assert summary["answered"] == [
+        {"construct": "rel", "args": ["HNY"], "response": 0.5},
+        {"construct": "div", "args": ["HYN", "MLN"], "response": 0.5}]
+    assert [s["question"] for s in steps] == [
+        {k: a[k] for k in ("construct", "args")} for a in summary["answered"]]
+
+
 @pytest.mark.parametrize("text, message", [
     ('{"endpointUrl": "http://localhost:9",', "cannot read LLM config"),
     ('["http://localhost:9"]', "is not a JSON object"),
@@ -246,6 +300,30 @@ def test_negative_unknown_count_is_a_validation_error(tmp_path, capsys,
     code, _, err = run(argv, capsys)
     assert code == 2
     assert "got -1" in err
+
+
+@pytest.mark.parametrize("override, message", [
+    # One candidate keeps the n-for-M search finite even for k=0; with
+    # more it would never return.
+    ({"kList": [0], "candidateCountList": [1]}, "k must be >= 1, got 0"),
+    ({"candidateCountList": [0]}, "candidate count must be >= 1, got 0"),
+    ({"unknownCount": -1}, "got -1"),
+    ({"gridStep": 0.3}, "grid_step must divide the score range"),
+    ({"workers": 0}, "workers must be >= 1, got 0"),
+], ids=["k-zero", "count-zero", "unknown-negative", "step-off-range",
+        "workers-zero"])
+def test_bad_experiment_config_fails_before_touching_out(tmp_path, capsys,
+                                                         override, message):
+    cfg = tmp_path / "exp.json"
+    cfg.write_text(json.dumps({
+        "kList": [2], "candidateCountList": [4], "policies": ["random"],
+        "trials": 1, **override}))
+    out_dir = tmp_path / "results"
+    code, _, err = run(["experiment", "--config", str(cfg),
+                        "--out", str(out_dir)], capsys)
+    assert code == 2
+    assert message in err
+    assert not out_dir.exists()
 
 
 def test_experiment_command(tmp_path, capsys):

@@ -121,9 +121,10 @@ def test_synthetic_winners_match_ground_truth(policy):
 
 @pytest.mark.parametrize("policy", [Policy.ENTRRED_IND, Policy.ENTRRED_DEP,
                                     Policy.RANDOM])
-def test_solve_scans_each_candidate_once(monkeypatch, policy):
-    """Bounds, estimates and selection read the incidence core, so the
-    only `questions_of` calls are its one-time build."""
+def test_solve_makes_no_questions_of_call(monkeypatch, policy):
+    """The incidence core is built from entity tuples, and bounds,
+    estimates and selection read the core, so a solve never scans a
+    candidate's `Question`s."""
     calls = []
 
     def counted(c, spec):
@@ -137,7 +138,7 @@ def test_solve_scans_each_candidate_once(monkeypatch, policy):
     result = solve(problem, policy, TableOracle(problem.ground_truth),
                    seed=5)
     assert result.oracle_calls >= 3
-    assert len(calls) == len(problem.candidates)
+    assert len(calls) == 0
 
 
 def test_bounds_narrow_monotonically_along_the_trace():
@@ -193,8 +194,11 @@ def test_trace_layout(f1, make_clock, tmp_path):
     assert step["entropy"] == 0.0
     assert sorted(step["pruned"]) == [1, 2]
     summary = json.loads(lines[1])
+    assert summary["status"] == "ok"
     assert summary["winner"] == ["HNY", "HYN", "MLN"]
     assert summary["oracleCalls"] == 1
+    assert summary["answered"] == [
+        {"construct": "div", "args": ["HYN", "MLN"], "response": 1.0}]
     assert set(summary["perTaskNanos"]) == \
         {"bounds", "probability", "selection", "oracle"}
 
@@ -206,8 +210,12 @@ def test_call_budget_enforced(f1, tmp_path):
               max_calls=0, trace_path=str(trace))
     assert err.value.max_calls == 0
     assert err.value.steps == ()
-    # The partial trace exists but carries no winner line.
-    assert trace.read_text() == "\n"
+    # The partial trace holds only the status line, without a winner.
+    summary = json.loads(trace.read_text())
+    assert summary["status"] == "limit"
+    assert "winner" not in summary
+    assert summary["oracleCalls"] == 0
+    assert summary["answered"] == []
 
 
 def test_budget_allows_exactly_enough_calls(f1):

@@ -133,6 +133,30 @@ class TestLlmOracle:
         got = make_llm(chat_server).ask(Question("rel", ("HNY",)))
         assert got.value == value
 
+    @pytest.mark.parametrize("reply, value", [
+        ("<score>0.5</score> (confidence 0.9)", 0.5),
+        ("I lean high. <score> 1 </score>", 1.0),
+        ("<SCORE>.5</SCORE>", 0.5),
+        ("<score>0.9</score> on reflection <score>0.2</score>", 0.0),
+    ])
+    def test_score_tag_beats_the_last_number(self, chat_server, reply, value):
+        chat_server.default_reply = reply
+        got = make_llm(chat_server).ask(Question("rel", ("HNY",)))
+        assert got.value == value
+
+    @pytest.mark.parametrize("tag", ["<score>high</score>",
+                                     "<score></score> 0.5",
+                                     "<score>0.5 or 1</score>"])
+    def test_score_tag_without_one_number_is_retried(self, chat_server,
+                                                     fast_retries, tag):
+        chat_server.script = [
+            (200, {"choices": [{"message": {"content": tag}}]})]
+        chat_server.default_reply = "<score>1</score>"
+        llm = make_llm(chat_server, max_retries=1)
+        assert llm.ask(Question("rel", ("HNY",))).value == 1.0
+        assert llm.last_retries == 1
+        assert len(chat_server.requests) == 2
+
     def test_off_grid_reply_is_snapped(self, chat_server):
         chat_server.default_reply = "I would say roughly 0.68."
         got = make_llm(chat_server).ask(Question("rel", ("HNY",)))

@@ -142,13 +142,41 @@ def test_prob_dep_raw_is_the_product_of_linear_walks(spec):
             tuple(expected)
 
 
-@PARTIAL_SPECS
+def shuffled_states(spec, count):
+    """Seeded states over entities `b0`..`b11`, whose ids do not sort by
+    number (`b10` < `b2`), with a shuffled subset of all k-sets as the
+    candidates, not a lexicographic prefix, and a random half of their
+    questions answered."""
+    entities = [f"b{i}" for i in range(12)]
+    grid = spec.grid_values()
+    for seed in range(count):
+        rng = random.Random(seed)
+        sets = list(itertools.combinations(
+            rng.sample(entities, rng.randrange(4, 12)), rng.randrange(2, 5)))
+        rng.shuffle(sets)
+        cands = tuple(Candidate(i, m) for i, m in
+                      enumerate(sets[:rng.randrange(1, 25)]))
+        knowns = KnownStore()
+        for q in question_universe(spec, cands):
+            if rng.random() < 0.5:
+                knowns = knowns.record(spec, q, rng.choice(grid))
+        yield cands, knowns
+
+
+@pytest.mark.parametrize("spec", [
+    default_spec(0.5), default_spec(0.1),
+    ScoringSpec((Construct("rel", 1, weight=0.3), Construct("div", 2))),
+    ScoringSpec((Construct("rel", 1), Construct("div", 2),
+                 Construct("sim", 2, weight=0.5)))],
+    ids=["step-0.5", "step-0.1", "rel-weight-0.3", "two-binary"])
 def test_core_arrays_give_the_derived_result(spec):
     """The arrays the estimators and selection read are the ones the
     model defines: the core's open questions are `unknown_questions` of
     the universe, in order, and its incidence rows are `questions_of`."""
-    for cands, knowns in partial_states(spec, 40):
+    for cands, knowns in itertools.chain(partial_states(spec, 40),
+                                         shuffled_states(spec, 40)):
         core = Incidence(cands, spec)
+        assert core.questions == question_universe(spec, cands)
         assert core_arrays(cands, spec, knowns).unknowns == list(
             unknown_questions(question_universe(spec, cands), knowns))
         for i, c in enumerate(cands):
