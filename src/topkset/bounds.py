@@ -16,14 +16,13 @@ whole candidate list at once, as arrays, and is what the solve loop uses.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .model import (Candidate, KnownStore, Question, ScoringSpec,
+from .model import (Candidate, KnownStore, Question, ScoringSpec, arg_tuples,
                     lattice_floats, question_universe, questions_of)
 
 
@@ -122,8 +121,7 @@ class Incidence:
 
     def __init__(self, candidates: Sequence[Candidate], spec: ScoringSpec):
         self.questions = question_universe(spec, candidates)
-        # (construct, args) -> column; a candidate's questions are the
-        # arity-subsets of its sorted members, so rows need no Question.
+        # (construct, args) -> column, so rows need no Question.
         self.position = {(q.construct, q.args): j
                          for j, q in enumerate(self.questions)}
         names = [q.construct for q in self.questions]
@@ -134,7 +132,7 @@ class Incidence:
         cols: list[int] = []
         for i, c in enumerate(candidates):
             for con in spec.constructs:
-                for args in itertools.combinations(c.members, con.arity):
+                for args in arg_tuples(con, c.members):
                     cols.append(self.position[con.name, args])
             rows.extend([i] * (len(cols) - len(rows)))
         self.members = np.zeros((len(candidates), len(self.questions)),
@@ -160,9 +158,9 @@ class Incidence:
         hi = np.where(unknown, self.low + self.span, value)
         return self.members @ lo, self.members @ hi, unknown
 
-    def cuts(self, unknown: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """`elimination_cut` of the shared unknowns of every pair of `rows`."""
-        open_ = self.members[rows] * unknown
+    def cuts(self, unknown: np.ndarray) -> np.ndarray:
+        """`elimination_cut` of the shared unknowns of every candidate pair."""
+        open_ = self.members * unknown
         return (open_ * self.span) @ open_.T
 
     def fold(self, j: int, index: int, lo: np.ndarray, hi: np.ndarray,

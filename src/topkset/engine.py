@@ -6,8 +6,8 @@ winner distribution, picks the next question per policy, asks the
 oracle, records the answer and prunes candidates that can no longer win.
 The returned winner is always exact, never a guess.
 
-The baseline policy instead asks every open question up front and reads
-off the exact argmax; it exists as the cost yardstick.
+The baseline policy instead asks every open question in universe order
+and reads off the exact argmax; it exists as the cost yardstick.
 """
 
 from __future__ import annotations
@@ -23,10 +23,9 @@ from typing import Callable, Optional, Protocol, Sequence
 
 import numpy as np
 
-# perfbench/tracing.py wraps module functions by name on `engine`.
-# score_bounds, elimination_cut and questions_of are imported only for it;
-# question_universe and unknown_questions only order a baseline solve's
-# questions, once per solve.
+# score_bounds, elimination_cut, question_universe, questions_of and
+# unknown_questions are imported only because perfbench/tracing.py wraps
+# them by name on `engine`; the solve loop calls none of them.
 from .bounds import (Incidence, Interval, elimination_cut, first_dominator,
                      score_bounds, undominated)
 from .model import (Candidate, KnownStore, Problem, Question,
@@ -142,8 +141,6 @@ def solve(problem: Problem, policy: Policy, oracle: Oracle, *,
     clock = clock or time.perf_counter_ns
     spec = problem.spec
     all_candidates = problem.candidates
-    if not all_candidates:
-        raise ValidationError("no candidates")
     knowns = problem.knowns
     nanos = {"bounds": 0, "probability": 0, "selection": 0, "oracle": 0}
     rng = random.Random(seed)
@@ -151,12 +148,15 @@ def solve(problem: Problem, policy: Policy, oracle: Oracle, *,
     pending: Optional[tuple[Question, float]] = None
     calls = 0
     core = Incidence(all_candidates, spec)
+    if trace_path:
+        # Fail before paying for any answer; the trace is written at the end.
+        try:
+            open(trace_path, "w", encoding="utf-8").close()
+        except OSError as exc:
+            raise ValidationError(
+                f"cannot write trace {trace_path}: {exc.strerror}") from None
     live = np.ones(len(all_candidates), dtype=bool)
     baseline = policy is Policy.BASELINE
-    if baseline:
-        ask_order = list(unknown_questions(
-            question_universe(spec, all_candidates), knowns))
-        next_q = 0
 
     def end(status: str, winner: Optional[Candidate] = None) -> None:
         if trace_path:
@@ -166,7 +166,7 @@ def solve(problem: Problem, policy: Policy, oracle: Oracle, *,
     # folding in each answer (`Incidence.fold`) in the bounds bucket.
     t0 = clock()
     lb, ub, unknown = core.bounds(knowns)
-    cut_all = core.cuts(unknown, np.arange(len(all_candidates)))
+    cut_all = core.cuts(unknown)
     while True:
         rows = np.flatnonzero(live)
         cut = cut_all[np.ix_(rows, rows)]
@@ -201,26 +201,23 @@ def solve(problem: Problem, policy: Policy, oracle: Oracle, *,
                                    probs_padded, step_entropy, pruned))
             pending = None
 
-        done = (next_q >= len(ask_order)) if baseline else (winner is not None)
-        if done:
-            if winner is None:
-                raise RuntimeError("exhausted questions without provable winner")
+        t0 = clock()
+        # Open questions of the live candidates, in universe order.
+        cols = np.flatnonzero(unknown & core.members[rows].any(axis=0))
+        if winner is not None and not (baseline and len(cols)):
+            nanos["selection"] += clock() - t0
             end("ok", winner)
             return SolveResult(winner, calls, tuple(steps), nanos, knowns)
-
-        t0 = clock()
+        if not len(cols):
+            raise RuntimeError("no open question and no provable winner")
         if baseline:
-            question = ask_order[next_q]
-            next_q += 1
+            question = core.questions[cols[0]]
+        elif policy is Policy.RANDOM:
+            question = select_random([core.questions[j] for j in cols], rng)
         else:
-            # Open questions of the live candidates, in universe order.
-            cols = np.flatnonzero(unknown & core.members[rows].any(axis=0))
-            unknowns = [core.questions[j] for j in cols]
-            if policy is Policy.RANDOM:
-                question = select_random(unknowns, rng)
-            else:
-                affected = core.members[np.ix_(rows, cols)].T.astype(bool)
-                question = select_entrred(unknowns, probs, affected.tolist())
+            affected = core.members[np.ix_(rows, cols)].T.astype(bool)
+            question = select_entrred([core.questions[j] for j in cols],
+                                      probs, affected.tolist())
         nanos["selection"] += clock() - t0
 
         if max_calls is not None and calls >= max_calls:
@@ -236,7 +233,11 @@ def solve(problem: Problem, policy: Policy, oracle: Oracle, *,
             raise
         nanos["oracle"] += clock() - t0
         calls += 1
-        knowns = knowns.record(spec, question, _response_value(response))
+        try:
+            knowns = knowns.record(spec, question, _response_value(response))
+        except ValidationError:
+            end("invalid_response")
+            raise
         index = knowns.get(question)
         pending = (question, spec.grid_values()[index])
         t0 = clock()
@@ -262,8 +263,9 @@ def _write_trace(path: str, steps: Sequence[TraceStep], status: str,
                  winner: Optional[Candidate], calls: int,
                  nanos: dict[str, int]) -> None:
     """One line per step, then a status line: "ok" (with the winner),
-    "limit" or "oracle_error", the calls and time so far, and every
-    answer paid for, so a failed solve keeps them."""
+    "limit", "oracle_error" or "invalid_response", the calls and time so
+    far, and every validated answer paid for, so a failed solve keeps
+    them."""
     summary: dict = {"status": status}
     if winner is not None:
         summary["winner"] = list(winner.members)

@@ -6,7 +6,9 @@ A dataset directory holds:
 - entities.csv: id,displayName,contextText
 - one <construct>.csv per construct: arity-many entity columns, then
   score (may be empty when unknown and no ground truth exists) and a
-  0/1 known flag marking initially revealed scores
+  known flag marking initially revealed scores: 1 or true for known,
+  0 or false for hidden (any case, spaces ignored); a missing column or
+  empty cell means known
 - query.txt: free query text (optional)
 - candidates.csv: optional explicit candidate rows; absent means all
   k-subsets in lexicographic order
@@ -38,6 +40,7 @@ from .model import (Candidate, Construct, KnownStore, Problem, Question,
 from .oracle import TableOracle
 
 ENTITY_COLUMNS = ("id", "displayName", "contextText")
+KNOWN_FLAGS = {"": True, "1": True, "true": True, "0": False, "false": False}
 
 
 def _read(path: Path, parse, newline: Optional[str] = None):
@@ -123,7 +126,12 @@ def load_problem(dataset_dir: str | Path, k: int,
         for line, r in enumerate(rows, start=2):
             q = _row_question(con, r, set(entities), path.name)
             score_text = (r.get("score") or "").strip()
-            known = (r.get("known") or "1").strip() not in ("0", "false", "")
+            flag = (r.get("known") or "").strip().lower()
+            if flag not in KNOWN_FLAGS:
+                raise ValidationError(
+                    f"{path.name} line {line}: known flag {r['known']!r} "
+                    "is not 1, 0, true or false")
+            known = KNOWN_FLAGS[flag]
             if score_text == "":
                 if known:
                     raise ValidationError(

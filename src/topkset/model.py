@@ -9,6 +9,7 @@ which may still be unknown.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -88,6 +89,10 @@ class ScoringSpec:
         names = [c.name for c in self.constructs]
         if len(set(names)) != len(names):
             raise ValidationError("construct names must be unique")
+        for c in self.constructs:
+            if c.arity > 2:
+                raise ValidationError(
+                    f"constructs of arity {c.arity} are not supported")
         if self.aggregation != "sum":
             raise ValidationError(f"unsupported aggregation {self.aggregation!r}")
         if not self.min_score < self.max_score:
@@ -283,53 +288,33 @@ class Problem:
                     raise ValidationError(f"ground truth {v} for {q} is off-grid")
 
 
+def arg_tuples(con: Construct,
+               members: Sequence[EntityId]) -> Iterator[tuple[EntityId, ...]]:
+    """Args of con's questions over a sorted member list: every
+    arity-subset, in sorted order."""
+    return itertools.combinations(members, con.arity)
+
+
 def questions_of(c: Candidate, spec: ScoringSpec) -> tuple[Question, ...]:
     """Every question contributing to c's score, in deterministic order.
 
-    Unary constructs yield one question per member; binary constructs one
-    per member pair. Order is construct order, then sorted args.
+    Order is construct order, then sorted args.
     """
-    out: list[Question] = []
-    for con in spec.constructs:
-        if con.arity == 1:
-            out.extend(Question(con.name, (e,)) for e in c.members)
-        elif con.arity == 2:
-            ms = c.members
-            for i in range(len(ms)):
-                for j in range(i + 1, len(ms)):
-                    out.append(Question(con.name, (ms[i], ms[j])))
-        else:
-            raise ValidationError(
-                f"constructs of arity {con.arity} are not supported")
-    return tuple(out)
+    return tuple(Question(con.name, args) for con in spec.constructs
+                 for args in arg_tuples(con, c.members))
 
 
 def question_universe(spec: ScoringSpec,
                       candidates: Sequence[Candidate]) -> tuple[Question, ...]:
-    """All questions instantiable over the candidates' entities.
-
-    Unary: one per entity appearing in any candidate. Binary: one per
-    unordered entity pair co-occurring in at least one candidate. The
-    result order (construct order, then sorted args) is independent of
-    candidate order.
+    """All questions instantiable over the candidates: the union of their
+    `questions_of`. The result order (construct order, then sorted args)
+    is independent of candidate order.
     """
     if not candidates:
         raise ValidationError("no candidates")
-    entities = sorted({e for c in candidates for e in c.members})
-    pairs = sorted({tuple(sorted((a, b)))
-                    for c in candidates
-                    for i, a in enumerate(c.members)
-                    for b in c.members[i + 1:]})
-    out: list[Question] = []
-    for con in spec.constructs:
-        if con.arity == 1:
-            out.extend(Question(con.name, (e,)) for e in entities)
-        elif con.arity == 2:
-            out.extend(Question(con.name, p) for p in pairs)
-        else:
-            raise ValidationError(
-                f"constructs of arity {con.arity} are not supported")
-    return tuple(out)
+    return tuple(Question(con.name, args) for con in spec.constructs
+                 for args in sorted({args for c in candidates
+                                     for args in arg_tuples(con, c.members)}))
 
 
 def unknown_questions(universe: Iterable[Question],

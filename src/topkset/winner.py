@@ -50,13 +50,10 @@ class WinnerDistribution:
     """Normalized winner probabilities aligned with candidate indices.
 
     `raw` keeps the unnormalized per-candidate products for traces.
-    `zero_raw` marks the degenerate case where every product vanished and
-    the probabilities fell back to uniform.
     """
 
     probs: tuple[float, ...]
     raw: tuple[float, ...]
-    zero_raw: bool = False
 
     def top_index(self) -> int:
         """Index of the most probable candidate; ties go to the lowest index."""
@@ -67,15 +64,15 @@ class WinnerDistribution:
         return best
 
 
-def normalize(raw: Sequence[float]) -> tuple[tuple[float, ...], bool]:
+def normalize(raw: Sequence[float]) -> tuple[float, ...]:
     """Scale raw weights to sum to 1; an all-zero vector becomes uniform."""
     if any(r < 0 for r in raw):
         raise ValueError("raw weights must be nonnegative")
     total = sum(raw)
     if total == 0:
         n = len(raw)
-        return (1.0 / n,) * n, True
-    return tuple(r / total for r in raw), False
+        return (1.0 / n,) * n
+    return tuple(r / total for r in raw)
 
 
 def prob_ind(lo: Sequence[int], hi: Sequence[int]) -> WinnerDistribution:
@@ -98,8 +95,7 @@ def prob_ind(lo: Sequence[int], hi: Sequence[int]) -> WinnerDistribution:
             pairs = n_i * n_j
             raw[i] *= geq_count(lo_i, hi_i, lo_j, hi_j) / pairs
             raw[j] *= geq_count(lo_j, hi_j, lo_i, hi_i) / pairs
-    probs, flagged = normalize(raw)
-    return WinnerDistribution(probs, tuple(raw), flagged)
+    return WinnerDistribution(normalize(raw), tuple(raw))
 
 
 def prob_dep(lo: Sequence[int], hi: Sequence[int],
@@ -134,8 +130,7 @@ def prob_dep(lo: Sequence[int], hi: Sequence[int],
             pi, pj = eliminated(i, row[j]), eliminated(j, row[j])
             raw[i] *= geq_probability(pi, pj)
             raw[j] *= geq_probability(pj, pi)
-    probs, flagged = normalize(raw)
-    return WinnerDistribution(probs, tuple(raw), flagged)
+    return WinnerDistribution(normalize(raw), tuple(raw))
 
 
 def brute_force_dist(candidates: Sequence[Candidate], spec: ScoringSpec,
@@ -176,5 +171,5 @@ def brute_force_dist(candidates: Sequence[Candidate], spec: ScoringSpec,
         tied = scores == scores.max(axis=1, keepdims=True)
         counts += (tied / tied.sum(axis=1, keepdims=True)).sum(axis=0)
 
-    probs, flagged = normalize([float(x) for x in counts])
-    return WinnerDistribution(probs, tuple(float(x) for x in counts), flagged)
+    raw = tuple(float(x) for x in counts)
+    return WinnerDistribution(normalize(raw), raw)

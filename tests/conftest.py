@@ -118,7 +118,7 @@ def core_arrays(candidates, spec, knowns) -> CoreArrays:
     """
     core = Incidence(candidates, spec)
     lb, ub, unknown = core.bounds(knowns)
-    cut = core.cuts(unknown, np.arange(len(candidates)))
+    cut = core.cuts(unknown)
     cols = np.flatnonzero(unknown & core.members.any(axis=0))
     return CoreArrays(lb.tolist(), ub.tolist(), cut.tolist(),
                       [core.questions[j] for j in cols],
@@ -187,8 +187,11 @@ class ChatStub:
 
         self.server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
         self.url = f"http://127.0.0.1:{self.server.server_address[1]}/v1/chat"
+        # A short poll interval keeps `shutdown` from waiting out the
+        # default 0.5 s.
         self.thread = threading.Thread(
-            target=self.server.serve_forever, daemon=True)
+            target=self.server.serve_forever, kwargs={"poll_interval": 0.01},
+            daemon=True)
         self.thread.start()
 
     def close(self):

@@ -122,7 +122,7 @@ def test_exact_tie_over_a_shared_unknown_is_never_pruned():
         knowns = knowns.record(spec, q, v)
     core = Incidence(cands, spec)
     lb, ub, unknown = core.bounds(knowns)
-    cut = core.cuts(unknown, np.arange(2))
+    cut = core.cuts(unknown)
     assert undominated(lb, ub, cut).all()
     assert first_dominator(lb, ub, cut) == 0
 
@@ -183,7 +183,7 @@ def test_incidence_core_equals_the_per_pair_reference(name):
     for cands, knowns in partial_states(spec, 67):
         core = Incidence(cands, spec)
         lb, ub, unknown = core.bounds(knowns)
-        cut = core.cuts(unknown, np.arange(len(cands)))
+        cut = core.cuts(unknown)
         ref = [score_bounds(c, spec, knowns) for c in cands]
         assert lb.tolist() == [iv.lo for iv in ref]
         assert ub.tolist() == [iv.hi for iv in ref]
@@ -210,7 +210,7 @@ def test_folded_answers_equal_the_state_rebuilt_from_scratch(name):
     """`Incidence.fold` after every answer of a random order leaves the
     bounds, open mask and all-rows cuts exactly equal to `bounds` and
     `cuts` rebuilt from the known answers, and the live rows the solve
-    loop reads equal `cuts` of those rows, while pruned rows stay in."""
+    loop reads equal those rows of `cuts`, while pruned rows stay in."""
     spec = REFERENCE_SPECS[name]
     pruned_seen = False
     for seed in range(30):
@@ -220,11 +220,10 @@ def test_folded_answers_equal_the_state_rebuilt_from_scratch(name):
             candidate_cap=rng.choice((8, 20, None)), seed=seed, spec=spec,
             unknown_count=rng.randrange(4, 12))
         core = Incidence(problem.candidates, spec)
-        every = np.arange(len(problem.candidates))
         knowns = problem.knowns
         lo, hi, unknown = core.bounds(knowns)
-        cut = core.cuts(unknown, every)
-        live = np.ones(len(every), dtype=bool)
+        cut = core.cuts(unknown)
+        live = np.ones(len(problem.candidates), dtype=bool)
         order = np.flatnonzero(unknown).tolist()
         rng.shuffle(order)
         for j in order:
@@ -235,12 +234,12 @@ def test_folded_answers_equal_the_state_rebuilt_from_scratch(name):
             assert lo.tolist() == want_lo.tolist()
             assert hi.tolist() == want_hi.tolist()
             assert unknown.tolist() == want_unknown.tolist()
-            assert cut.tolist() == core.cuts(want_unknown, every).tolist()
+            assert cut.tolist() == core.cuts(want_unknown).tolist()
             rows = np.flatnonzero(live)
             keep = undominated(lo[rows], hi[rows], cut[np.ix_(rows, rows)])
             live[rows[~keep]] = False
             rows = np.flatnonzero(live)
             assert cut[np.ix_(rows, rows)].tolist() == \
-                core.cuts(want_unknown, rows).tolist()
+                core.cuts(want_unknown)[np.ix_(rows, rows)].tolist()
             pruned_seen = pruned_seen or not live.all()
     assert pruned_seen

@@ -237,6 +237,35 @@ def test_spec_beyond_the_exact_lattice_asks_nothing(tmp_path, capsys,
     assert chat_server.requests == []
 
 
+def test_arity_three_construct_asks_nothing(tmp_path, capsys, chat_server):
+    ds = tmp_path / "ds"
+    shutil.copytree(F1_DIR, ds)
+    spec = json.loads((ds / "spec.json").read_text())
+    spec["constructs"].append({"name": "trio", "arity": 3})
+    (ds / "spec.json").write_text(json.dumps(spec))
+    cfg = tmp_path / "llm.json"
+    cfg.write_text(json.dumps({"endpointUrl": chat_server.url}))
+    code, _, err = run(["solve", "--dataset", str(ds), "--k", "3",
+                        "--oracle", "llm", "--llm-config", str(cfg)], capsys)
+    assert code == 2
+    assert "constructs of arity 3 are not supported" in err
+    assert chat_server.requests == []
+
+
+def test_unwritable_trace_path_asks_nothing(tmp_path, capsys, chat_server):
+    cfg = tmp_path / "llm.json"
+    cfg.write_text(json.dumps({"endpointUrl": chat_server.url}))
+    trace = tmp_path / "missing" / "t.jsonl"
+    code, out, err = run(["solve", "--dataset", F1_DIR, "--k", "3",
+                          "--oracle", "llm", "--llm-config", str(cfg),
+                          "--trace", str(trace)], capsys)
+    assert code == 2
+    assert err.startswith(f"error: cannot write trace {trace}: ")
+    assert "Traceback" not in err
+    assert "winner" not in out
+    assert chat_server.requests == []
+
+
 @pytest.mark.parametrize("drop_candidates, argv, message", [
     (True, ["--k", "2", "--candidates", "-1"],
      "candidate cap must be >= 1, got -1"),

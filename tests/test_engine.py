@@ -1,17 +1,19 @@
 """The solve loop: dominance, pruning, policies, traces and budgets."""
 
+import itertools
 import json
+import random
 
 import numpy as np
 import pytest
 
-from topkset import (OracleResponse, Policy, Question, SolveLimitError,
-                     TableOracle, ValidationError, enumerate_candidates,
-                     generate_synthetic, solve)
+from topkset import (Candidate, KnownStore, OracleResponse, Policy, Problem,
+                     Question, SolveLimitError, TableOracle, ValidationError,
+                     enumerate_candidates, generate_synthetic, solve)
 from topkset import bounds, engine, selection, winner
 from topkset.bounds import first_dominator, undominated
 from topkset.harness import exact_scores
-from topkset.model import questions_of
+from topkset.model import question_universe, questions_of, unknown_questions
 
 from .conftest import core_arrays
 
@@ -67,14 +69,14 @@ class TestFindWinnerAndPrune:
         assert first_dominator(*bounds_and_cuts(cands, spec, knowns)) == 0
 
 
-class FixedOracle:
-    """Replies with a fixed response regardless of the question."""
+class ScriptedOracle:
+    """Replies with the given responses in order, whatever the question."""
 
-    def __init__(self, response):
-        self.response = response
+    def __init__(self, *responses):
+        self.responses = list(responses)
 
     def ask(self, q):
-        return self.response
+        return self.responses.pop(0)
 
 
 def test_solve_hotels_with_one_call(f1):
@@ -225,9 +227,83 @@ def test_budget_allows_exactly_enough_calls(f1):
 
 
 def test_range_responses_are_rejected_by_solve(f1):
-    oracle = FixedOracle(OracleResponse.score_range(0.0, 1.0))
+    oracle = ScriptedOracle(OracleResponse.score_range(0.0, 1.0))
     with pytest.raises(ValidationError, match="process_responses"):
         solve(f1, Policy.ENTRRED_DEP, oracle)
+
+
+@pytest.mark.parametrize("second, message", [
+    (OracleResponse.point(0.3), "off-grid"),
+    (OracleResponse.score_range(0.0, 1.0), "process_responses"),
+], ids=["off-grid", "range"])
+def test_invalid_response_trace_keeps_the_paid_answers(f1, tmp_path, second,
+                                                       message):
+    """Baseline asks rel(HNY) and then div(HYN, MLN); the second answer
+    fails validation after the first was paid for."""
+    trace = tmp_path / "run.jsonl"
+    oracle = ScriptedOracle(OracleResponse.point(1.0), second)
+    with pytest.raises(ValidationError, match=message):
+        solve(f1, Policy.BASELINE, oracle, trace_path=str(trace))
+    *steps, summary = [json.loads(x) for x in trace.read_text().splitlines()]
+    assert [s["question"] for s in steps] == [
+        {"construct": "rel", "args": ["HNY"]}]
+    assert summary["status"] == "invalid_response"
+    assert "winner" not in summary
+    assert summary["oracleCalls"] == 2
+    assert summary["answered"] == [
+        {"construct": "rel", "args": ["HNY"], "response": 1.0}]
+
+
+def _renamed_and_shuffled(problem, rng):
+    """The same ground truth over entities renamed `b<i>` (so `b10` sorts
+    before `b2`), with a shuffled subset of all k-sets as candidates."""
+    rename = {e: f"b{i}" for i, e in enumerate(problem.entities)}
+
+    def question(q):
+        return Question(q.construct, tuple(rename[a] for a in q.args))
+
+    spec = problem.spec
+    sets = list(itertools.combinations(sorted(rename.values()), problem.k))
+    rng.shuffle(sets)
+    sets = sets[:rng.randrange(2, 25)]
+    knowns = KnownStore()
+    for q, i in problem.knowns.items():
+        knowns = knowns.record(spec, question(q), spec.grid_values()[i])
+    return Problem(tuple(rename.values()), spec, problem.k,
+                   tuple(Candidate(i, m) for i, m in enumerate(sets)),
+                   knowns,
+                   {question(q): v for q, v in problem.ground_truth.items()})
+
+
+def test_baseline_asks_the_open_universe_in_order(f1):
+    """Baseline asks `unknown_questions(question_universe(...))`, in that
+    order, also for a shuffled, non-prefix candidate list over ids that
+    do not sort by number."""
+    problems = [f1]
+    for seed in range(20):
+        rng = random.Random(seed)
+        k = rng.randrange(2, 4)
+        if seed % 2:
+            # All k-sets over 11-12 entities, so every pair has a score.
+            problem = _renamed_and_shuffled(generate_synthetic(
+                rng.randrange(11, 13), k, seed=seed,
+                unknown_count=rng.randrange(3, 12)), rng)
+        else:
+            problem = generate_synthetic(
+                rng.randrange(k + 2, k + 5), k,
+                candidate_cap=rng.choice((None, 6, 12)), seed=seed,
+                unknown_count=rng.randrange(3, 12))
+        problems.append(problem)
+    assert {"b2", "b10"} <= {e for p in problems for c in p.candidates
+                             for e in c.members}
+    for problem in problems:
+        want = unknown_questions(
+            question_universe(problem.spec, problem.candidates),
+            problem.knowns)
+        result = solve(problem, Policy.BASELINE,
+                       TableOracle(problem.ground_truth))
+        assert [s.question for s in result.steps] == list(want)
+        assert result.oracle_calls == len(want)
 
 
 def test_per_task_nanos_with_injected_clock(f1, make_clock):
@@ -240,7 +316,6 @@ def test_per_task_nanos_with_injected_clock(f1, make_clock):
 
 
 def test_solve_rejects_empty_candidates(f1):
-    from topkset import Problem
     empty = Problem(f1.entities, f1.spec, 3, ())
     with pytest.raises(ValidationError):
         solve(empty, Policy.ENTRRED_DEP, TableOracle({}))

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from topkset import (ExperimentConfig, Policy, ValidationError,
+from topkset import (ExperimentConfig, Policy, Question, ValidationError,
                      generate_synthetic, load_problem, run_experiment,
                      unknown_questions, write_bundle)
 from topkset.harness import (_smallest_n, default_spec, exact_scores,
@@ -94,6 +94,28 @@ class TestLoaderValidation:
         text = (ds / "div.csv").read_text().replace("HYN,SHN,,0", "HYN,SHN,,1")
         (ds / "div.csv").write_text(text)
         with pytest.raises(ValidationError, match="lacks a score"):
+            load_problem(ds, 3)
+
+    @pytest.mark.parametrize("flag, known", [
+        ("False", False), (" 0 ", False), (" TRUE ", True), ("", True),
+        ("  ", True)])
+    def test_known_flag_values(self, tmp_path, flag, known):
+        """1/true reveal a score and 0/false hide it, in any case and with
+        spaces around; an empty cell reveals it."""
+        ds = _broken_copy(tmp_path)
+        text = (ds / "rel.csv").read_text().replace("HNY,0.5,0",
+                                                    f"HNY,0.5,{flag}")
+        (ds / "rel.csv").write_text(text)
+        problem = load_problem(ds, 3)
+        assert (Question("rel", ("HNY",)) in problem.knowns) is known
+        assert problem.ground_truth[Question("rel", ("HNY",))] == 0.5
+
+    def test_unrecognised_known_flag(self, tmp_path):
+        ds = _broken_copy(tmp_path)
+        text = (ds / "rel.csv").read_text().replace("HNY,0.5,0", "HNY,0.5,yes")
+        (ds / "rel.csv").write_text(text)
+        with pytest.raises(ValidationError,
+                           match="rel.csv line 2: known flag 'yes'"):
             load_problem(ds, 3)
 
     def test_empty_score_file(self, tmp_path):

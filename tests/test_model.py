@@ -184,9 +184,8 @@ class TestQuestionsOf:
         assert len(qs) == 10
 
     def test_arity_three_unsupported(self):
-        spec = ScoringSpec((Construct("trio", 3),))
-        with pytest.raises(ValidationError):
-            questions_of(Candidate(0, ("A", "B", "C")), spec)
+        with pytest.raises(ValidationError, match="arity 3 are not supported"):
+            ScoringSpec((Construct("trio", 3),))
 
 
 class TestQuestionUniverse:

@@ -42,15 +42,13 @@ def estimates(cands, spec, knowns):
 
 class TestNormalize:
     def test_even_weights(self):
-        assert normalize([2.0, 2.0]) == ((0.5, 0.5), False)
+        assert normalize([2.0, 2.0]) == (0.5, 0.5)
 
     def test_zero_entry(self):
-        assert normalize([0.0, 5.0]) == ((0.0, 1.0), False)
+        assert normalize([0.0, 5.0]) == (0.0, 1.0)
 
     def test_all_zero_falls_back_to_uniform(self):
-        probs, flagged = normalize([0.0, 0.0, 0.0])
-        assert probs == (1 / 3, 1 / 3, 1 / 3)
-        assert flagged
+        assert normalize([0.0, 0.0, 0.0]) == (1 / 3, 1 / 3, 1 / 3)
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
