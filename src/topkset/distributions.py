@@ -6,7 +6,7 @@ to summing joint mass over the region where the first variable is at
 least the second; with both supports on one lattice this is an integer
 index computation, so no floating point score comparisons are involved.
 For two uniform pdfs that mass is a pair count over the product of the
-support sizes, and `geq_count` gives the count in closed form.
+support sizes, which `winner.prob_ind` takes in closed form.
 """
 
 from __future__ import annotations
@@ -54,26 +54,6 @@ def uniform_pdf(lo: int, hi: int) -> DiscretePdf:
     """Uniform pdf over the lattice points lo..hi (quanta, lo <= hi)."""
     m = hi - lo + 1
     return DiscretePdf(lo, (1.0 / m,) * m)
-
-
-def geq_count(a_lo: int, a_hi: int, b_lo: int, b_hi: int) -> int:
-    """Number of lattice pairs (x, y) in [a_lo, a_hi] x [b_lo, b_hi] with x >= y.
-
-    O(1): each x inside the overlap with b's range beats x - b_lo + 1
-    values of y, an arithmetic series; each x above b_hi beats all of them.
-    P(A >= B) for A, B uniform on the two ranges is this count over
-    (a_hi - a_lo + 1) * (b_hi - b_lo + 1).
-    """
-    # Conditional expressions instead of max/min: prob_ind calls this
-    # twice per candidate pair, and the builtin calls cost several times
-    # more than the arithmetic.
-    lo = a_lo if a_lo > b_lo else b_lo
-    hi = a_hi if a_hi < b_hi else b_hi
-    count = (lo + hi - 2 * b_lo + 2) * (hi - lo + 1) // 2 if lo <= hi else 0
-    if a_hi > b_hi:
-        above = a_hi - (a_lo if a_lo > b_hi else b_hi + 1) + 1
-        count += above * (b_hi - b_lo + 1)
-    return count
 
 
 def geq_probability(a: DiscretePdf, b: DiscretePdf) -> float:

@@ -158,9 +158,11 @@ def solve(problem: Problem, policy: Policy, oracle: Oracle, *,
     live = np.ones(len(all_candidates), dtype=bool)
     baseline = policy is Policy.BASELINE
 
-    def end(status: str, winner: Optional[Candidate] = None) -> None:
+    def end(status: str, winner: Optional[Candidate] = None,
+            exception: Optional[str] = None) -> None:
         if trace_path:
-            _write_trace(trace_path, steps, status, winner, calls, nanos)
+            _write_trace(trace_path, steps, status, winner, calls, nanos,
+                         exception)
 
     # Bounds of every candidate and cuts of every pair, kept current by
     # folding in each answer (`Incidence.fold`) in the bounds bucket.
@@ -227,9 +229,13 @@ def solve(problem: Problem, policy: Policy, oracle: Oracle, *,
         t0 = clock()
         try:
             response = oracle.ask(question)
-        except OracleError:
+        except BaseException as exc:
+            # Whatever the oracle raised, keep the answers paid for.
             nanos["oracle"] += clock() - t0
-            end("oracle_error")
+            if isinstance(exc, OracleError):
+                end("oracle_error")
+            else:
+                end("oracle_exception", exception=type(exc).__name__)
             raise
         nanos["oracle"] += clock() - t0
         calls += 1
@@ -261,14 +267,18 @@ def _step_line(s: TraceStep) -> str:
 
 def _write_trace(path: str, steps: Sequence[TraceStep], status: str,
                  winner: Optional[Candidate], calls: int,
-                 nanos: dict[str, int]) -> None:
+                 nanos: dict[str, int],
+                 exception: Optional[str] = None) -> None:
     """One line per step, then a status line: "ok" (with the winner),
-    "limit", "oracle_error" or "invalid_response", the calls and time so
+    "limit", "oracle_error", "invalid_response" or "oracle_exception"
+    (with the type name of what the oracle raised), the calls and time so
     far, and every validated answer paid for, so a failed solve keeps
     them."""
     summary: dict = {"status": status}
     if winner is not None:
         summary["winner"] = list(winner.members)
+    if exception is not None:
+        summary["exception"] = exception
     summary.update(
         oracleCalls=calls, perTaskNanos=nanos,
         answered=[{"construct": s.question.construct,

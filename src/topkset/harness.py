@@ -36,7 +36,7 @@ from .bounds import Incidence
 from .engine import Clock, Policy, enumerate_candidates, solve
 from .model import (Candidate, Construct, KnownStore, Problem, Question,
                     ScoringSpec, ValidationError, lattice_floats,
-                    question_universe)
+                    question_universe, whole_number)
 from .oracle import TableOracle
 
 ENTITY_COLUMNS = ("id", "displayName", "contextText")
@@ -334,17 +334,31 @@ class ExperimentConfig:
             raw = json.loads(Path(path).read_text(encoding="utf-8"))
         except (OSError, ValueError) as exc:
             raise ValidationError(f"cannot read experiment config: {exc}")
+
+        def whole(key: str, value) -> int:
+            try:
+                return whole_number(value)
+            except (TypeError, ValueError):
+                raise ValidationError(
+                    f"{key} {value!r} is not an integer") from None
+
+        def whole_list(key: str) -> tuple[int, ...]:
+            values = raw[key]
+            if not isinstance(values, list):
+                raise ValidationError(f"{key} {values!r} is not a list")
+            return tuple(whole(key, x) for x in values)
+
         try:
             return cls(
-                k_list=tuple(int(x) for x in raw["kList"]),
-                candidate_count_list=tuple(int(x) for x in raw["candidateCountList"]),
+                k_list=whole_list("kList"),
+                candidate_count_list=whole_list("candidateCountList"),
                 policies=tuple(Policy(p) for p in raw["policies"]),
-                trials=int(raw.get("trials", 5)),
-                seed_base=int(raw.get("seedBase", 0)),
+                trials=whole("trials", raw.get("trials", 5)),
+                seed_base=whole("seedBase", raw.get("seedBase", 0)),
                 grid_step=float(raw.get("gridStep", 0.5)),
-                unknown_count=(int(raw["unknownCount"])
+                unknown_count=(whole("unknownCount", raw["unknownCount"])
                                if raw.get("unknownCount") is not None else None),
-                workers=int(raw.get("workers", 1)),
+                workers=whole("workers", raw.get("workers", 1)),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"malformed experiment config: {exc}")

@@ -29,6 +29,16 @@ class ValidationError(ValueError):
     """Raised when inputs violate a structural constraint."""
 
 
+def whole_number(value) -> int:
+    """`value` as an int when it is a whole number: an int, a float without
+    a fraction or a numeric string. A bool or a float with a fraction
+    raises ValueError instead of being truncated."""
+    if isinstance(value, bool) or (isinstance(value, float)
+                                   and not value.is_integer()):
+        raise ValueError(f"{value!r} is not an integer")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class Construct:
     """One component of the scoring function, e.g. rel (arity 1) or div (arity 2)."""

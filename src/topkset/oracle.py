@@ -22,7 +22,8 @@ from typing import Mapping, Optional, Sequence
 
 import requests
 
-from .model import GRID_TOL, Question, ScoringSpec, ValidationError
+from .model import (GRID_TOL, Question, ScoringSpec, ValidationError,
+                    whole_number)
 
 # Signed decimals with optional leading or trailing dot and exponent:
 # "1", "0.5", ".5", "5.", "5e-1".
@@ -189,8 +190,11 @@ class LlmOracleConfig:
             return value
 
         def number(key, kind, default, what, valid=lambda v: True):
+            value = raw.get(key, default)
+            if isinstance(value, bool):
+                raise bad(key, what)
             try:
-                value = kind(raw.get(key, default))
+                value = kind(value)
             except (TypeError, ValueError, OverflowError):
                 raise bad(key, what) from None
             if not (math.isfinite(value) and valid(value)):
@@ -204,7 +208,7 @@ class LlmOracleConfig:
             prompt_template=text("promptTemplate", cls.prompt_template),
             timeout_s=number("timeout", float, cls.timeout_s,
                              "a positive number", lambda v: v > 0),
-            max_retries=number("maxRetries", int, cls.max_retries,
+            max_retries=number("maxRetries", whole_number, cls.max_retries,
                                "a nonnegative integer", lambda v: v >= 0),
             temperature=number("temperature", float, cls.temperature,
                                "a number"))

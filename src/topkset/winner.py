@@ -4,10 +4,13 @@ Two estimators share one shape, a product of pairwise beat terms per
 candidate followed by normalization:
 
 - prob_ind treats every pairwise comparison on the candidates' full score
-  pdfs, ignoring score dependence through shared questions. Each beat
-  term is an exact integer pair count over the product of the two
-  support sizes, computed in O(1) per pair (`geq_count`), so its cost
-  does not depend on the grid resolution.
+  pdfs, ignoring score dependence through shared questions. One pass
+  over each unordered pair counts, from the two ranges' overlap, the
+  lattice pairs where each side is at least the other: an arithmetic
+  series gives one count, and the tie identity
+  P(A >= B) + P(B >= A) = 1 + P(A = B) gives the other. Both are exact
+  integers over the product of the two support sizes, so the cost per
+  pair is constant and does not depend on the grid resolution.
 - prob_dep first pins the unknowns shared by each compared pair to the
   range minimum, so terms that would move both scores identically drop
   out of the comparison. Each beat term walks one eliminated pdf against
@@ -35,7 +38,7 @@ import numpy as np
 # perfbench/tracing.py wraps uniform_pdf, geq_probability and
 # geq_probability_naive by name on `winner`; no estimator here calls
 # geq_probability_naive any more, but keep it importable.
-from .distributions import (DiscretePdf, geq_count, geq_probability,
+from .distributions import (DiscretePdf, geq_probability,
                             geq_probability_naive, uniform_pdf)
 from .model import (Candidate, KnownStore, ScoringSpec, question_universe,
                     questions_of, unknown_questions)
@@ -81,20 +84,38 @@ def prob_ind(lo: Sequence[int], hi: Sequence[int]) -> WinnerDistribution:
     `lo[i]` and `hi[i]` are candidate i's `score_bounds` in quanta, as
     Python ints; the solve loop reads them from its incidence core.
 
-    Each unordered pair is visited once and yields both beat terms as
-    exact pair counts over na * nb, one correctly rounded division each.
-    Every candidate's factors still arrive in ascending opponent order.
+    One inline pass per unordered pair (i, j), i < j. With the overlap
+    [a, b] of the two ranges, candidate i's count of pairs (x, y) with
+    x >= y is the arithmetic series over the overlap plus all of j's
+    n_j values for each x above hi_j. Candidate j's count follows from
+    the tie identity: pairs - count + ties, where ties is the overlap's
+    length. Each exact count becomes a beat term by one correctly
+    rounded division by n_i * n_j. Every candidate's product takes its
+    factors in ascending opponent order: i's from j > i in its own
+    pass, after those from every earlier candidate's pass.
     """
     spans = [(a, b, b - a + 1) for a, b in zip(lo, hi)]
     m = len(spans)
     raw = [1.0] * m
-    for i in range(m):
-        lo_i, hi_i, n_i = spans[i]
+    for i, (lo_i, hi_i, n_i) in enumerate(spans):
+        r = raw[i]
         for j in range(i + 1, m):
             lo_j, hi_j, n_j = spans[j]
             pairs = n_i * n_j
-            raw[i] *= geq_count(lo_i, hi_i, lo_j, hi_j) / pairs
-            raw[j] *= geq_count(lo_j, hi_j, lo_i, hi_i) / pairs
+            # Conditional expressions instead of max/min: the builtin
+            # calls cost several times more than the arithmetic.
+            a = lo_i if lo_i > lo_j else lo_j
+            b = hi_i if hi_i < hi_j else hi_j
+            if a <= b:
+                ties = b - a + 1
+                beats = (a + b - 2 * lo_j + 2) * ties // 2
+            else:
+                ties = beats = 0
+            if hi_i > hi_j:
+                beats += (hi_i - (lo_i if lo_i > hi_j else hi_j + 1) + 1) * n_j
+            r *= beats / pairs
+            raw[j] *= (pairs - beats + ties) / pairs
+        raw[i] = r
     return WinnerDistribution(normalize(raw), tuple(raw))
 
 

@@ -162,10 +162,17 @@ def test_call_limit_trace_ends_with_a_status_line(tmp_path, capsys,
      "maxRetries 'many' is not a nonnegative integer"),
     ('{"endpointUrl": "http://localhost:9", "maxRetries": -1}',
      "maxRetries -1 is not a nonnegative integer"),
+    ('{"endpointUrl": "http://localhost:9", "maxRetries": 2.5}',
+     "maxRetries 2.5 is not a nonnegative integer"),
+    ('{"endpointUrl": "http://localhost:9", "maxRetries": true}',
+     "maxRetries True is not a nonnegative integer"),
+    ('{"endpointUrl": "http://localhost:9", "timeout": true}',
+     "timeout True is not a positive number"),
     ('{"endpointUrl": "http://localhost:9", "temperature": "warm"}',
      "temperature 'warm' is not a number"),
 ], ids=["invalid-json", "not-an-object", "no-endpoint", "endpoint-type",
         "timeout-text", "timeout-zero", "retries-text", "retries-negative",
+        "retries-fraction", "retries-bool", "timeout-bool",
         "temperature-text"])
 def test_bad_llm_config_is_a_validation_error(tmp_path, capsys, text,
                                               message):
@@ -339,8 +346,19 @@ def test_negative_unknown_count_is_a_validation_error(tmp_path, capsys,
     ({"unknownCount": -1}, "got -1"),
     ({"gridStep": 0.3}, "grid_step must divide the score range"),
     ({"workers": 0}, "workers must be >= 1, got 0"),
+    ({"kList": [2.5]}, "kList 2.5 is not an integer"),
+    ({"candidateCountList": [True]}, "candidateCountList True is not an "
+                                     "integer"),
+    ({"candidateCountList": "4"}, "candidateCountList '4' is not a list"),
+    ({"trials": 1.9}, "trials 1.9 is not an integer"),
+    ({"trials": True}, "trials True is not an integer"),
+    ({"seedBase": 0.5}, "seedBase 0.5 is not an integer"),
+    ({"unknownCount": 3.5}, "unknownCount 3.5 is not an integer"),
+    ({"workers": 1.5}, "workers 1.5 is not an integer"),
 ], ids=["k-zero", "count-zero", "unknown-negative", "step-off-range",
-        "workers-zero"])
+        "workers-zero", "k-fraction", "count-bool", "count-not-a-list",
+        "trials-fraction", "trials-bool", "seed-fraction",
+        "unknown-fraction", "workers-fraction"])
 def test_bad_experiment_config_fails_before_touching_out(tmp_path, capsys,
                                                          override, message):
     cfg = tmp_path / "exp.json"

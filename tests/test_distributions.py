@@ -1,14 +1,11 @@
 """Lattice pdfs and the P(A >= B) primitive: linear, naive and closed form."""
 
-import itertools
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from topkset import (DiscretePdf, geq_probability, geq_probability_naive,
-                     uniform_pdf)
-from topkset.distributions import geq_count
+                     prob_ind, uniform_pdf)
 
 
 class TestDiscretePdf:
@@ -73,14 +70,15 @@ class TestGeqProbability:
 @given(st.integers(0, 8), st.integers(1, 9), st.integers(0, 8),
        st.integers(1, 9))
 def test_linear_walk_matches_naive_double_sum(lo_a, n_a, lo_b, n_b):
-    """Both evaluation orders and the closed-form pair count compute the
-    same joint mass."""
+    """Both evaluation orders and prob_ind's closed-form pair counts compute
+    the same joint mass, in both directions."""
     a = uniform_pdf(lo_a, lo_a + n_a)
     b = uniform_pdf(lo_b, lo_b + n_b)
     naive = geq_probability_naive(a, b)
     assert geq_probability(a, b) == pytest.approx(naive, abs=1e-12)
-    pairs = geq_count(lo_a, lo_a + n_a, lo_b, lo_b + n_b)
-    assert pairs / (len(a) * len(b)) == pytest.approx(naive, abs=1e-12)
+    raw = prob_ind([lo_a, lo_b], [lo_a + n_a, lo_b + n_b]).raw
+    assert raw[0] == pytest.approx(naive, abs=1e-12)
+    assert raw[1] == pytest.approx(geq_probability_naive(b, a), abs=1e-12)
 
 
 @settings(deadline=None, max_examples=60)
@@ -94,14 +92,3 @@ def test_geq_and_reverse_overlap_by_exactly_the_tie_mass(lo_a, n_a, lo_b, n_b):
     total = geq_probability(a, b) + geq_probability(b, a)
     assert total == pytest.approx(1.0 + tie, abs=1e-12)
 
-
-def test_geq_count_equals_the_brute_force_pair_count():
-    """Every interval pair with endpoints in [-3, 3]: points, disjoint,
-    nested and partly overlapping ranges."""
-    ends = [(lo, hi) for lo, hi in itertools.product(range(-3, 4), repeat=2)
-            if lo <= hi]
-    for (a_lo, a_hi), (b_lo, b_hi) in itertools.product(ends, repeat=2):
-        pairs = sum(x >= y for x in range(a_lo, a_hi + 1)
-                    for y in range(b_lo, b_hi + 1))
-        assert geq_count(a_lo, a_hi, b_lo, b_hi) == pairs, (a_lo, a_hi,
-                                                            b_lo, b_hi)

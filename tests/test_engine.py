@@ -70,13 +70,17 @@ class TestFindWinnerAndPrune:
 
 
 class ScriptedOracle:
-    """Replies with the given responses in order, whatever the question."""
+    """Replies with the given responses in order, whatever the question;
+    an exception among them is raised instead."""
 
     def __init__(self, *responses):
         self.responses = list(responses)
 
     def ask(self, q):
-        return self.responses.pop(0)
+        reply = self.responses.pop(0)
+        if isinstance(reply, BaseException):
+            raise reply
+        return reply
 
 
 def test_solve_hotels_with_one_call(f1):
@@ -253,6 +257,29 @@ def test_invalid_response_trace_keeps_the_paid_answers(f1, tmp_path, second,
     assert summary["answered"] == [
         {"construct": "rel", "args": ["HNY"], "response": 1.0}]
 
+
+
+@pytest.mark.parametrize("failure", [KeyError("HYN"), KeyboardInterrupt()],
+                         ids=["KeyError", "KeyboardInterrupt"])
+def test_any_oracle_exception_trace_keeps_the_paid_answers(f1, tmp_path,
+                                                           failure):
+    """The second baseline question raises something other than
+    OracleError; the exception propagates unchanged and the trace still
+    lists the first answer."""
+    trace = tmp_path / "run.jsonl"
+    oracle = ScriptedOracle(OracleResponse.point(1.0), failure)
+    with pytest.raises(type(failure)) as err:
+        solve(f1, Policy.BASELINE, oracle, trace_path=str(trace))
+    assert err.value is failure
+    *steps, summary = [json.loads(x) for x in trace.read_text().splitlines()]
+    assert [s["question"] for s in steps] == [
+        {"construct": "rel", "args": ["HNY"]}]
+    assert summary["status"] == "oracle_exception"
+    assert summary["exception"] == type(failure).__name__
+    assert "winner" not in summary
+    assert summary["oracleCalls"] == 1
+    assert summary["answered"] == [
+        {"construct": "rel", "args": ["HNY"], "response": 1.0}]
 
 def _renamed_and_shuffled(problem, rng):
     """The same ground truth over entities renamed `b<i>` (so `b10` sorts

@@ -292,6 +292,33 @@ class TestExperimentConfig:
         assert cfg.trials == 5
         assert cfg.unknown_count is None
 
+    def test_integral_floats_read_as_integers(self, tmp_path):
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps({
+            "kList": [2.0], "candidateCountList": [4.0],
+            "policies": ["random"], "trials": 3.0, "seedBase": -1.0,
+            "unknownCount": 0.0, "workers": 1.0}))
+        cfg = ExperimentConfig.from_json(p)
+        assert (cfg.k_list, cfg.candidate_count_list) == ((2,), (4,))
+        assert (cfg.trials, cfg.seed_base, cfg.unknown_count,
+                cfg.workers) == (3, -1, 0, 1)
+        assert all(type(v) is int for v in (cfg.k_list[0], cfg.trials,
+                                             cfg.seed_base, cfg.workers))
+
+    @pytest.mark.parametrize("key, value", [
+        ("kList", [2.5]), ("candidateCountList", [False]), ("trials", 1.9),
+        ("seedBase", True), ("unknownCount", 0.5), ("workers", 2.25)],
+        ids=["kList", "candidateCountList", "trials", "seedBase",
+             "unknownCount", "workers"])
+    def test_rejects_fractions_and_bools_by_key(self, tmp_path, key, value):
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps({
+            "kList": [2], "candidateCountList": [4], "policies": ["random"],
+            "trials": 1, key: value}))
+        with pytest.raises(ValidationError, match=f"{key} .* is not an "
+                                                  f"integer"):
+            ExperimentConfig.from_json(p)
+
     def test_bad_policy_name(self, tmp_path):
         p = tmp_path / "cfg.json"
         p.write_text(json.dumps({

@@ -247,3 +247,10 @@ class TestLlmOracle:
         llm.ask(Question("rel", ("HNY",)))
         with pytest.raises(OracleError):
             llm.ask(Question("div", ("MLN", "HYN")))
+
+
+def test_llm_config_reads_an_integral_float_as_the_retry_count(tmp_path):
+    path = tmp_path / "llm.json"
+    path.write_text('{"endpointUrl": "http://localhost:9", "maxRetries": 2.0}')
+    cfg = LlmOracleConfig.from_json(path)
+    assert cfg.max_retries == 2 and type(cfg.max_retries) is int

@@ -91,6 +91,66 @@ def test_prob_ind_raw_is_the_product_of_exact_pair_counts(spec):
         assert prob_ind(a.lo, a.hi).raw == tuple(expected)
 
 
+def test_prob_ind_pair_terms_equal_the_brute_force_pair_counts():
+    """Every interval pair with endpoints in [-3, 3] (points, disjoint,
+    nested and partly overlapping ranges), in both directions."""
+    ends = [(lo, hi) for lo, hi in itertools.product(range(-3, 4), repeat=2)
+            if lo <= hi]
+    for (a_lo, a_hi), (b_lo, b_hi) in itertools.product(ends, repeat=2):
+        xs, ys = range(a_lo, a_hi + 1), range(b_lo, b_hi + 1)
+        pairs = len(xs) * len(ys)
+        a_beats = sum(x >= y for x in xs for y in ys)
+        b_beats = sum(y >= x for x in xs for y in ys)
+        raw = prob_ind([a_lo, b_lo], [a_hi, b_hi]).raw
+        assert raw == (a_beats / pairs, b_beats / pairs), (a_lo, a_hi,
+                                                           b_lo, b_hi)
+
+
+def _geq_count(a_lo, a_hi, b_lo, b_hi):
+    """Lattice pairs (x, y) in [a_lo, a_hi] x [b_lo, b_hi] with x >= y: an
+    arithmetic series over the overlap plus all of b for each x above
+    b_hi."""
+    lo, hi = max(a_lo, b_lo), min(a_hi, b_hi)
+    count = (lo + hi - 2 * b_lo + 2) * (hi - lo + 1) // 2 if lo <= hi else 0
+    if a_hi > b_hi:
+        count += (a_hi - max(a_lo, b_hi + 1) + 1) * (b_hi - b_lo + 1)
+    return count
+
+
+def _prob_ind_two_counts(lo, hi):
+    """prob_ind as one count call per direction for each unordered pair,
+    each candidate's factors in ascending opponent order."""
+    raw = [1.0] * len(lo)
+    for i in range(len(lo)):
+        for j in range(i + 1, len(lo)):
+            pairs = (hi[i] - lo[i] + 1) * (hi[j] - lo[j] + 1)
+            raw[i] *= _geq_count(lo[i], hi[i], lo[j], hi[j]) / pairs
+            raw[j] *= _geq_count(lo[j], hi[j], lo[i], hi[i]) / pairs
+    return tuple(raw), normalize(raw)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_prob_ind_matches_the_two_count_reference_bit_for_bit(seed):
+    """Negative lows, point intervals and repeated spans, up to M = 60."""
+    rng = random.Random(seed)
+    m = rng.randrange(1, 61)
+    repeated = [(lo, lo + rng.randrange(0, 8))
+                for lo in (rng.randrange(-20, 20) for _ in range(4))]
+    spans = []
+    for _ in range(m):
+        kind = rng.random()
+        lo = rng.randrange(-40, 40)
+        if kind < 0.3:
+            spans.append(rng.choice(repeated))
+        elif kind < 0.5:
+            spans.append((lo, lo))
+        else:
+            spans.append((lo, lo + rng.randrange(0, 50)))
+    lo, hi = [s[0] for s in spans], [s[1] for s in spans]
+    dist = prob_ind(lo, hi)
+    assert (dist.raw, dist.probs) == _prob_ind_two_counts(lo, hi)
+
+
 def test_prob_ind_cost_does_not_grow_with_lattice_resolution():
     """div weight 1e-5 at step 0.5 makes the quantum 1/200000, so each
     interval spans about a million lattice points."""

@@ -15,6 +15,14 @@ Half the instances use a shuffled subset of all k-sets as candidates
 Run it against whichever tree is on the path:
 
     PYTHONPATH=src python tools/trace_sweep.py
+
+`tools/trace_sweep.digests` holds the expected output, and
+`tests/test_trace_sweep.py` reruns the sweep against it, so a change that
+alters any winner, call count or trace step fails tier-1. Regenerate the
+file only for a change that means to alter them, and say why in
+CHANGES.md:
+
+    PYTHONPATH=src python tools/trace_sweep.py > tools/trace_sweep.digests
 """
 
 from __future__ import annotations
@@ -110,7 +118,8 @@ def solve_record(problem: Problem, policy: Policy, seed: int,
                        "knowns": knowns}, separators=(",", ":"))
 
 
-def main() -> int:
+def digest_lines():
+    """One line per (spec, policy) with its digest, then the solve count."""
     solves = 0
     with tempfile.TemporaryDirectory() as tmp:
         trace = Path(tmp) / "trace.jsonl"
@@ -122,8 +131,13 @@ def main() -> int:
                     record = solve_record(problem, policy, seed, trace)
                     digest.update(record.encode() + b"\n")
                     solves += 1
-                print(f"{name:15} {policy.value:12} {digest.hexdigest()}")
-    print(f"solves {solves}")
+                yield f"{name:15} {policy.value:12} {digest.hexdigest()}"
+    yield f"solves {solves}"
+
+
+def main() -> int:
+    for line in digest_lines():
+        print(line)
     return 0
 
 
