@@ -10,8 +10,9 @@ Every bound, cut and comparison here is an exact integer count of the
 spec's quantum (see `ScoringSpec`).
 
 `score_bounds`, `eliminated_bounds` and `dominates` are the per-pair
-reference definitions. `Incidence` computes the same quantities for a
-whole candidate list at once, as arrays, and is what the solve loop uses.
+reference definitions. `Incidence` is the solve loop's state: it holds
+the same quantities for a whole candidate list as arrays, built from the
+known answers and narrowed in place as each new answer is folded in.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .model import (Candidate, KnownStore, Question, ScoringSpec, arg_tuples,
-                    lattice_floats, question_universe, questions_of)
+from .model import (Candidate, KnownStore, Question, ScoringSpec,
+                    ValidationError, arg_tuples, lattice_floats, questions_of)
 
 
 @dataclass(frozen=True)
@@ -113,69 +114,62 @@ def dominates(ca: Candidate, cb: Candidate, spec: ScoringSpec,
 
 
 class Incidence:
-    """Candidate × question incidence of one candidate list.
+    """The solve's state over one candidate list, as arrays in quanta.
 
-    Row i is the candidate at position i, column j the j-th question of
-    `question_universe`. Every result equals its per-pair reference.
+    Row i is the candidate at position i. Column j is the key `keys[j]`, a
+    `(construct, args)` pair in `question_universe` order; `question(j)`
+    builds its `Question`. `lo` and `hi` hold every candidate's
+    `score_bounds`, `unknown` the unanswered columns and `cut` every pair's
+    `elimination_cut`: built from `knowns`, narrowed in place by `fold`,
+    and always equal to their per-pair reference.
     """
 
-    def __init__(self, candidates: Sequence[Candidate], spec: ScoringSpec):
-        self.questions = question_universe(spec, candidates)
-        # (construct, args) -> column, so rows need no Question.
-        self.position = {(q.construct, q.args): j
-                         for j, q in enumerate(self.questions)}
-        names = [q.construct for q in self.questions]
-        self.low = np.array([spec.low[n] for n in names], dtype=np.int64)
+    def __init__(self, candidates: Sequence[Candidate], spec: ScoringSpec,
+                 knowns: KnownStore):
+        if not candidates:
+            raise ValidationError("no candidates")
+        rows = [[(con.name, args) for con in spec.constructs
+                 for args in arg_tuples(con, c.members)] for c in candidates]
+        order = {con.name: r for r, con in enumerate(spec.constructs)}
+        self.keys = sorted({key for row in rows for key in row},
+                           key=lambda key: (order[key[0]], key[1]))
+        position = {key: j for j, key in enumerate(self.keys)}
+        self.members = np.zeros((len(candidates), len(self.keys)),
+                                dtype=np.int64)
+        self.members[[i for i, row in enumerate(rows) for _ in row],
+                     [position[key] for row in rows for key in row]] = 1
+        names = [name for name, _ in self.keys]
+        low = np.array([spec.low[n] for n in names], dtype=np.int64)
         self.rise = np.array([spec.rise[n] for n in names], dtype=np.int64)
         self.span = np.array([spec.span(n) for n in names], dtype=np.int64)
-        rows: list[int] = []
-        cols: list[int] = []
-        for i, c in enumerate(candidates):
-            for con in spec.constructs:
-                for args in arg_tuples(con, c.members):
-                    cols.append(self.position[con.name, args])
-            rows.extend([i] * (len(cols) - len(rows)))
-        self.members = np.zeros((len(candidates), len(self.questions)),
-                                dtype=np.int64)
-        self.members[rows, cols] = 1
-
-    def column(self, q: Question) -> Optional[int]:
-        """Column of q, or None when no candidate's score involves it."""
-        return self.position.get((q.construct, q.args))
-
-    def bounds(self, knowns: KnownStore
-               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """`score_bounds` of every candidate as (lo, hi), plus the mask of
-        universe questions that are still unknown."""
-        index = np.full(len(self.questions), -1, dtype=np.int64)
+        index = np.full(len(self.keys), -1, dtype=np.int64)
         for q, i in knowns.items():
-            j = self.column(q)
+            j = position.get((q.construct, q.args))
             if j is not None:
                 index[j] = i
-        unknown = index < 0
-        value = self.low + index * self.rise
-        lo = np.where(unknown, self.low, value)
-        hi = np.where(unknown, self.low + self.span, value)
-        return self.members @ lo, self.members @ hi, unknown
+        self.unknown = index < 0
+        value = low + index * self.rise
+        self.lo = self.members @ np.where(self.unknown, low, value)
+        self.hi = self.members @ np.where(self.unknown, low + self.span, value)
+        open_ = self.members * self.unknown
+        self.cut = (open_ * self.span) @ open_.T
 
-    def cuts(self, unknown: np.ndarray) -> np.ndarray:
-        """`elimination_cut` of the shared unknowns of every candidate pair."""
-        open_ = self.members * unknown
-        return (open_ * self.span) @ open_.T
+    def question(self, j: int) -> Question:
+        """The question of column j."""
+        return Question(*self.keys[j])
 
-    def fold(self, j: int, index: int, lo: np.ndarray, hi: np.ndarray,
-             unknown: np.ndarray, cut: np.ndarray) -> None:
+    def fold(self, j: int, index: int) -> None:
         """Fold the answer `index` (a grid index) to open column j into
-        `bounds` and the all-rows `cuts`, in place.
+        `lo`, `hi`, `unknown` and `cut`, in place.
 
-        Afterwards the arrays equal `bounds` and `cuts` recomputed with j
-        answered; only the rows containing j change.
+        Afterwards they equal the state built with j answered; only the
+        rows containing j change.
         """
         rows = np.flatnonzero(self.members[:, j])
-        lo[rows] += index * self.rise[j]
-        hi[rows] += index * self.rise[j] - self.span[j]
-        cut[np.ix_(rows, rows)] -= self.span[j]
-        unknown[j] = False
+        self.lo[rows] += index * self.rise[j]
+        self.hi[rows] += index * self.rise[j] - self.span[j]
+        self.cut[np.ix_(rows, rows)] -= self.span[j]
+        self.unknown[j] = False
 
 
 def _dominance(lb: np.ndarray, ub: np.ndarray, cut: np.ndarray,

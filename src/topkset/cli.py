@@ -15,7 +15,6 @@ from .harness import (ExperimentConfig, generate_synthetic, load_problem,
                       run_experiment, write_bundle)
 from .model import ValidationError
 from .oracle import LlmOracle, LlmOracleConfig, OracleError, TableOracle
-from .winner import CapExceededError
 
 _POLICY_TOKENS = {p.value: p for p in Policy}
 
@@ -103,7 +102,7 @@ def entrypoint(argv=None) -> int:
     except click.UsageError as exc:
         click.echo(f"error: {exc.format_message()}", err=True)
         return 2
-    except (ValidationError, CapExceededError) as exc:
+    except ValidationError as exc:
         click.echo(f"error: {exc}", err=True)
         return 2
     except (OracleError, SolveLimitError) as exc:

@@ -147,7 +147,11 @@ def solve(problem: Problem, policy: Policy, oracle: Oracle, *,
     steps: list[TraceStep] = []
     pending: Optional[tuple[Question, float]] = None
     calls = 0
-    core = Incidence(all_candidates, spec)
+    # Bounds of every candidate and cuts of every pair, kept current by
+    # folding in each answer (`Incidence.fold`) in the bounds bucket.
+    t0 = clock()
+    core = Incidence(all_candidates, spec, knowns)
+    nanos["bounds"] += clock() - t0
     if trace_path:
         # Fail before paying for any answer; the trace is written at the end.
         try:
@@ -164,19 +168,16 @@ def solve(problem: Problem, policy: Policy, oracle: Oracle, *,
             _write_trace(trace_path, steps, status, winner, calls, nanos,
                          exception)
 
-    # Bounds of every candidate and cuts of every pair, kept current by
-    # folding in each answer (`Incidence.fold`) in the bounds bucket.
     t0 = clock()
-    lb, ub, unknown = core.bounds(knowns)
-    cut_all = core.cuts(unknown)
     while True:
         rows = np.flatnonzero(live)
-        cut = cut_all[np.ix_(rows, rows)]
+        cut = core.cut[np.ix_(rows, rows)]
         if not baseline:
-            keep = undominated(lb[rows], ub[rows], cut)
+            keep = undominated(core.lo[rows], core.hi[rows], cut)
             live[rows[~keep]] = False
             rows, cut = rows[keep], cut[np.ix_(keep, keep)]
-        first = first_dominator(lb[rows], ub[rows], cut)
+        lo, hi = core.lo[rows], core.hi[rows]
+        first = first_dominator(lo, hi, cut)
         winner = None if first is None else all_candidates[rows[first]]
         nanos["bounds"] += clock() - t0
 
@@ -185,12 +186,11 @@ def solve(problem: Problem, policy: Policy, oracle: Oracle, *,
             probs = [0.0] * len(rows)
             probs[first] = 1.0
         elif policy is Policy.ENTRRED_DEP:
-            probs = prob_dep(lb[rows].tolist(), ub[rows].tolist(),
-                             cut.tolist()).probs
+            probs = prob_dep(lo.tolist(), hi.tolist(), cut.tolist()).probs
         else:
             # Observability for the random and baseline policies; their
             # selection never reads it.
-            probs = prob_ind(lb[rows].tolist(), ub[rows].tolist()).probs
+            probs = prob_ind(lo.tolist(), hi.tolist()).probs
         probs_padded = _pad(probs, rows, len(all_candidates))
         step_entropy = entropy(probs_padded)
         nanos["probability"] += clock() - t0
@@ -198,14 +198,15 @@ def solve(problem: Problem, policy: Policy, oracle: Oracle, *,
         if pending is not None:
             q, v = pending
             pruned = tuple(np.flatnonzero(~live).tolist())
-            steps.append(TraceStep(len(steps), q, v, tuple(lb.tolist()),
-                                   tuple(ub.tolist()), spec.quantum,
+            steps.append(TraceStep(len(steps), q, v,
+                                   tuple(core.lo.tolist()),
+                                   tuple(core.hi.tolist()), spec.quantum,
                                    probs_padded, step_entropy, pruned))
             pending = None
 
         t0 = clock()
         # Open questions of the live candidates, in universe order.
-        cols = np.flatnonzero(unknown & core.members[rows].any(axis=0))
+        cols = np.flatnonzero(core.unknown & core.members[rows].any(axis=0))
         if winner is not None and not (baseline and len(cols)):
             nanos["selection"] += clock() - t0
             end("ok", winner)
@@ -213,13 +214,13 @@ def solve(problem: Problem, policy: Policy, oracle: Oracle, *,
         if not len(cols):
             raise RuntimeError("no open question and no provable winner")
         if baseline:
-            question = core.questions[cols[0]]
+            j = int(cols[0])
         elif policy is Policy.RANDOM:
-            question = select_random([core.questions[j] for j in cols], rng)
+            j = select_random(cols.tolist(), rng)
         else:
             affected = core.members[np.ix_(rows, cols)].T.astype(bool)
-            question = select_entrred([core.questions[j] for j in cols],
-                                      probs, affected.tolist())
+            j = select_entrred(cols.tolist(), probs, affected.tolist())
+        question = core.question(j)
         nanos["selection"] += clock() - t0
 
         if max_calls is not None and calls >= max_calls:
@@ -247,7 +248,7 @@ def solve(problem: Problem, policy: Policy, oracle: Oracle, *,
         index = knowns.get(question)
         pending = (question, spec.grid_values()[index])
         t0 = clock()
-        core.fold(core.column(question), index, lb, ub, unknown, cut_all)
+        core.fold(j, index)
 
 
 def _step_line(s: TraceStep) -> str:

@@ -30,13 +30,11 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
-import numpy as np
-
-from .bounds import Incidence
+from .bounds import score_bounds
 from .engine import Clock, Policy, enumerate_candidates, solve
 from .model import (Candidate, Construct, KnownStore, Problem, Question,
-                    ScoringSpec, ValidationError, lattice_floats,
-                    question_universe, whole_number)
+                    ScoringSpec, ValidationError, question_universe,
+                    whole_number)
 from .oracle import TableOracle
 
 ENTITY_COLUMNS = ("id", "displayName", "contextText")
@@ -218,13 +216,11 @@ def default_spec(grid_step: float = 0.5) -> ScoringSpec:
 
 def generate_synthetic(n: int, k: int, candidate_cap: Optional[int] = None,
                        seed: int = 0, spec: Optional[ScoringSpec] = None,
-                       unknown_count: Optional[int] = None,
-                       known_fraction: float = 0.0) -> Problem:
+                       unknown_count: Optional[int] = None) -> Problem:
     """Seeded random instance: grid-valued ground truth over all questions.
 
     `unknown_count` leaves exactly that many questions unrevealed (the
-    rest become initially known); otherwise each question is revealed
-    independently with probability `known_fraction`.
+    rest become initially known); without it every question is unknown.
     """
     if n < k:
         raise ValidationError("need n >= k")
@@ -238,13 +234,11 @@ def generate_synthetic(n: int, k: int, candidate_cap: Optional[int] = None,
     rng = random.Random(seed)
     grid = spec.grid_values()
     ground_truth = {q: rng.choice(grid) for q in universe}
+    revealed = []
     if unknown_count is not None:
         u = min(unknown_count, len(universe))
         hidden = set(rng.sample(range(len(universe)), u))
         revealed = [i for i in range(len(universe)) if i not in hidden]
-    else:
-        revealed = [i for i in range(len(universe))
-                    if rng.random() < known_fraction]
     knowns = KnownStore()
     for i in revealed:
         q = universe[i]
@@ -377,12 +371,15 @@ def exact_scores(problem: Problem) -> list[float]:
     truth = dict(problem.knowns.items())
     truth.update((q, spec.grid_index(v))
                  for q, v in (problem.ground_truth or {}).items())
-    lo, hi, _ = Incidence(problem.candidates, spec).bounds(KnownStore(truth))
-    open_ = np.flatnonzero(lo != hi)
-    if len(open_):
-        raise ValidationError("ground truth missing for a question of "
-                              f"{problem.candidates[open_[0]].members}")
-    return lattice_floats(lo, spec.quantum).tolist()
+    knowns = KnownStore(truth)
+    scores = []
+    for c in problem.candidates:
+        iv = score_bounds(c, spec, knowns)
+        if iv.lo != iv.hi:
+            raise ValidationError("ground truth missing for a question of "
+                                  f"{c.members}")
+        scores.append(iv.lb)
+    return scores
 
 
 RUN_COLUMNS = ("dataset", "k", "M", "policy", "trial", "oracleCalls",

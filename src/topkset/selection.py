@@ -9,9 +9,11 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Sequence, Union
+from typing import Sequence, TypeVar, Union
 
 from .model import Candidate, Question, ScoringSpec, questions_of
+
+T = TypeVar("T")
 
 
 def entropy(probs: Sequence[float]) -> float:
@@ -45,10 +47,12 @@ def _separation(affected: Sequence[bool], probs: Sequence[float]) -> float:
     return total
 
 
-def select_entrred(unknowns: Sequence[Question], probs: Sequence[float],
-                   affected: Sequence[Sequence[bool]]) -> Question:
+def select_entrred(unknowns: Sequence[T], probs: Sequence[float],
+                   affected: Sequence[Sequence[bool]]) -> T:
     """Highest-scoring open question of the most probable candidate.
 
+    `unknowns` may be any sequence, such as the incidence core's column
+    indices that `solve` passes; the result is one of its elements.
     `affected[r][i]` says whether `unknowns[r]` contributes to candidate
     i's score, with candidates in `probs` order; the solve loop reads the
     rows from its incidence core. Each question scores as `qef_score`.
@@ -75,9 +79,9 @@ def select_entrred(unknowns: Sequence[Question], probs: Sequence[float],
     return unknowns[best]
 
 
-def select_random(unknowns: Sequence[Question],
-                  rng: Union[int, random.Random]) -> Question:
-    """Uniform draw from the open questions; reproducible per seed."""
+def select_random(unknowns: Sequence[T],
+                  rng: Union[int, random.Random]) -> T:
+    """Uniform draw from `unknowns`, any sequence; reproducible per seed."""
     if not unknowns:
         raise ValueError("no unknown questions to select from")
     if isinstance(rng, int):

@@ -43,6 +43,8 @@ from .distributions import (DiscretePdf, geq_probability,
 from .model import (Candidate, KnownStore, ScoringSpec, question_universe,
                     questions_of, unknown_questions)
 
+CHUNK = 65_536  # completions per numpy batch in `brute_force_dist`
+
 
 class CapExceededError(RuntimeError):
     """Exhaustive enumeration would exceed the configured assignment cap."""
@@ -155,8 +157,8 @@ def prob_dep(lo: Sequence[int], hi: Sequence[int],
 
 
 def brute_force_dist(candidates: Sequence[Candidate], spec: ScoringSpec,
-                     knowns: KnownStore, cap: int = 10_000_000,
-                     chunk: int = 65_536) -> WinnerDistribution:
+                     knowns: KnownStore,
+                     cap: int = 10_000_000) -> WinnerDistribution:
     """Exact winner distribution by enumerating all unknown completions.
 
     Every grid assignment of the unknown questions is equally likely; per
@@ -185,8 +187,8 @@ def brute_force_dist(candidates: Sequence[Candidate], spec: ScoringSpec,
 
     counts = np.zeros(m)
     powers = g ** np.arange(u - 1, -1, -1, dtype=np.int64)
-    for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
+    for start in range(0, total, CHUNK):
+        idx = np.arange(start, min(start + CHUNK, total), dtype=np.int64)
         digits = (idx[:, None] // powers[None, :]) % g
         scores = base[None, :] + digits @ rise
         tied = scores == scores.max(axis=1, keepdims=True)

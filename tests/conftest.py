@@ -116,12 +116,10 @@ def core_arrays(candidates, spec, knowns) -> CoreArrays:
     `select_entrred(a.unknowns, probs, a.affected)` then estimate and
     select on the state (candidates, spec, knowns).
     """
-    core = Incidence(candidates, spec)
-    lb, ub, unknown = core.bounds(knowns)
-    cut = core.cuts(unknown)
-    cols = np.flatnonzero(unknown & core.members.any(axis=0))
-    return CoreArrays(lb.tolist(), ub.tolist(), cut.tolist(),
-                      [core.questions[j] for j in cols],
+    core = Incidence(candidates, spec, knowns)
+    cols = np.flatnonzero(core.unknown & core.members.any(axis=0))
+    return CoreArrays(core.lo.tolist(), core.hi.tolist(), core.cut.tolist(),
+                      [core.question(j) for j in cols],
                       core.members[:, cols].T.astype(bool).tolist())
 
 

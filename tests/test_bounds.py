@@ -120,11 +120,9 @@ def test_exact_tie_over_a_shared_unknown_is_never_pruned():
                  (Question("rel", ("B",)), 0.2),
                  (Question("div", ("B", "C")), 0.0)):
         knowns = knowns.record(spec, q, v)
-    core = Incidence(cands, spec)
-    lb, ub, unknown = core.bounds(knowns)
-    cut = core.cuts(unknown)
-    assert undominated(lb, ub, cut).all()
-    assert first_dominator(lb, ub, cut) == 0
+    core = Incidence(cands, spec, knowns)
+    assert undominated(core.lo, core.hi, core.cut).all()
+    assert first_dominator(core.lo, core.hi, core.cut) == 0
 
 
 class TestDominance:
@@ -181,9 +179,8 @@ def test_incidence_core_equals_the_per_pair_reference(name):
     """Bounds, cuts, pruning and the winner check, exactly, with no tolerance."""
     spec = REFERENCE_SPECS[name]
     for cands, knowns in partial_states(spec, 67):
-        core = Incidence(cands, spec)
-        lb, ub, unknown = core.bounds(knowns)
-        cut = core.cuts(unknown)
+        core = Incidence(cands, spec, knowns)
+        lb, ub, cut = core.lo, core.hi, core.cut
         ref = [score_bounds(c, spec, knowns) for c in cands]
         assert lb.tolist() == [iv.lo for iv in ref]
         assert ub.tolist() == [iv.hi for iv in ref]
@@ -208,9 +205,9 @@ def test_incidence_core_equals_the_per_pair_reference(name):
 @pytest.mark.parametrize("name", ["step-0.5", "step-0.1", "rel-weight-0.3"])
 def test_folded_answers_equal_the_state_rebuilt_from_scratch(name):
     """`Incidence.fold` after every answer of a random order leaves the
-    bounds, open mask and all-rows cuts exactly equal to `bounds` and
-    `cuts` rebuilt from the known answers, and the live rows the solve
-    loop reads equal those rows of `cuts`, while pruned rows stay in."""
+    bounds, open mask and all-rows cuts exactly equal to a core rebuilt
+    from the known answers, and the live rows the solve loop reads equal
+    those rows of the rebuilt cuts, while pruned rows stay in."""
     spec = REFERENCE_SPECS[name]
     pruned_seen = False
     for seed in range(30):
@@ -219,27 +216,26 @@ def test_folded_answers_equal_the_state_rebuilt_from_scratch(name):
             rng.randrange(5, 8), rng.randrange(2, 4),
             candidate_cap=rng.choice((8, 20, None)), seed=seed, spec=spec,
             unknown_count=rng.randrange(4, 12))
-        core = Incidence(problem.candidates, spec)
         knowns = problem.knowns
-        lo, hi, unknown = core.bounds(knowns)
-        cut = core.cuts(unknown)
+        core = Incidence(problem.candidates, spec, knowns)
         live = np.ones(len(problem.candidates), dtype=bool)
-        order = np.flatnonzero(unknown).tolist()
+        order = np.flatnonzero(core.unknown).tolist()
         rng.shuffle(order)
         for j in order:
-            q = core.questions[j]
+            q = core.question(j)
             knowns = knowns.record(spec, q, problem.ground_truth[q])
-            core.fold(j, knowns.get(q), lo, hi, unknown, cut)
-            want_lo, want_hi, want_unknown = core.bounds(knowns)
-            assert lo.tolist() == want_lo.tolist()
-            assert hi.tolist() == want_hi.tolist()
-            assert unknown.tolist() == want_unknown.tolist()
-            assert cut.tolist() == core.cuts(want_unknown).tolist()
+            core.fold(j, knowns.get(q))
+            want = Incidence(problem.candidates, spec, knowns)
+            assert core.lo.tolist() == want.lo.tolist()
+            assert core.hi.tolist() == want.hi.tolist()
+            assert core.unknown.tolist() == want.unknown.tolist()
+            assert core.cut.tolist() == want.cut.tolist()
             rows = np.flatnonzero(live)
-            keep = undominated(lo[rows], hi[rows], cut[np.ix_(rows, rows)])
+            keep = undominated(core.lo[rows], core.hi[rows],
+                               core.cut[np.ix_(rows, rows)])
             live[rows[~keep]] = False
             rows = np.flatnonzero(live)
-            assert cut[np.ix_(rows, rows)].tolist() == \
-                core.cuts(want_unknown)[np.ix_(rows, rows)].tolist()
+            assert core.cut[np.ix_(rows, rows)].tolist() == \
+                want.cut[np.ix_(rows, rows)].tolist()
             pruned_seen = pruned_seen or not live.all()
     assert pruned_seen

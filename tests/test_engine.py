@@ -75,8 +75,10 @@ class ScriptedOracle:
 
     def __init__(self, *responses):
         self.responses = list(responses)
+        self.calls = 0
 
     def ask(self, q):
+        self.calls += 1
         reply = self.responses.pop(0)
         if isinstance(reply, BaseException):
             raise reply
@@ -342,10 +344,16 @@ def test_per_task_nanos_with_injected_clock(f1, make_clock):
     assert result.per_task_nanos["oracle"] > 0
 
 
-def test_solve_rejects_empty_candidates(f1):
+def test_solve_rejects_empty_candidates(f1, tmp_path):
+    """No candidates is bad input: no oracle call and no trace file."""
     empty = Problem(f1.entities, f1.spec, 3, ())
-    with pytest.raises(ValidationError):
-        solve(empty, Policy.ENTRRED_DEP, TableOracle({}))
+    trace = tmp_path / "trace.jsonl"
+    for policy in ALL_POLICIES:
+        oracle = ScriptedOracle()
+        with pytest.raises(ValidationError, match="no candidates"):
+            solve(empty, policy, oracle, trace_path=str(trace))
+        assert oracle.calls == 0
+        assert not trace.exists()
 
 
 def test_pruned_candidates_never_return():

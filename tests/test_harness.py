@@ -204,12 +204,12 @@ class TestGenerateSynthetic:
             question_universe(p.spec, p.candidates), p.knowns)
         assert len(open_qs) == 4
 
-    def test_known_fraction_one_reveals_everything(self):
+    def test_unknown_count_zero_reveals_everything(self):
         from topkset import question_universe
-        p = generate_synthetic(5, 2, seed=1, known_fraction=1.0)
-        open_qs = unknown_questions(
-            question_universe(p.spec, p.candidates), p.knowns)
-        assert open_qs == ()
+        p = generate_synthetic(5, 2, seed=1, unknown_count=0)
+        universe = question_universe(p.spec, p.candidates)
+        assert unknown_questions(universe, p.knowns) == ()
+        assert len(p.knowns) == len(universe)
 
     def test_candidate_cap(self):
         p = generate_synthetic(8, 3, candidate_cap=5, seed=0)
