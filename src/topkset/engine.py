@@ -206,7 +206,8 @@ def solve(problem: Problem, policy: Policy, oracle: Oracle, *,
 
         t0 = clock()
         # Open questions of the live candidates, in universe order.
-        cols = np.flatnonzero(core.unknown & core.members[rows].any(axis=0))
+        hits = core.members[rows]
+        cols = (core.unknown & hits.any(axis=0)).nonzero()[0]
         if winner is not None and not (baseline and len(cols)):
             nanos["selection"] += clock() - t0
             end("ok", winner)
@@ -218,8 +219,8 @@ def solve(problem: Problem, policy: Policy, oracle: Oracle, *,
         elif policy is Policy.RANDOM:
             j = select_random(cols.tolist(), rng)
         else:
-            affected = core.members[np.ix_(rows, cols)].T.astype(bool)
-            j = select_entrred(cols.tolist(), probs, affected.tolist())
+            affected = hits[:, cols].T.astype(bool)
+            j = int(select_entrred(cols, probs, affected))
         question = core.question(j)
         nanos["selection"] += clock() - t0
 

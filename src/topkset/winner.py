@@ -61,12 +61,13 @@ class WinnerDistribution:
     raw: tuple[float, ...]
 
     def top_index(self) -> int:
-        """Index of the most probable candidate; ties go to the lowest index."""
-        best = 0
-        for i in range(1, len(self.probs)):
-            if self.probs[i] > self.probs[best]:
-                best = i
-        return best
+        """Index of the most probable candidate (`most_probable`)."""
+        return most_probable(self.probs)
+
+
+def most_probable(probs: Sequence[float]) -> int:
+    """Index of the largest probability; ties go to the lowest index."""
+    return probs.index(max(probs))
 
 
 def normalize(raw: Sequence[float]) -> tuple[float, ...]:
