@@ -37,11 +37,8 @@ class DiscretePdf:
     def __len__(self) -> int:
         return len(self.masses)
 
-    def support(self) -> tuple[int, ...]:
-        return tuple(range(self.origin, self.origin + len(self.masses)))
-
     def prefix_sums(self) -> tuple[float, ...]:
-        """Cumulative masses; entry i is P(value <= support[i])."""
+        """Cumulative masses; entry i is P(value <= origin + i)."""
         out = []
         acc = 0.0
         for m in self.masses:

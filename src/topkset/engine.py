@@ -58,6 +58,10 @@ class TraceStep:
     probability zero. `lo` and `hi` are each candidate's score bounds in
     quanta of `quantum`; `bounds` builds them as `Interval`s when read.
     `response` is the grid value recorded, as a correctly rounded float.
+
+    A traced solve's steps are its trace lines. Untraced `random` and
+    `baseline` steps carry no estimate (`probs == ()`, `entropy is None`)
+    until a winner is provable, and the one-hot distribution from then on.
     """
 
     iteration: int
@@ -67,7 +71,7 @@ class TraceStep:
     hi: tuple[int, ...]
     quantum: Fraction
     probs: tuple[float, ...]
-    entropy: float
+    entropy: Optional[float]
     pruned: tuple[int, ...]
 
     @property
@@ -111,19 +115,11 @@ def enumerate_candidates(entities: Sequence[str], k: int,
     return tuple(Candidate(i, c) for i, c in enumerate(combos))
 
 
-def _pad(probs: Sequence[float], rows: np.ndarray,
-         n_total: int) -> tuple[float, ...]:
-    out = [0.0] * n_total
-    for i, p in zip(rows.tolist(), probs):
-        out[i] = p
-    return tuple(out)
-
-
 def _response_value(resp: OracleResponse) -> float:
     if resp.kind is not ResponseKind.POINT:
         raise ValidationError(
             "solve consumes point responses; fold ranges through "
-            "process_responses and pass the pdf support bounds instead")
+            "process_responses instead")
     return resp.value
 
 
@@ -171,11 +167,11 @@ def solve(problem: Problem, policy: Policy, oracle: Oracle, *,
     t0 = clock()
     while True:
         rows = np.flatnonzero(live)
-        cut = core.cut[np.ix_(rows, rows)]
+        cut = core.cut[rows][:, rows]
         if not baseline:
             keep = undominated(core.lo[rows], core.hi[rows], cut)
             live[rows[~keep]] = False
-            rows, cut = rows[keep], cut[np.ix_(keep, keep)]
+            rows, cut = rows[keep], cut[keep][:, keep]
         lo, hi = core.lo[rows], core.hi[rows]
         first = first_dominator(lo, hi, cut)
         winner = None if first is None else all_candidates[rows[first]]
@@ -187,12 +183,20 @@ def solve(problem: Problem, policy: Policy, oracle: Oracle, *,
             probs[first] = 1.0
         elif policy is Policy.ENTRRED_DEP:
             probs = prob_dep(lo.tolist(), hi.tolist(), cut.tolist()).probs
-        else:
-            # Observability for the random and baseline policies; their
-            # selection never reads it.
+        elif policy is Policy.ENTRRED_IND or trace_path:
+            # Random and baseline selection never read it; a trace does.
             probs = prob_ind(lo.tolist(), hi.tolist()).probs
-        probs_padded = _pad(probs, rows, len(all_candidates))
+        else:
+            probs = ()
+        probs_padded = ()
+        if probs:
+            padded = np.zeros(len(all_candidates))
+            padded[rows] = probs
+            probs_padded = tuple(padded.tolist())
+        # Called once per iteration: perfbench counts iterations by it.
         step_entropy = entropy(probs_padded)
+        if not probs_padded:
+            step_entropy = None
         nanos["probability"] += clock() - t0
 
         if pending is not None:

@@ -69,9 +69,10 @@ def load_spec(path: Path) -> ScoringSpec:
                       float(c.get("weight", 1.0)), c.get("definition", ""))
             for c in raw["constructs"])
         lo, hi = raw["range"]
+        if raw.get("aggregation", "sum") != "sum":
+            raise ValueError(f"unsupported aggregation {raw['aggregation']!r}")
         return ScoringSpec(constructs, float(lo), float(hi),
-                           float(raw["step"]),
-                           raw.get("aggregation", "sum"))
+                           float(raw["step"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed scoring spec {path}: {exc}")
 
@@ -257,7 +258,7 @@ def write_bundle(problem: Problem, out_dir: str | Path) -> Path:
                         "definition": c.definition} for c in spec.constructs],
         "range": [spec.min_score, spec.max_score],
         "step": spec.grid_step,
-        "aggregation": spec.aggregation,
+        "aggregation": "sum",
     }, indent=2) + "\n", encoding="utf-8")
 
     with open(root / "entities.csv", "w", newline="", encoding="utf-8") as fh:

@@ -60,6 +60,8 @@ class Construct:
 def _exact_fraction(x: float, what: str) -> Fraction:
     """x as the fraction with denominator <= 10**6 that converts back to
     exactly x: 0.1 reads as 1/10, 1/3 as 1/3. Below 4096 at most one does."""
+    if not math.isfinite(x):
+        raise ValidationError(f"{what} {x!r} is not finite")
     f = Fraction(x).limit_denominator(MAX_DENOMINATOR)
     if float(f) != x:
         raise ValidationError(f"{what} {x!r} is not a fraction with "
@@ -87,7 +89,6 @@ class ScoringSpec:
     min_score: float = 0.0
     max_score: float = 1.0
     grid_step: float = 0.5
-    aggregation: str = "sum"
     quantum: Fraction = field(init=False, repr=False, compare=False)
     low: dict[str, int] = field(init=False, repr=False, compare=False)
     rise: dict[str, int] = field(init=False, repr=False, compare=False)
@@ -103,8 +104,6 @@ class ScoringSpec:
             if c.arity > 2:
                 raise ValidationError(
                     f"constructs of arity {c.arity} are not supported")
-        if self.aggregation != "sum":
-            raise ValidationError(f"unsupported aggregation {self.aggregation!r}")
         if not self.min_score < self.max_score:
             raise ValidationError("min_score must be < max_score")
         if self.grid_step <= 0:

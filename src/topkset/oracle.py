@@ -95,12 +95,6 @@ class ResponsePdf:
         if abs(sum(self.masses) - 1.0) > 1e-9:
             raise ValidationError("masses must sum to 1")
 
-    def support_min(self) -> float:
-        return min(v for v, m in zip(self.over, self.masses) if m > 0)
-
-    def support_max(self) -> float:
-        return max(v for v, m in zip(self.over, self.masses) if m > 0)
-
 
 def process_responses(responses: Sequence[OracleResponse],
                       grid: Sequence[float]) -> ResponsePdf:
@@ -232,14 +226,20 @@ class LlmOracle:
         self.entity_context = dict(entity_context or {})
         self.session = session or requests.Session()
         self.last_retries = 0
+        # Render one question per construct before any request is paid for.
+        for con in spec.constructs:
+            for ph in ("{entityA}", "{entityB}")[:con.arity]:
+                if ph not in cfg.prompt_template:
+                    raise ValidationError(f"prompt template lacks {ph} "
+                                          f"needed for arity {con.arity}")
+            try:
+                self._render(Question(con.name, ("a", "b")[:con.arity]))
+            except (AttributeError, LookupError, ValueError) as exc:
+                raise ValidationError("prompt template does not format: "
+                                      f"{type(exc).__name__} {exc}") from None
 
     def _render(self, q: Question) -> str:
         con = self.spec.construct_named(q.construct)
-        required = ["{entityA}"] if con.arity == 1 else ["{entityA}", "{entityB}"]
-        for ph in required:
-            if ph not in self.cfg.prompt_template:
-                raise OracleError(
-                    f"prompt template lacks {ph} needed for arity {con.arity}")
         ctx = "; ".join(
             f"{e}: {self.entity_context[e]}" for e in q.args
             if self.entity_context.get(e))

@@ -142,11 +142,8 @@ def select_entrred(unknowns: Sequence[T], probs: Sequence[float],
     return unknowns[_first_best(near, rows, probs)]
 
 
-def select_random(unknowns: Sequence[T],
-                  rng: Union[int, random.Random]) -> T:
+def select_random(unknowns: Sequence[T], rng: random.Random) -> T:
     """Uniform draw from `unknowns`, any sequence; reproducible per seed."""
     if not unknowns:
         raise ValueError("no unknown questions to select from")
-    if isinstance(rng, int):
-        rng = random.Random(rng)
     return unknowns[rng.randrange(len(unknowns))]

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 import shutil
 from pathlib import Path
 
@@ -257,6 +258,66 @@ def test_arity_three_construct_asks_nothing(tmp_path, capsys, chat_server):
     assert code == 2
     assert "constructs of arity 3 are not supported" in err
     assert chat_server.requests == []
+
+
+@pytest.mark.parametrize("template, message", [
+    ("{entityA} only: {query}", "lacks {entityB} needed for arity 2"),
+    ("{entityA}{entityB} {nope}", "does not format: KeyError 'nope'"),
+], ids=["no-entityB", "unknown-name"])
+def test_bad_prompt_template_asks_nothing(tmp_path, capsys, chat_server,
+                                          template, message):
+    cfg = tmp_path / "llm.json"
+    cfg.write_text(json.dumps({"endpointUrl": chat_server.url,
+                               "promptTemplate": template}))
+    code, _, err = run(["solve", "--dataset", F1_DIR, "--k", "3",
+                        "--oracle", "llm", "--llm-config", str(cfg)], capsys)
+    assert code == 2
+    assert message in err
+    assert chat_server.requests == []
+
+
+def _set_spec_number(spec: dict, case: str) -> None:
+    if case == "step":
+        spec["step"] = math.inf
+    elif case == "weight":
+        spec["constructs"][0]["weight"] = math.inf
+    else:
+        spec["range"] = [0.0, math.inf]
+
+
+@pytest.mark.parametrize("case, message", [
+    ("gen-inf", "grid_step inf is not finite"),
+    ("gen-nan", "grid_step nan is not finite"),
+    ("step", "grid_step inf is not finite"),
+    ("weight", "construct rel: weight inf is not finite"),
+    ("range", "max_score inf is not finite"),
+    ("experiment", "grid_step inf is not finite"),
+], ids=["gen-inf", "gen-nan", "step", "weight", "range", "experiment"])
+def test_non_finite_spec_number_exits_2(tmp_path, capsys, case, message):
+    """JSON's `Infinity` reads as a float; it is bad input, not a crash."""
+    out_dir = tmp_path / "out"
+    if case.startswith("gen"):
+        argv = ["gen", "--n", "4", "--k", "2", "--step", case[4:],
+                "--out", str(out_dir)]
+    elif case == "experiment":
+        cfg = tmp_path / "exp.json"
+        cfg.write_text(json.dumps({
+            "kList": [2], "candidateCountList": [4], "policies": ["random"],
+            "trials": 1, "gridStep": math.inf}))
+        argv = ["experiment", "--config", str(cfg), "--out", str(out_dir)]
+    else:
+        ds = tmp_path / "ds"
+        shutil.copytree(F1_DIR, ds)
+        spec = json.loads((ds / "spec.json").read_text())
+        _set_spec_number(spec, case)
+        (ds / "spec.json").write_text(json.dumps(spec))
+        argv = ["solve", "--dataset", str(ds), "--k", "3"]
+    code, _, err = run(argv, capsys)
+    assert code == 2
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert message in err
+    assert "Traceback" not in err
+    assert not out_dir.exists()
 
 
 def test_unwritable_trace_path_asks_nothing(tmp_path, capsys, chat_server):

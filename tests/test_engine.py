@@ -179,6 +179,67 @@ def test_same_seed_same_run_for_random_policy():
     assert a.oracle_calls == b.oracle_calls
 
 
+def _seeded_instances():
+    """20 seeded instances: n 5-8, k 2-3, every other one capped."""
+    rng = random.Random(1300)
+    for s in range(20):
+        n, k = rng.randint(5, 8), rng.choice([2, 3])
+        cap = None if s % 2 else rng.randint(4, 12)
+        yield s, generate_synthetic(n, k, candidate_cap=cap, seed=1300 + s,
+                                    unknown_count=rng.randint(4, 12))
+
+
+def test_untraced_random_and_baseline_estimate_nothing(monkeypatch, tmp_path):
+    """Their selection never reads an estimate, so only a trace pays for
+    one; the solve itself does not depend on whether it is traced.
+    `entrred-ind` reads its estimate and keeps it untraced."""
+    estimates = []
+    original = engine.prob_ind
+
+    def counted(lo, hi):
+        estimates.append(len(lo))
+        return original(lo, hi)
+
+    monkeypatch.setattr(engine, "prob_ind", counted)
+    unread = dict.fromkeys((Policy.RANDOM, Policy.BASELINE), 0)
+    traced_estimates = dict(unread)
+    for seed, problem in _seeded_instances():
+        oracle = TableOracle(problem.ground_truth)
+        for policy in unread:
+            untraced = solve(problem, policy, oracle, seed=seed)
+            assert estimates == []
+            traced = solve(problem, policy, oracle, seed=seed,
+                           trace_path=str(tmp_path / "trace.jsonl"))
+            traced_estimates[policy] += len(estimates)
+            estimates.clear()
+
+            assert untraced.winner == traced.winner
+            assert untraced.oracle_calls == traced.oracle_calls
+            for a, b in itertools.zip_longest(untraced.steps, traced.steps):
+                assert (a.question, a.response, a.lo, a.hi, a.pruned) == \
+                    (b.question, b.response, b.lo, b.hi, b.pruned)
+            # From the first step with a provable winner on, both runs
+            # carry its one-hot distribution.
+            first = next((i for i, st in enumerate(untraced.steps)
+                          if st.probs), len(untraced.steps))
+            unread[policy] += first
+            for st in untraced.steps[:first]:
+                assert st.probs == () and st.entropy is None
+            for a, b in zip(untraced.steps[first:], traced.steps[first:]):
+                assert a.probs == b.probs
+                assert max(a.probs) == sum(a.probs) == 1.0
+                assert a.entropy == b.entropy == 0.0
+
+        result = solve(problem, Policy.ENTRRED_IND, oracle, seed=seed)
+        for st in result.steps:
+            assert len(st.probs) == len(problem.candidates)
+            assert sum(st.probs) == pytest.approx(1.0, abs=1e-9)
+            assert st.entropy is not None
+        estimates.clear()
+    assert min(unread.values()) > 0
+    assert min(traced_estimates.values()) > 0
+
+
 def test_trace_files_are_byte_identical(f1, make_clock, tmp_path):
     paths = []
     for run in range(2):

@@ -35,7 +35,6 @@ class TestLoadF1:
         assert [c.arity for c in spec.constructs] == [1, 2]
         assert (spec.min_score, spec.max_score, spec.grid_step) == \
             (0.0, 1.0, 0.5)
-        assert spec.aggregation == "sum"
 
     def test_ground_truth_covers_thirteen_questions(self):
         loaded = load_problem(F1_DIR, 3, require_ground_truth=True)
@@ -178,7 +177,18 @@ class TestLoadSpec:
             "range": [0, 1], "step": 0.25}))
         spec = load_spec(p)
         assert spec.constructs[0].weight == 1.0
-        assert spec.aggregation == "sum"
+
+    def test_only_sum_aggregation(self, tmp_path):
+        p = tmp_path / "spec.json"
+        raw = {"constructs": [{"name": "rel", "arity": 1}],
+               "range": [0, 1], "step": 0.5}
+        for aggregation in ("sum", "avg"):
+            p.write_text(json.dumps(dict(raw, aggregation=aggregation)))
+            if aggregation == "sum":
+                assert load_spec(p).grid_step == 0.5
+            else:
+                with pytest.raises(ValidationError, match="aggregation 'avg'"):
+                    load_spec(p)
 
 
 def test_default_spec_shape():

@@ -90,14 +90,24 @@ class TestConstructAndSpec:
         with pytest.raises(ValidationError, match="denominator"):
             ScoringSpec((Construct("rel", 1),), grid_step=1 / 1_000_003)
 
+    @pytest.mark.parametrize("weight, lo, hi, step, field", [
+        (1.0, 0.0, 1.0, math.inf, "grid_step"),
+        (1.0, 0.0, 1.0, math.nan, "grid_step"),
+        (1.0, 0.0, math.inf, 0.5, "max_score"),
+        (1.0, -math.inf, 1.0, 0.5, "min_score"),
+        (math.inf, 0.0, 1.0, 0.5, "weight"),
+        (math.nan, 0.0, 1.0, 0.5, "weight"),
+    ])
+    def test_spec_numbers_must_be_finite(self, weight, lo, hi, step, field):
+        with pytest.raises(ValidationError, match=f"{field} .* not finite"):
+            ScoringSpec((Construct("rel", 1, weight=weight),), lo, hi, step)
+
     def test_spec_rejects_bad_shapes(self):
         rel = Construct("rel", 1)
         with pytest.raises(ValidationError):
             ScoringSpec(())
         with pytest.raises(ValidationError):
             ScoringSpec((rel, Construct("rel", 2)))
-        with pytest.raises(ValidationError):
-            ScoringSpec((rel,), aggregation="avg")
         with pytest.raises(ValidationError):
             ScoringSpec((rel,), min_score=1.0, max_score=1.0)
         with pytest.raises(ValidationError):

@@ -3,9 +3,9 @@
 import pytest
 
 import topkset.oracle as oracle_mod
-from topkset import (LlmOracle, LlmOracleConfig, OracleError, OracleResponse,
-                     Question, TableOracle, ValidationError, process_responses,
-                     snap_to_grid)
+from topkset import (Construct, LlmOracle, LlmOracleConfig, OracleError,
+                     OracleResponse, Question, ScoringSpec, TableOracle,
+                     ValidationError, process_responses, snap_to_grid)
 from topkset.oracle import ResponseKind
 
 from .conftest import HIDDEN_TRUTH, hotel_spec
@@ -41,17 +41,10 @@ class TestProcessResponses:
     def test_single_point_becomes_point_mass(self):
         pdf = process_responses([OracleResponse.point(1.0)], GRID)
         assert pdf.masses == (0.0, 0.0, 1.0)
-        assert pdf.support_min() == pdf.support_max() == 1.0
 
     def test_point_on_grid_boundary(self):
         pdf = process_responses([OracleResponse.point(0.0)], GRID)
         assert pdf.masses == (1.0, 0.0, 0.0)
-
-    def test_support_bounds_skip_zero_mass(self):
-        pdf = process_responses(
-            [OracleResponse.score_range(0.4, 1.0)], GRID)
-        assert pdf.support_min() == 0.5
-        assert pdf.support_max() == 1.0
 
     def test_range_missing_the_grid_rejected(self):
         with pytest.raises(OracleError):
@@ -242,11 +235,28 @@ class TestLlmOracle:
         assert len(chat_server.requests) == 3
 
     def test_template_must_mention_both_slots(self, chat_server):
-        llm = make_llm(chat_server, prompt_template="{entityA} only: {query}")
-        # Unary works, binary cannot be rendered.
-        llm.ask(Question("rel", ("HNY",)))
-        with pytest.raises(OracleError):
-            llm.ask(Question("div", ("MLN", "HYN")))
+        # The spec has a binary construct, so the template is rejected
+        # when the oracle is built, before any request.
+        with pytest.raises(ValidationError, match="entityB"):
+            make_llm(chat_server, prompt_template="{entityA} only: {query}")
+        assert chat_server.requests == []
+        # A unary-only spec needs no {entityB}.
+        cfg = LlmOracleConfig(endpoint_url=chat_server.url,
+                              prompt_template="{entityA} only: {query}")
+        unary = ScoringSpec((Construct("rel", 1),), 0.0, 1.0, 0.5)
+        LlmOracle(cfg, unary).ask(Question("rel", ("HNY",)))
+
+    @pytest.mark.parametrize("template", [
+        "{entityA}{entityB} {nope}", "{entityA}{entityB} {}",
+        "{entityA}{entityB} {0}", "{entityA}{entityB} }", "{entityA}{entityB} {query",
+        "{entityA}{entityB} {query.real}",
+    ], ids=["unknown-name", "auto-positional", "positional", "lone-brace",
+            "unclosed", "attribute"])
+    def test_template_that_cannot_format_is_rejected_up_front(
+            self, chat_server, template):
+        with pytest.raises(ValidationError, match="does not format"):
+            make_llm(chat_server, prompt_template=template)
+        assert chat_server.requests == []
 
 
 def test_llm_config_reads_an_integral_float_as_the_retry_count(tmp_path):

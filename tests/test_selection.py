@@ -253,20 +253,21 @@ class TestSelectRandom:
     def test_seed_reproducibility(self, f1):
         universe = question_universe(f1.spec, f1.candidates)
         unknowns = unknown_questions(universe, f1.knowns)
-        assert select_random(unknowns, 7) == select_random(unknowns, 7)
+        assert select_random(unknowns, random.Random(7)) == \
+            select_random(unknowns, random.Random(7))
 
     def test_accepts_rng_instance(self, f1):
         universe = question_universe(f1.spec, f1.candidates)
         unknowns = unknown_questions(universe, f1.knowns)
-        assert select_random(unknowns, random.Random(7)) == \
-            select_random(unknowns, 7)
+        want = unknowns[random.Random(7).randrange(len(unknowns))]
+        assert select_random(unknowns, random.Random(7)) == want
 
     def test_covers_the_pool(self, f1):
         universe = question_universe(f1.spec, f1.candidates)
         unknowns = unknown_questions(universe, f1.knowns)
-        seen = {select_random(unknowns, s) for s in range(50)}
+        seen = {select_random(unknowns, random.Random(s)) for s in range(50)}
         assert seen == set(unknowns)
 
     def test_empty_pool_rejected(self):
         with pytest.raises(ValueError):
-            select_random((), 0)
+            select_random((), random.Random(0))
