@@ -188,7 +188,11 @@ def undominated(lb: np.ndarray, ub: np.ndarray, cut: np.ndarray) -> np.ndarray:
 
 def first_dominator(lb: np.ndarray, ub: np.ndarray,
                     cut: np.ndarray) -> Optional[int]:
-    """Lowest row that weakly dominates every other row, if any."""
+    """Lowest row that weakly dominates every other row, if any.
+
+    Among rows tied at the top this need not be the lowest tied row: a
+    tied row whose bounds are still open does not dominate yet.
+    """
     dom = _dominance(lb, ub, cut, strict=False)
     np.fill_diagonal(dom, True)
     rows = np.flatnonzero(dom.all(axis=1))

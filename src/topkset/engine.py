@@ -127,7 +127,11 @@ def solve(problem: Problem, policy: Policy, oracle: Oracle, *,
           seed: int = 0, max_calls: Optional[int] = None,
           trace_path: Optional[str] = None,
           clock: Optional[Clock] = None) -> SolveResult:
-    """Run one query to completion and return the exact winner.
+    """Run one query to completion and return an exact maximum.
+
+    The winner is the lowest live candidate that weakly dominates every
+    other live one once the proof completes; among tied maxima the
+    questions asked decide which that is.
 
     `clock` must be a nanosecond counter; injecting a deterministic one
     makes the emitted trace byte-for-byte reproducible.

@@ -34,7 +34,7 @@ from .bounds import score_bounds
 from .engine import Clock, Policy, enumerate_candidates, solve
 from .model import (Candidate, Construct, KnownStore, Problem, Question,
                     ScoringSpec, ValidationError, question_universe,
-                    whole_number)
+                    universe_keys, whole_number)
 from .oracle import TableOracle
 
 ENTITY_COLUMNS = ("id", "displayName", "contextText")
@@ -106,13 +106,16 @@ def load_problem(dataset_dir: str | Path, k: int,
     if not entities:
         raise ValidationError("entities.csv has no rows")
 
+    pool = set(entities)
     cand_file = root / "candidates.csv"
     if cand_file.exists():
-        candidates = _load_candidates(cand_file, k, set(entities), candidate_cap)
+        candidates = _load_candidates(cand_file, k, pool, candidate_cap)
     else:
         candidates = enumerate_candidates(entities, k, cap=candidate_cap)
 
-    knowns = KnownStore()
+    # Grid index of every known row; rows are checked for the grid and for
+    # conflicts as they are read, so the store is built once at the end.
+    revealed: dict[Question, int] = {}
     ground_truth: dict[Question, float] = {}
     for con in spec.constructs:
         path = root / f"{con.name}.csv"
@@ -123,7 +126,7 @@ def load_problem(dataset_dir: str | Path, k: int,
         if not rows:
             raise ValidationError(f"score file {path.name} has no rows")
         for line, r in enumerate(rows, start=2):
-            q = _row_question(con, r, set(entities), path.name)
+            q = _row_question(con, r, pool, path.name)
             score_text = (r.get("score") or "").strip()
             flag = (r.get("known") or "").strip().lower()
             if flag not in KNOWN_FLAGS:
@@ -142,7 +145,8 @@ def load_problem(dataset_dir: str | Path, k: int,
                 raise ValidationError(
                     f"{path.name} line {line}: score {score_text!r} for {q} "
                     "is not a number") from None
-            if spec.grid_index(v) is None:
+            index = spec.grid_index(v)
+            if index is None:
                 raise ValidationError(
                     f"{path.name} line {line}: score {v} for {q} is off-grid")
             if q in ground_truth and ground_truth[q] != v:
@@ -151,19 +155,20 @@ def load_problem(dataset_dir: str | Path, k: int,
                     f"{ground_truth[q]} vs {v}")
             ground_truth[q] = v
             if known:
-                knowns = knowns.record(spec, q, v)
+                revealed[q] = index
 
     if require_ground_truth:
-        for q in question_universe(spec, candidates):
-            if q not in ground_truth:
-                raise ValidationError(
-                    f"table oracle needs a score for {q} but none was given")
+        given = {(q.construct, q.args) for q in ground_truth}
+        for key in universe_keys(spec, candidates):
+            if key not in given:
+                raise ValidationError("table oracle needs a score for "
+                                      f"{Question(*key)} but none was given")
 
     query_file = root / "query.txt"
     query_text = _read(query_file, lambda fh: fh.read()).strip() \
         if query_file.exists() else ""
 
-    return Problem(tuple(entities), spec, k, candidates, knowns,
+    return Problem(tuple(entities), spec, k, candidates, KnownStore(revealed),
                    ground_truth, query_text, context)
 
 

@@ -232,7 +232,10 @@ class Candidate:
     """A size-k entity set that may be the query answer.
 
     `index` is the candidate's stable position in the problem's candidate
-    list; ties between candidates are always broken toward the lower index.
+    list. `solve` returns an exact maximum: the lowest live row that weakly
+    dominates all others when the proof completes. When several candidates
+    tie at the maximum, which of them that is depends on the questions
+    asked, not on the lowest index alone.
     """
 
     index: int
@@ -321,9 +324,17 @@ def question_universe(spec: ScoringSpec,
     """
     if not candidates:
         raise ValidationError("no candidates")
-    return tuple(Question(con.name, args) for con in spec.constructs
-                 for args in sorted({args for c in candidates
-                                     for args in arg_tuples(con, c.members)}))
+    return tuple(Question(*key) for key in universe_keys(spec, candidates))
+
+
+def universe_keys(spec: ScoringSpec, candidates: Sequence[Candidate]
+                  ) -> Iterator[tuple[str, tuple[EntityId, ...]]]:
+    """(construct name, args) of each universe question, in universe
+    order, without building the questions."""
+    for con in spec.constructs:
+        for args in sorted({args for c in candidates
+                            for args in arg_tuples(con, c.members)}):
+            yield con.name, args
 
 
 def unknown_questions(universe: Iterable[Question],

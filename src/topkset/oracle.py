@@ -18,12 +18,13 @@ import time
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Mapping, Optional, Sequence
-
-import requests
+from typing import TYPE_CHECKING, Mapping, Optional, Sequence
 
 from .model import (GRID_TOL, Question, ScoringSpec, ValidationError,
                     whole_number)
+
+if TYPE_CHECKING:
+    import requests
 
 # Signed decimals with optional leading or trailing dot and exponent:
 # "1", "0.5", ".5", "5.", "5e-1".
@@ -214,7 +215,11 @@ RETRY_BACKOFF_S = 0.2
 
 
 class LlmOracle:
-    """HTTP chat-completion client that turns replies into grid scores."""
+    """HTTP chat-completion client that turns replies into grid scores.
+
+    `requests` is imported here, on construction, not with the package:
+    a table-oracle run never loads the HTTP stack.
+    """
 
     def __init__(self, cfg: LlmOracleConfig, spec: ScoringSpec,
                  query_text: str = "",
@@ -224,6 +229,8 @@ class LlmOracle:
         self.spec = spec
         self.query_text = query_text
         self.entity_context = dict(entity_context or {})
+        import requests
+        self._request_error = requests.RequestException
         self.session = session or requests.Session()
         self.last_retries = 0
         # Render one question per construct before any request is paid for.
@@ -275,7 +282,7 @@ class LlmOracle:
                 resp = self.session.post(self.cfg.endpoint_url, json=payload,
                                          headers=headers,
                                          timeout=self.cfg.timeout_s)
-            except requests.RequestException as exc:
+            except self._request_error as exc:
                 last_error = f"request failed: {exc}"
                 continue
             if resp.status_code < 200 or resp.status_code >= 300:

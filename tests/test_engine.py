@@ -127,6 +127,24 @@ def test_synthetic_winners_match_ground_truth(policy):
         assert truth[result.winner.index] == max(truth)
 
 
+def test_tied_maxima_each_policy_returns_an_exact_maximum():
+    """Five candidates tie at the top score. Every policy returns one of
+    them, but not necessarily the lowest: the questions asked decide."""
+    problem = generate_synthetic(6, 2, seed=1309, unknown_count=5)
+    truth = exact_scores(problem)
+    tied = {i for i, s in enumerate(truth) if s == max(truth)}
+    assert tied == {1, 5, 8, 9, 11}
+    winners = {}
+    for policy in ALL_POLICIES:
+        result = solve(problem, policy, TableOracle(problem.ground_truth),
+                       seed=9)
+        assert truth[result.winner.index] == max(truth)
+        winners[policy] = result.winner.index
+    assert set(winners.values()) <= tied
+    # One informed call proves candidate 8, not the lower-indexed 1.
+    assert winners[Policy.ENTRRED_IND] == 8
+
+
 @pytest.mark.parametrize("policy", [Policy.ENTRRED_IND, Policy.ENTRRED_DEP,
                                     Policy.RANDOM])
 def test_solve_makes_no_questions_of_call(monkeypatch, policy):

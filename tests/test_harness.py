@@ -88,6 +88,34 @@ class TestLoaderValidation:
         with pytest.raises(ValidationError, match="conflicting scores"):
             load_problem(ds, 3)
 
+    def test_repeated_known_row_with_the_same_score_is_kept_once(
+            self, tmp_path):
+        ds = _broken_copy(tmp_path)
+        _append(ds / "div.csv", "MLN,HNY,1.0,1")
+        loaded = load_problem(ds, 3)
+        assert dict(loaded.knowns.items()) == \
+            dict(load_problem(F1_DIR, 3).knowns.items())
+
+    def test_missing_ground_truth_names_the_first_open_question(
+            self, tmp_path):
+        """Unscored rows load, but a table-oracle run needs every score;
+        the error names the first missing question in universe order."""
+        ds = _broken_copy(tmp_path)
+        text = (ds / "div.csv").read_text().replace("MLN,SHN,0.0,0",
+                                                    "MLN,SHN,,0")
+        (ds / "div.csv").write_text(text)
+        (ds / "rel.csv").write_text(
+            (ds / "rel.csv").read_text().replace("HNY,0.5,0", "HNY,,0"))
+        load_problem(ds, 3)
+        with pytest.raises(ValidationError, match=r"^table oracle needs a "
+                           r"score for rel\(HNY\) but none was given$"):
+            load_problem(ds, 3, require_ground_truth=True)
+        (ds / "rel.csv").write_text(
+            (ds / "rel.csv").read_text().replace("HNY,,0", "HNY,0.5,0"))
+        with pytest.raises(ValidationError,
+                           match=r"score for div\(MLN, SHN\) but"):
+            load_problem(ds, 3, require_ground_truth=True)
+
     def test_known_row_without_score(self, tmp_path):
         ds = _broken_copy(tmp_path)
         text = (ds / "div.csv").read_text().replace("HYN,SHN,,0", "HYN,SHN,,1")

@@ -1,7 +1,15 @@
 """Response processing, grid snapping and the oracle backends."""
 
+import os
+import socket
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import pytest
 
+import topkset
 import topkset.oracle as oracle_mod
 from topkset import (Construct, LlmOracle, LlmOracleConfig, OracleError,
                      OracleResponse, Question, ScoringSpec, TableOracle,
@@ -234,6 +242,17 @@ class TestLlmOracle:
         assert err.value.raw_reply == "no idea"
         assert len(chat_server.requests) == 3
 
+    def test_refused_connection_is_retried_then_fails(self, fast_retries):
+        with socket.socket() as sock:
+            sock.bind(("127.0.0.1", 0))
+            port = sock.getsockname()[1]
+        cfg = LlmOracleConfig(endpoint_url=f"http://127.0.0.1:{port}",
+                              max_retries=1)
+        llm = LlmOracle(cfg, hotel_spec())
+        with pytest.raises(OracleError, match="2 attempts: request failed"):
+            llm.ask(Question("rel", ("HNY",)))
+        assert llm.last_retries == 1
+
     def test_template_must_mention_both_slots(self, chat_server):
         # The spec has a binary construct, so the template is rejected
         # when the oracle is built, before any request.
@@ -264,3 +283,46 @@ def test_llm_config_reads_an_integral_float_as_the_retry_count(tmp_path):
     path.write_text('{"endpointUrl": "http://localhost:9", "maxRetries": 2.0}')
     cfg = LlmOracleConfig.from_json(path)
     assert cfg.max_retries == 2 and type(cfg.max_retries) is int
+
+
+DATASET_F1 = Path(__file__).resolve().parent.parent / "datasets" / "f1"
+
+
+def fresh_python(code: str) -> str:
+    """Run code in a new interpreter importing this topkset; its stdout."""
+    src = str(Path(topkset.__file__).resolve().parent.parent)
+    out = subprocess.run([sys.executable, "-c", textwrap.dedent(code)],
+                         env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    return out.stdout.strip()
+
+
+@pytest.mark.parametrize("module", ["topkset", "topkset.cli"])
+def test_import_leaves_the_http_stack_unloaded(module):
+    assert fresh_python(f"""
+        import sys, {module}
+        print("requests" in sys.modules)""") == "False"
+
+
+def test_table_oracle_solve_never_loads_the_http_stack():
+    assert fresh_python(f"""
+        import contextlib, io, sys
+        from topkset.cli import entrypoint
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = entrypoint(["solve", "--dataset", {str(DATASET_F1)!r},
+                               "--k", "3", "--oracle", "table"])
+        print(code, "requests" in sys.modules)""") == "0 False"
+
+
+def test_llm_oracle_loads_the_http_stack_when_built(chat_server):
+    assert fresh_python(f"""
+        import sys
+        from topkset import LlmOracle, LlmOracleConfig, Question
+        from topkset.harness import default_spec
+        before = "requests" in sys.modules
+        llm = LlmOracle(LlmOracleConfig(endpoint_url={chat_server.url!r}),
+                        default_spec())
+        print(before, "requests" in sys.modules,
+              llm.ask(Question("rel", ("A",))).value)""") == "False True 0.5"
+    assert len(chat_server.requests) == 1
