@@ -121,7 +121,8 @@ class Incidence:
     builds its `Question`. `lo` and `hi` hold every candidate's
     `score_bounds`, `unknown` the unanswered columns and `cut` every pair's
     `elimination_cut`: built from `knowns`, narrowed in place by `fold`,
-    and always equal to their per-pair reference.
+    and always equal to their per-pair reference. The diagonal cut[i, i]
+    sums row i's own open spans, hi[i] - lo[i].
     """
 
     def __init__(self, candidates: Sequence[Candidate], spec: ScoringSpec,
@@ -151,8 +152,8 @@ class Incidence:
         value = low + index * self.rise
         self.lo = self.members @ np.where(self.unknown, low, value)
         self.hi = self.members @ np.where(self.unknown, low + self.span, value)
-        open_ = self.members * self.unknown
-        self.cut = (open_ * self.span) @ open_.T
+        open_ = self.members[:, self.unknown]
+        self.cut = (open_ * self.span[self.unknown]) @ open_.T
 
     def question(self, j: int) -> Question:
         """The question of column j."""
@@ -168,32 +169,48 @@ class Incidence:
         rows = np.flatnonzero(self.members[:, j])
         self.lo[rows] += index * self.rise[j]
         self.hi[rows] += index * self.rise[j] - self.span[j]
-        self.cut[np.ix_(rows, rows)] -= self.span[j]
+        self.cut[rows[:, None], rows] -= self.span[j]
         self.unknown[j] = False
 
 
-def _dominance(lb: np.ndarray, ub: np.ndarray, cut: np.ndarray,
-               strict: bool) -> np.ndarray:
-    """[a, b] is `dominates(a, b)` on arrays of bounds and pair cuts."""
-    rhs = ub[None, :] - cut
-    return lb[:, None] > rhs if strict else lb[:, None] >= rhs
+def prune_and_prove(lo: np.ndarray, hi: np.ndarray,
+                    cut: np.ndarray) -> tuple[np.ndarray, Optional[int]]:
+    """Pruning and the winner check from one margin matrix.
 
+    gap[a, b] = lo[a] - (hi[b] - cut[a, b]) is `dominates(a, b)`'s margin:
+    a weakly dominates b when gap[a, b] >= 0 and strictly when > 0.
+    Returns the mask of rows that no other row strictly dominates (no
+    gap > 0 in the column) and the lowest row that weakly dominates every
+    other row (no gap < 0 in the row), or None. `lo`, `hi` and `cut` are
+    `Incidence` arrays over the same rows, so cut[a, a] = hi[a] - lo[a]
+    and the diagonal gap[a, a] = 0 neither prunes nor blocks a row.
 
-def undominated(lb: np.ndarray, ub: np.ndarray, cut: np.ndarray) -> np.ndarray:
-    """Mask of the candidates no other candidate strictly dominates."""
-    dom = _dominance(lb, ub, cut, strict=True)
-    np.fill_diagonal(dom, False)
-    return ~dom.any(axis=0)
+    Pruning never changes that row, so it is the same whether the check
+    runs before pruning or on the survivors. Proof: cut[r, s] sums the
+    spans of the open questions r and s share, and cut[s, s] those of all
+    of s's. In cut[r, s] + cut[s, q] each open question of s counts at
+    most twice, and twice only when r and q share it too. Every span is
+    >= 0, so this inclusion-exclusion gives
+    cut[r, s] + cut[s, q] <= cut[s, s] + cut[r, q]. If r weakly dominates
+    s and s strictly dominates q, then
 
+        lo[r] >= hi[s] - cut[r, s] >= lo[s] + cut[s, q] - cut[r, q]
+              > hi[q] - cut[r, q],
 
-def first_dominator(lb: np.ndarray, ub: np.ndarray,
-                    cut: np.ndarray) -> Optional[int]:
-    """Lowest row that weakly dominates every other row, if any.
+    so r strictly dominates q; with q = r this would read
+    lo[r] > hi[r] - cut[r, r] = lo[r], which is impossible.
+    Hence strict dominance has no cycles, and following strict dominators
+    from a pruned row ends at a survivor that strictly dominates it. A row
+    r that weakly dominates every other row survives, since any s that
+    strictly dominated it would make r strictly dominate itself. And a
+    survivor that weakly dominates every other survivor weakly dominates
+    each pruned row too, through that row's surviving dominator. So the
+    first weak dominator of all rows is a survivor, and it is the first
+    weak dominator of the survivors.
 
-    Among rows tied at the top this need not be the lowest tied row: a
-    tied row whose bounds are still open does not dominate yet.
+    Among rows tied at the top the winner need not be the lowest tied
+    row: a tied row whose bounds are still open does not dominate yet.
     """
-    dom = _dominance(lb, ub, cut, strict=False)
-    np.fill_diagonal(dom, True)
-    rows = np.flatnonzero(dom.all(axis=1))
-    return int(rows[0]) if len(rows) else None
+    gap = lo[:, None] - (hi[None, :] - cut)
+    winners = np.flatnonzero(gap.min(axis=1) >= 0)
+    return gap.max(axis=0) <= 0, (int(winners[0]) if len(winners) else None)

@@ -26,8 +26,8 @@ import numpy as np
 # score_bounds, elimination_cut, question_universe, questions_of and
 # unknown_questions are imported only because perfbench/tracing.py wraps
 # them by name on `engine`; the solve loop calls none of them.
-from .bounds import (Incidence, Interval, elimination_cut, first_dominator,
-                     score_bounds, undominated)
+from .bounds import (Incidence, Interval, elimination_cut, prune_and_prove,
+                     score_bounds)
 from .model import (Candidate, KnownStore, Problem, Question,
                     ValidationError, lattice_floats, question_universe,
                     questions_of, unknown_questions)
@@ -36,6 +36,16 @@ from .selection import entropy, select_entrred, select_random
 from .winner import prob_dep, prob_ind
 
 Clock = Callable[[], int]
+
+# `entrred-dep` walks every lattice point of each compared pair's score
+# supports, so its cost grows linearly with a candidate's support: about
+# 0.4 ms per point for an M=30 instance (n=8, k=3, 24 open questions, one
+# core of a 2-core x86-64 VM, Python 3.11). `solve` rejects that policy
+# up front when the largest initial support, max(hi - lo) + 1 in quanta,
+# exceeds this many points; such an instance takes about 4 s at the limit
+# and about an hour at a grid step of 1e-6. The walk itself is never cut
+# short, and the other policies take any support.
+DEP_MAX_SUPPORT = 10_000
 
 
 class Policy(Enum):
@@ -152,6 +162,14 @@ def solve(problem: Problem, policy: Policy, oracle: Oracle, *,
     t0 = clock()
     core = Incidence(all_candidates, spec, knowns)
     nanos["bounds"] += clock() - t0
+    if policy is Policy.ENTRRED_DEP:
+        support = int((core.hi - core.lo).max()) + 1
+        if support > DEP_MAX_SUPPORT:
+            raise ValidationError(
+                f"entrred-dep cost grows with score support: the largest "
+                f"candidate support here is {support} points, above the "
+                f"limit of {DEP_MAX_SUPPORT}; use a coarser grid step or "
+                f"another policy")
     if trace_path:
         # Fail before paying for any answer; the trace is written at the end.
         try:
@@ -171,20 +189,21 @@ def solve(problem: Problem, policy: Policy, oracle: Oracle, *,
     t0 = clock()
     while True:
         rows = np.flatnonzero(live)
-        cut = core.cut[rows][:, rows]
-        if not baseline:
-            keep = undominated(core.lo[rows], core.hi[rows], cut)
-            live[rows[~keep]] = False
-            rows, cut = rows[keep], cut[keep][:, keep]
         lo, hi = core.lo[rows], core.hi[rows]
-        first = first_dominator(lo, hi, cut)
-        winner = None if first is None else all_candidates[rows[first]]
+        cut = core.cut[rows[:, None], rows]
+        # The winner is a survivor of the pruning (see prune_and_prove).
+        keep, first = prune_and_prove(lo, hi, cut)
+        top = None if first is None else rows[first]
+        if not baseline and not keep.all():
+            live[rows[~keep]] = False
+            rows, lo, hi = rows[keep], lo[keep], hi[keep]
+            cut = cut[keep][:, keep]
+        winner = None if top is None else all_candidates[top]
         nanos["bounds"] += clock() - t0
 
         t0 = clock()
         if winner is not None:
-            probs = [0.0] * len(rows)
-            probs[first] = 1.0
+            probs = (rows == top).astype(float).tolist()
         elif policy is Policy.ENTRRED_DEP:
             probs = prob_dep(lo.tolist(), hi.tolist(), cut.tolist()).probs
         elif policy is Policy.ENTRRED_IND or trace_path:
@@ -198,7 +217,7 @@ def solve(problem: Problem, policy: Policy, oracle: Oracle, *,
             padded[rows] = probs
             probs_padded = tuple(padded.tolist())
         # Called once per iteration: perfbench counts iterations by it.
-        step_entropy = entropy(probs_padded)
+        step_entropy = entropy(probs)
         if not probs_padded:
             step_entropy = None
         nanos["probability"] += clock() - t0

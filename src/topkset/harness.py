@@ -13,6 +13,9 @@ A dataset directory holds:
 - candidates.csv: optional explicit candidate rows; absent means all
   k-subsets in lexicographic order
 
+Every file is read as UTF-8 and may start with a byte-order mark, as
+spreadsheet exports often do.
+
 Experiments solve seeded synthetic instances across policies and write
 per-run, summary and ratio CSVs.
 """
@@ -31,7 +34,8 @@ from pathlib import Path
 from typing import Optional
 
 from .bounds import score_bounds
-from .engine import Clock, Policy, enumerate_candidates, solve
+from .engine import (DEP_MAX_SUPPORT, Clock, Policy, enumerate_candidates,
+                     solve)
 from .model import (Candidate, Construct, KnownStore, Problem, Question,
                     ScoringSpec, ValidationError, question_universe,
                     universe_keys, whole_number)
@@ -45,7 +49,7 @@ def _read(path: Path, parse, newline: Optional[str] = None):
     """parse(open text file), with any failure to read it as a
     ValidationError naming the file."""
     try:
-        with open(path, newline=newline, encoding="utf-8") as fh:
+        with open(path, newline=newline, encoding="utf-8-sig") as fh:
             return parse(fh)
     except FileNotFoundError:
         raise ValidationError(f"dataset {path.parent} has no {path.name}") \
@@ -60,7 +64,7 @@ def _read_rows(path: Path, reader=csv.DictReader) -> list:
 
 def load_spec(path: Path) -> ScoringSpec:
     try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
+        raw = json.loads(path.read_text(encoding="utf-8-sig"))
     except (OSError, ValueError) as exc:
         raise ValidationError(f"cannot read scoring spec {path}: {exc}")
     try:
@@ -326,12 +330,28 @@ class ExperimentConfig:
                                   f"got {self.unknown_count}")
         if self.workers < 1:
             raise ValidationError(f"workers must be >= 1, got {self.workers}")
-        default_spec(self.grid_step)
+        spec = default_spec(self.grid_step)
+        if Policy.ENTRRED_DEP in self.policies:
+            # An upper bound on the largest initial support `solve` would
+            # meet in any cell: every question of a k-set open, or only
+            # `unknown_count` of them at the widest span.
+            widest = max(spec.span(c.name) for c in spec.constructs)
+            for k in self.k_list:
+                support = 1 + sum(math.comb(k, c.arity) * spec.span(c.name)
+                                  for c in spec.constructs)
+                if self.unknown_count is not None:
+                    support = min(support, 1 + self.unknown_count * widest)
+                if support > DEP_MAX_SUPPORT:
+                    raise ValidationError(
+                        f"entrred-dep cells with k={k} could reach a "
+                        f"candidate support of {support} points, above the "
+                        f"limit of {DEP_MAX_SUPPORT}; use a coarser "
+                        f"gridStep or drop entrred-dep")
 
     @classmethod
     def from_json(cls, path: str | Path) -> "ExperimentConfig":
         try:
-            raw = json.loads(Path(path).read_text(encoding="utf-8"))
+            raw = json.loads(Path(path).read_text(encoding="utf-8-sig"))
         except (OSError, ValueError) as exc:
             raise ValidationError(f"cannot read experiment config: {exc}")
 

@@ -166,7 +166,7 @@ class LlmOracleConfig:
     def from_json(cls, path: str | Path) -> "LlmOracleConfig":
         """Read an `llm.json`; a bad file or key is a ValidationError."""
         try:
-            raw = json.loads(Path(path).read_text(encoding="utf-8"))
+            raw = json.loads(Path(path).read_text(encoding="utf-8-sig"))
         except (OSError, ValueError) as exc:
             raise ValidationError(f"cannot read LLM config {path}: {exc}")
         if not isinstance(raw, dict):

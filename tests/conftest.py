@@ -98,6 +98,27 @@ def partial_states(spec, count):
         yield problem.candidates, knowns
 
 
+def shuffled_states(spec, count):
+    """Seeded states over entities `b0`..`b11`, whose ids do not sort by
+    number (`b10` < `b2`), with a shuffled subset of all k-sets as the
+    candidates, not a lexicographic prefix, and a random half of their
+    questions answered."""
+    entities = [f"b{i}" for i in range(12)]
+    grid = spec.grid_values()
+    for seed in range(count):
+        rng = random.Random(seed)
+        sets = list(itertools.combinations(
+            rng.sample(entities, rng.randrange(4, 12)), rng.randrange(2, 5)))
+        rng.shuffle(sets)
+        cands = tuple(Candidate(i, m) for i, m in
+                      enumerate(sets[:rng.randrange(1, 25)]))
+        knowns = KnownStore()
+        for q in question_universe(spec, cands):
+            if rng.random() < 0.5:
+                knowns = knowns.record(spec, q, rng.choice(grid))
+        yield cands, knowns
+
+
 class CoreArrays(NamedTuple):
     """What the solve loop passes the estimators and question selection."""
 

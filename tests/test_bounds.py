@@ -1,5 +1,6 @@
 """Score intervals, shared-unknown elimination and dominance."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -11,12 +12,12 @@ from hypothesis import strategies as st
 from topkset import (Candidate, Construct, Interval, KnownStore, Question,
                      ScoringSpec, dominates, eliminated_bounds,
                      generate_synthetic, score_bounds)
-from topkset.bounds import (Incidence, elimination_cut, first_dominator,
-                            shared_unknowns, undominated)
+from topkset.bounds import (Incidence, elimination_cut, prune_and_prove,
+                            shared_unknowns)
 from topkset.harness import default_spec
 from topkset.model import question_universe, questions_of, unknown_questions
 
-from .conftest import partial_states
+from .conftest import partial_states, shuffled_states
 
 
 def test_hotel_bounds_are_exact(f1):
@@ -121,8 +122,9 @@ def test_exact_tie_over_a_shared_unknown_is_never_pruned():
                  (Question("div", ("B", "C")), 0.0)):
         knowns = knowns.record(spec, q, v)
     core = Incidence(cands, spec, knowns)
-    assert undominated(core.lo, core.hi, core.cut).all()
-    assert first_dominator(core.lo, core.hi, core.cut) == 0
+    keep, first = prune_and_prove(core.lo, core.hi, core.cut)
+    assert keep.all()
+    assert first == 0
 
 
 class TestDominance:
@@ -184,6 +186,7 @@ def test_incidence_core_equals_the_per_pair_reference(name):
         ref = [score_bounds(c, spec, knowns) for c in cands]
         assert lb.tolist() == [iv.lo for iv in ref]
         assert ub.tolist() == [iv.hi for iv in ref]
+        assert cut.diagonal().tolist() == (ub - lb).tolist()
         weak, strict = {}, {}
         for i, a in enumerate(cands):
             for j, b in enumerate(cands):
@@ -197,8 +200,9 @@ def test_incidence_core_equals_the_per_pair_reference(name):
                   for i in range(len(cands))]
         winner = next((i for i, rest in others
                        if all(weak[i, j] for j in rest)), None)
-        assert first_dominator(lb, ub, cut) == winner
-        assert undominated(lb, ub, cut).tolist() == [
+        keep, first = prune_and_prove(lb, ub, cut)
+        assert first == winner
+        assert keep.tolist() == [
             not any(strict[j, i] for j in rest) for i, rest in others]
 
 
@@ -231,11 +235,34 @@ def test_folded_answers_equal_the_state_rebuilt_from_scratch(name):
             assert core.unknown.tolist() == want.unknown.tolist()
             assert core.cut.tolist() == want.cut.tolist()
             rows = np.flatnonzero(live)
-            keep = undominated(core.lo[rows], core.hi[rows],
-                               core.cut[np.ix_(rows, rows)])
+            keep, _ = prune_and_prove(core.lo[rows], core.hi[rows],
+                                      core.cut[np.ix_(rows, rows)])
             live[rows[~keep]] = False
             rows = np.flatnonzero(live)
             assert core.cut[np.ix_(rows, rows)].tolist() == \
                 want.cut[np.ix_(rows, rows)].tolist()
             pruned_seen = pruned_seen or not live.all()
     assert pruned_seen
+
+
+@pytest.mark.parametrize("name", REFERENCE_SPECS)
+def test_pruning_never_changes_the_winner_check(name):
+    """The first weak dominator of all rows is a survivor of the pruning,
+    and it is the first weak dominator of the survivors alone."""
+    spec = REFERENCE_SPECS[name]
+    pruned = won = 0
+    for cands, knowns in itertools.chain(partial_states(spec, 67),
+                                         shuffled_states(spec, 67)):
+        core = Incidence(cands, spec, knowns)
+        keep, first = prune_and_prove(core.lo, core.hi, core.cut)
+        rows = np.flatnonzero(keep)
+        _, again = prune_and_prove(core.lo[rows], core.hi[rows],
+                                   core.cut[np.ix_(rows, rows)])
+        if first is None:
+            assert again is None
+        else:
+            assert keep[first]
+            assert rows[again] == first
+            won += 1
+        pruned += not keep.all()
+    assert pruned and won

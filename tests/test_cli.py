@@ -374,6 +374,34 @@ def test_gen_then_solve(tmp_path, capsys):
     assert "winner: {" in out
 
 
+def test_dep_support_over_the_limit_asks_nothing(tmp_path, capsys,
+                                                 chat_server):
+    """At step 1e-4 a 2-set's support has 30001 points: the default
+    policy exits 2 before any request and before the trace exists; the
+    other policies solve the same dataset."""
+    ds = tmp_path / "fine"
+    assert run(["gen", "--n", "4", "--k", "2", "--step", "0.0001",
+                "--out", str(ds)], capsys)[0] == 0
+    cfg = tmp_path / "llm.json"
+    cfg.write_text(json.dumps({"endpointUrl": chat_server.url}))
+    trace = tmp_path / "t.jsonl"
+    code, out, err = run(["solve", "--dataset", str(ds), "--k", "2",
+                          "--oracle", "llm", "--llm-config", str(cfg),
+                          "--trace", str(trace)], capsys)
+    assert code == 2
+    assert err.startswith("error: entrred-dep ")
+    assert "30001 points, above the limit of 10000" in err
+    assert "Traceback" not in err
+    assert "winner" not in out
+    assert chat_server.requests == []
+    assert not trace.exists()
+    for policy in ("entrred-ind", "random", "baseline"):
+        code, out, _ = run(["solve", "--dataset", str(ds), "--k", "2",
+                            "--policy", policy], capsys)
+        assert code == 0
+        assert "winner: {" in out
+
+
 def test_gen_rejects_n_below_k(tmp_path, capsys):
     code, _, err = run(["gen", "--n", "2", "--k", "3",
                         "--out", str(tmp_path / "x")], capsys)
@@ -416,10 +444,12 @@ def test_negative_unknown_count_is_a_validation_error(tmp_path, capsys,
     ({"seedBase": 0.5}, "seedBase 0.5 is not an integer"),
     ({"unknownCount": 3.5}, "unknownCount 3.5 is not an integer"),
     ({"workers": 1.5}, "workers 1.5 is not an integer"),
+    ({"policies": ["random", "entrred-dep"], "gridStep": 1e-4},
+     "support of 30001 points, above the limit of 10000"),
 ], ids=["k-zero", "count-zero", "unknown-negative", "step-off-range",
         "workers-zero", "k-fraction", "count-bool", "count-not-a-list",
         "trials-fraction", "trials-bool", "seed-fraction",
-        "unknown-fraction", "workers-fraction"])
+        "unknown-fraction", "workers-fraction", "dep-support-over-limit"])
 def test_bad_experiment_config_fails_before_touching_out(tmp_path, capsys,
                                                          override, message):
     cfg = tmp_path / "exp.json"

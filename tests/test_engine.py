@@ -11,8 +11,9 @@ from topkset import (Candidate, KnownStore, OracleResponse, Policy, Problem,
                      Question, SolveLimitError, TableOracle, ValidationError,
                      enumerate_candidates, generate_synthetic, solve)
 from topkset import bounds, engine, selection, winner
-from topkset.bounds import first_dominator, undominated
-from topkset.harness import exact_scores
+from topkset.bounds import prune_and_prove
+from topkset.engine import DEP_MAX_SUPPORT
+from topkset.harness import default_spec, exact_scores
 from topkset.model import question_universe, questions_of, unknown_questions
 
 from .conftest import core_arrays
@@ -49,15 +50,17 @@ class TestFindWinnerAndPrune:
     """The solve loop's winner check and pruning on the core's arrays."""
 
     def test_open_hotel_race_has_no_winner(self, f1):
-        arrays = bounds_and_cuts(f1.candidates, f1.spec, f1.knowns)
-        assert first_dominator(*arrays) is None
-        assert undominated(*arrays).all()
+        keep, first = prune_and_prove(
+            *bounds_and_cuts(f1.candidates, f1.spec, f1.knowns))
+        assert first is None
+        assert keep.all()
 
     def test_one_answer_settles_the_race(self, f1):
         knowns = f1.knowns.record(f1.spec, Question("div", ("MLN", "HYN")), 1.0)
-        arrays = bounds_and_cuts(f1.candidates, f1.spec, knowns)
-        assert first_dominator(*arrays) == 0
-        assert undominated(*arrays).tolist() == [True, False, False]
+        keep, first = prune_and_prove(
+            *bounds_and_cuts(f1.candidates, f1.spec, knowns))
+        assert first == 0
+        assert keep.tolist() == [True, False, False]
 
     def test_exact_tie_resolves_to_lowest_index(self):
         from topkset import Candidate, KnownStore
@@ -66,7 +69,8 @@ class TestFindWinnerAndPrune:
         cands = (Candidate(0, ("A",)), Candidate(1, ("B",)))
         knowns = KnownStore().record(spec, Question("rel", ("A",)), 0.5)
         knowns = knowns.record(spec, Question("rel", ("B",)), 0.5)
-        assert first_dominator(*bounds_and_cuts(cands, spec, knowns)) == 0
+        _, first = prune_and_prove(*bounds_and_cuts(cands, spec, knowns))
+        assert first == 0
 
 
 class ScriptedOracle:
@@ -445,3 +449,42 @@ def test_pruned_candidates_never_return():
         seen = set(step.pruned)
         for idx in step.pruned:
             assert step.probs[idx] == 0.0
+
+
+def fine_grid_problem():
+    """k=2 at step 1e-4: a candidate's three open questions span 10^4
+    quanta each, a support of 30001 points, above `DEP_MAX_SUPPORT`."""
+    return generate_synthetic(4, 2, seed=5, spec=default_spec(1e-4))
+
+
+@pytest.mark.parametrize("policy", ALL_POLICIES[1:])
+def test_other_policies_solve_a_support_above_the_limit(policy):
+    problem = fine_grid_problem()
+    result = solve(problem, policy, TableOracle(problem.ground_truth))
+    truth = exact_scores(problem)
+    assert truth[result.winner.index] == max(truth)
+
+
+@pytest.mark.parametrize("points", [DEP_MAX_SUPPORT, DEP_MAX_SUPPORT + 1])
+def test_the_dep_support_limit_is_inclusive(points):
+    """k=1: one open question of points - 1 quanta per candidate."""
+    problem = generate_synthetic(2, 1, seed=1,
+                                 spec=default_spec(1 / (points - 1)))
+    oracle = TableOracle(problem.ground_truth)
+    if points <= DEP_MAX_SUPPORT:
+        truth = exact_scores(problem)
+        result = solve(problem, Policy.ENTRRED_DEP, oracle)
+        assert truth[result.winner.index] == max(truth)
+    else:
+        with pytest.raises(ValidationError, match=f"{points} points"):
+            solve(problem, Policy.ENTRRED_DEP, oracle)
+
+
+@pytest.mark.parametrize("step, k", [(1 / 16, 4), (1 / 8, 3), (0.1, 4)],
+                         ids=["criterion-09", "fine-dep", "sweep-step-0.1"])
+def test_shipped_grids_stay_far_below_the_dep_support_limit(step, k):
+    """The finest grids of criterion 09, the fine-dep benchmark workload
+    and the identity sweep, with every question open."""
+    problem = generate_synthetic(k + 2, k, seed=0, spec=default_spec(step))
+    core = bounds.Incidence(problem.candidates, problem.spec, problem.knowns)
+    assert 50 * (int((core.hi - core.lo).max()) + 1) < DEP_MAX_SUPPORT

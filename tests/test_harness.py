@@ -1,5 +1,6 @@
 """Dataset loading, synthetic generation and the experiment runner."""
 
+import codecs
 import csv
 import json
 import shutil
@@ -7,9 +8,10 @@ from pathlib import Path
 
 import pytest
 
-from topkset import (ExperimentConfig, Policy, Question, ValidationError,
-                     generate_synthetic, load_problem, run_experiment,
-                     unknown_questions, write_bundle)
+from topkset import (ExperimentConfig, Policy, Question, TableOracle,
+                     ValidationError, generate_synthetic, load_problem,
+                     run_experiment, solve, unknown_questions, write_bundle)
+from topkset.engine import DEP_MAX_SUPPORT
 from topkset.harness import (_smallest_n, default_spec, exact_scores,
                              load_spec)
 
@@ -276,6 +278,33 @@ def test_write_bundle_round_trips(tmp_path):
     assert loaded.spec == problem.spec
 
 
+def test_a_byte_order_mark_changes_nothing(tmp_path, make_clock):
+    """Every file of a dataset may start with a UTF-8 byte-order mark, as
+    spreadsheet exports write; it loads and solves exactly as without."""
+    problem = generate_synthetic(6, 2, seed=4, unknown_count=7)
+    plain = write_bundle(problem, tmp_path / "plain")
+    marked = Path(shutil.copytree(plain, tmp_path / "marked"))
+    for path in marked.iterdir():
+        path.write_bytes(codecs.BOM_UTF8 + path.read_bytes())
+    runs = []
+    for root in (plain, marked):
+        loaded = load_problem(root, 2, require_ground_truth=True)
+        trace = root.parent / f"{root.name}.jsonl"
+        result = solve(loaded, Policy.ENTRRED_DEP,
+                       TableOracle(loaded.ground_truth),
+                       trace_path=str(trace), clock=make_clock())
+        runs.append((loaded, result, trace.read_bytes()))
+    (a, ra, ta), (b, rb, tb) = runs
+    assert (a.entities, a.spec, a.k, a.candidates, a.ground_truth,
+            a.query_text, a.entity_context) == \
+        (b.entities, b.spec, b.k, b.candidates, b.ground_truth,
+         b.query_text, b.entity_context)
+    assert dict(a.knowns.items()) == dict(b.knowns.items())
+    assert a.entities[0] == "E000"
+    assert (ra.winner, ra.oracle_calls) == (rb.winner, rb.oracle_calls)
+    assert ta == tb
+
+
 def test_exact_scores_on_the_hotels(f1):
     assert exact_scores(f1) == [5.0, 3.0, 4.0]
 
@@ -364,6 +393,33 @@ class TestExperimentConfig:
             "policies": ["greedy"]}))
         with pytest.raises(ValidationError, match="malformed"):
             ExperimentConfig.from_json(p)
+
+    def test_may_start_with_a_byte_order_mark(self, tmp_path):
+        p = tmp_path / "cfg.json"
+        p.write_text('\ufeff{"kList": [2], "candidateCountList": [4], '
+                     '"policies": ["random"]}', encoding="utf-8")
+        assert ExperimentConfig.from_json(p).k_list == (2,)
+
+    @pytest.mark.parametrize("step, unknown, support", [
+        (1 / 3333, None, 10_000), (1 / 3334, None, 10_003),
+        (1e-4, 0, 1), (1e-4, 1, 10_001)],
+        ids=["all-open-at-limit", "all-open-over", "none-open",
+             "one-open-over"])
+    def test_bounds_the_dep_support(self, step, unknown, support):
+        """A k=2 cell has three questions of 1/step quanta each, a k=1
+        cell one; at most `unknown_count` of them are open."""
+        cfg = dict(k_list=(1, 2), candidate_count_list=(4,),
+                   grid_step=step, unknown_count=unknown)
+        ExperimentConfig(policies=(Policy.ENTRRED_IND, Policy.RANDOM,
+                                   Policy.BASELINE), **cfg)
+        if support <= DEP_MAX_SUPPORT:
+            ExperimentConfig(policies=(Policy.ENTRRED_DEP,), **cfg)
+        else:
+            with pytest.raises(ValidationError,
+                               match=f"could reach a candidate support of "
+                                     f"{support} points, above the limit of "
+                                     f"{DEP_MAX_SUPPORT}"):
+                ExperimentConfig(policies=(Policy.ENTRRED_DEP,), **cfg)
 
     def test_rejects_empty_lists_and_zero_trials(self):
         with pytest.raises(ValidationError):

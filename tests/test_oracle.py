@@ -285,6 +285,14 @@ def test_llm_config_reads_an_integral_float_as_the_retry_count(tmp_path):
     assert cfg.max_retries == 2 and type(cfg.max_retries) is int
 
 
+def test_llm_config_may_start_with_a_byte_order_mark(tmp_path):
+    path = tmp_path / "llm.json"
+    path.write_text('\ufeff{"endpointUrl": "http://localhost:9", '
+                    '"maxRetries": 4}', encoding="utf-8")
+    cfg = LlmOracleConfig.from_json(path)
+    assert (cfg.endpoint_url, cfg.max_retries) == ("http://localhost:9", 4)
+
+
 DATASET_F1 = Path(__file__).resolve().parent.parent / "datasets" / "f1"
 
 

@@ -19,7 +19,8 @@ from topkset.distributions import (geq_probability, geq_probability_naive,
 from topkset.harness import default_spec
 from topkset.model import question_universe, questions_of, unknown_questions
 
-from .conftest import core_arrays, hotel_spec, partial_states
+from .conftest import (core_arrays, hotel_spec, partial_states,
+                       shuffled_states)
 
 EXACT = pytest.approx
 
@@ -198,27 +199,6 @@ def test_prob_dep_raw_is_the_product_of_linear_walks(spec):
         arrays = core_arrays(cands, spec, knowns)
         assert prob_dep(arrays.lo, arrays.hi, arrays.cut).raw == \
             tuple(expected)
-
-
-def shuffled_states(spec, count):
-    """Seeded states over entities `b0`..`b11`, whose ids do not sort by
-    number (`b10` < `b2`), with a shuffled subset of all k-sets as the
-    candidates, not a lexicographic prefix, and a random half of their
-    questions answered."""
-    entities = [f"b{i}" for i in range(12)]
-    grid = spec.grid_values()
-    for seed in range(count):
-        rng = random.Random(seed)
-        sets = list(itertools.combinations(
-            rng.sample(entities, rng.randrange(4, 12)), rng.randrange(2, 5)))
-        rng.shuffle(sets)
-        cands = tuple(Candidate(i, m) for i, m in
-                      enumerate(sets[:rng.randrange(1, 25)]))
-        knowns = KnownStore()
-        for q in question_universe(spec, cands):
-            if rng.random() < 0.5:
-                knowns = knowns.record(spec, q, rng.choice(grid))
-        yield cands, knowns
 
 
 @pytest.mark.parametrize("spec", [
