@@ -118,11 +118,14 @@ class Incidence:
 
     Row i is the candidate at position i. Column j is the key `keys[j]`, a
     `(construct, args)` pair in `question_universe` order; `question(j)`
-    builds its `Question`. `lo` and `hi` hold every candidate's
-    `score_bounds`, `unknown` the unanswered columns and `cut` every pair's
-    `elimination_cut`: built from `knowns`, narrowed in place by `fold`,
-    and always equal to their per-pair reference. The diagonal cut[i, i]
-    sums row i's own open spans, hi[i] - lo[i].
+    builds its `Question`, and the boolean `members[i, j]` says whether
+    it adds to row i's score. `lo` and `hi` hold every candidate's
+    `score_bounds` and `unknown` the unanswered columns. `rows` lists the
+    live rows in ascending order (all of them at build), `dropped` the
+    rest, and `cut[a, b]` is the `elimination_cut` of live rows `rows[a]`
+    and `rows[b]`. All are built from `knowns`, narrowed in place by
+    `fold`, and always equal to their per-pair reference. The diagonal
+    cut[a, a] sums row `rows[a]`'s own open spans, hi - lo.
     """
 
     def __init__(self, candidates: Sequence[Candidate], spec: ScoringSpec,
@@ -136,9 +139,9 @@ class Incidence:
                            key=lambda key: (order[key[0]], key[1]))
         position = {key: j for j, key in enumerate(self.keys)}
         self.members = np.zeros((len(candidates), len(self.keys)),
-                                dtype=np.int64)
+                                dtype=bool)
         self.members[[i for i, row in enumerate(rows) for _ in row],
-                     [position[key] for row in rows for key in row]] = 1
+                     [position[key] for row in rows for key in row]] = True
         names = [name for name, _ in self.keys]
         low = np.array([spec.low[n] for n in names], dtype=np.int64)
         self.rise = np.array([spec.rise[n] for n in names], dtype=np.int64)
@@ -154,22 +157,33 @@ class Incidence:
         self.hi = self.members @ np.where(self.unknown, low + self.span, value)
         open_ = self.members[:, self.unknown]
         self.cut = (open_ * self.span[self.unknown]) @ open_.T
+        self.rows = np.arange(len(candidates))
+        self.dropped: tuple[int, ...] = ()
 
     def question(self, j: int) -> Question:
         """The question of column j."""
         return Question(*self.keys[j])
 
+    def drop(self, keep: np.ndarray) -> None:
+        """Remove the live rows where the mask `keep` (over `rows`) is
+        False from `rows` and `cut`; their bounds stay and keep narrowing."""
+        self.dropped = tuple(sorted(self.dropped
+                                    + tuple(self.rows[~keep].tolist())))
+        self.rows = self.rows[keep]
+        self.cut = self.cut[keep][:, keep]
+
     def fold(self, j: int, index: int) -> None:
         """Fold the answer `index` (a grid index) to open column j into
         `lo`, `hi`, `unknown` and `cut`, in place.
 
-        Afterwards they equal the state built with j answered; only the
-        rows containing j change.
+        Afterwards they equal the state built with j answered: the bounds
+        of every row containing j change, the cuts only among live rows.
         """
         rows = np.flatnonzero(self.members[:, j])
         self.lo[rows] += index * self.rise[j]
         self.hi[rows] += index * self.rise[j] - self.span[j]
-        self.cut[rows[:, None], rows] -= self.span[j]
+        live = np.flatnonzero(self.members[self.rows, j])
+        self.cut[live[:, None], live] -= self.span[j]
         self.unknown[j] = False
 
 

@@ -157,8 +157,9 @@ def solve(problem: Problem, policy: Policy, oracle: Oracle, *,
     steps: list[TraceStep] = []
     pending: Optional[tuple[Question, float]] = None
     calls = 0
-    # Bounds of every candidate and cuts of every pair, kept current by
-    # folding in each answer (`Incidence.fold`) in the bounds bucket.
+    # Bounds of every candidate, the live rows and their pairs' cuts, kept
+    # current by folding in each answer (`Incidence.fold`) and dropping
+    # pruned rows (`Incidence.drop`) in the bounds bucket.
     t0 = clock()
     core = Incidence(all_candidates, spec, knowns)
     nanos["bounds"] += clock() - t0
@@ -177,7 +178,6 @@ def solve(problem: Problem, policy: Policy, oracle: Oracle, *,
         except OSError as exc:
             raise ValidationError(
                 f"cannot write trace {trace_path}: {exc.strerror}") from None
-    live = np.ones(len(all_candidates), dtype=bool)
     baseline = policy is Policy.BASELINE
 
     def end(status: str, winner: Optional[Candidate] = None,
@@ -188,16 +188,14 @@ def solve(problem: Problem, policy: Policy, oracle: Oracle, *,
 
     t0 = clock()
     while True:
-        rows = np.flatnonzero(live)
+        rows = core.rows
         lo, hi = core.lo[rows], core.hi[rows]
-        cut = core.cut[rows[:, None], rows]
         # The winner is a survivor of the pruning (see prune_and_prove).
-        keep, first = prune_and_prove(lo, hi, cut)
+        keep, first = prune_and_prove(lo, hi, core.cut)
         top = None if first is None else rows[first]
         if not baseline and not keep.all():
-            live[rows[~keep]] = False
-            rows, lo, hi = rows[keep], lo[keep], hi[keep]
-            cut = cut[keep][:, keep]
+            core.drop(keep)
+            rows, lo, hi = core.rows, lo[keep], hi[keep]
         winner = None if top is None else all_candidates[top]
         nanos["bounds"] += clock() - t0
 
@@ -205,7 +203,7 @@ def solve(problem: Problem, policy: Policy, oracle: Oracle, *,
         if winner is not None:
             probs = (rows == top).astype(float).tolist()
         elif policy is Policy.ENTRRED_DEP:
-            probs = prob_dep(lo.tolist(), hi.tolist(), cut.tolist()).probs
+            probs = prob_dep(lo.tolist(), hi.tolist(), core.cut.tolist()).probs
         elif policy is Policy.ENTRRED_IND or trace_path:
             # Random and baseline selection never read it; a trace does.
             probs = prob_ind(lo.tolist(), hi.tolist()).probs
@@ -224,11 +222,10 @@ def solve(problem: Problem, policy: Policy, oracle: Oracle, *,
 
         if pending is not None:
             q, v = pending
-            pruned = tuple(np.flatnonzero(~live).tolist())
             steps.append(TraceStep(len(steps), q, v,
                                    tuple(core.lo.tolist()),
                                    tuple(core.hi.tolist()), spec.quantum,
-                                   probs_padded, step_entropy, pruned))
+                                   probs_padded, step_entropy, core.dropped))
             pending = None
 
         t0 = clock()
@@ -246,8 +243,7 @@ def solve(problem: Problem, policy: Policy, oracle: Oracle, *,
         elif policy is Policy.RANDOM:
             j = select_random(cols.tolist(), rng)
         else:
-            affected = hits[:, cols].T.astype(bool)
-            j = int(select_entrred(cols, probs, affected))
+            j = int(select_entrred(cols, probs, hits[:, cols].T))
         question = core.question(j)
         nanos["selection"] += clock() - t0
 

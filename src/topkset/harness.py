@@ -28,7 +28,6 @@ import math
 import random
 import statistics
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -38,7 +37,7 @@ from .engine import (DEP_MAX_SUPPORT, Clock, Policy, enumerate_candidates,
                      solve)
 from .model import (Candidate, Construct, KnownStore, Problem, Question,
                     ScoringSpec, ValidationError, question_universe,
-                    universe_keys, whole_number)
+                    real_number, universe_keys, whole_number)
 from .oracle import TableOracle
 
 ENTITY_COLUMNS = ("id", "displayName", "contextText")
@@ -62,21 +61,53 @@ def _read_rows(path: Path, reader=csv.DictReader) -> list:
     return _read(path, lambda fh: list(reader(fh)), newline="")
 
 
+def _typed(key: str, value, kind, what: str):
+    """kind(value), or a ValidationError naming the key and the value."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValidationError(f"{key} {value!r} is not {what}") from None
+
+
 def load_spec(path: Path) -> ScoringSpec:
+    """Read a spec.json: an object with a list of construct objects and a
+    two-item `range`. A string `name` and `definition`, a whole-number
+    `arity`, and numbers (not booleans) for `weight`, `range` and `step`;
+    numeric strings count as numbers. A bad file or value is a
+    ValidationError naming the key."""
     try:
         raw = json.loads(path.read_text(encoding="utf-8-sig"))
     except (OSError, ValueError) as exc:
         raise ValidationError(f"cannot read scoring spec {path}: {exc}")
+    if not isinstance(raw, dict):
+        raise ValidationError(f"scoring spec {path} is not a JSON object")
+
+    def text(key: str, value) -> str:
+        if not isinstance(value, str):
+            raise ValueError(f"{key} {value!r} is not a string")
+        return value
+
+    def number(key: str, value) -> float:
+        return _typed(key, value, real_number, "a number")
+
     try:
+        items, ends = raw["constructs"], raw["range"]
+        if not (isinstance(items, list)
+                and all(isinstance(c, dict) for c in items)):
+            raise ValueError(f"constructs {items!r} is not a list of objects")
+        if not (isinstance(ends, list) and len(ends) == 2):
+            raise ValueError(f"range {ends!r} is not a list of two numbers")
         constructs = tuple(
-            Construct(c["name"], int(c["arity"]),
-                      float(c.get("weight", 1.0)), c.get("definition", ""))
-            for c in raw["constructs"])
-        lo, hi = raw["range"]
+            Construct(text("name", c["name"]),
+                      _typed("arity", c["arity"], whole_number, "an integer"),
+                      number("weight", c.get("weight", 1.0)),
+                      text("definition", c.get("definition", "")))
+            for c in items)
+        lo, hi = ends
         if raw.get("aggregation", "sum") != "sum":
             raise ValueError(f"unsupported aggregation {raw['aggregation']!r}")
-        return ScoringSpec(constructs, float(lo), float(hi),
-                           float(raw["step"]))
+        return ScoringSpec(constructs, number("range", lo),
+                           number("range", hi), number("step", raw["step"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed scoring spec {path}: {exc}")
 
@@ -354,28 +385,30 @@ class ExperimentConfig:
             raw = json.loads(Path(path).read_text(encoding="utf-8-sig"))
         except (OSError, ValueError) as exc:
             raise ValidationError(f"cannot read experiment config: {exc}")
+        if not isinstance(raw, dict):
+            raise ValidationError(
+                f"experiment config {path} is not a JSON object")
 
         def whole(key: str, value) -> int:
-            try:
-                return whole_number(value)
-            except (TypeError, ValueError):
-                raise ValidationError(
-                    f"{key} {value!r} is not an integer") from None
+            return _typed(key, value, whole_number, "an integer")
 
-        def whole_list(key: str) -> tuple[int, ...]:
+        def listed(key: str) -> list:
             values = raw[key]
             if not isinstance(values, list):
                 raise ValidationError(f"{key} {values!r} is not a list")
-            return tuple(whole(key, x) for x in values)
+            return values
 
         try:
             return cls(
-                k_list=whole_list("kList"),
-                candidate_count_list=whole_list("candidateCountList"),
-                policies=tuple(Policy(p) for p in raw["policies"]),
+                k_list=tuple(whole("kList", x) for x in listed("kList")),
+                candidate_count_list=tuple(
+                    whole("candidateCountList", x)
+                    for x in listed("candidateCountList")),
+                policies=tuple(Policy(p) for p in listed("policies")),
                 trials=whole("trials", raw.get("trials", 5)),
                 seed_base=whole("seedBase", raw.get("seedBase", 0)),
-                grid_step=float(raw.get("gridStep", 0.5)),
+                grid_step=_typed("gridStep", raw.get("gridStep", 0.5),
+                                 real_number, "a number"),
                 unknown_count=(whole("unknownCount", raw["unknownCount"])
                                if raw.get("unknownCount") is not None else None),
                 workers=whole("workers", raw.get("workers", 1)),
@@ -469,6 +502,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path,
         return rows
 
     if cfg.workers > 1:
+        # Imported here so that `import topkset` stays without it.
+        from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
             results = list(pool.map(run_cell, cells))
     else:

@@ -39,6 +39,14 @@ def whole_number(value) -> int:
     return int(value)
 
 
+def real_number(value) -> float:
+    """`value` as a float when it is a number or a numeric string. A bool
+    raises ValueError instead of reading as 0.0 or 1.0."""
+    if isinstance(value, bool):
+        raise ValueError(f"{value!r} is not a number")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class Construct:
     """One component of the scoring function, e.g. rel (arity 1) or div (arity 2)."""

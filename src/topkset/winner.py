@@ -54,7 +54,8 @@ class CapExceededError(RuntimeError):
 class WinnerDistribution:
     """Normalized winner probabilities aligned with candidate indices.
 
-    `raw` keeps the unnormalized per-candidate products for traces.
+    `raw` keeps the unnormalized per-candidate products; no trace writes
+    them, but tests read them as the exact products.
     """
 
     probs: tuple[float, ...]

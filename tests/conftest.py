@@ -141,7 +141,7 @@ def core_arrays(candidates, spec, knowns) -> CoreArrays:
     cols = np.flatnonzero(core.unknown & core.members.any(axis=0))
     return CoreArrays(core.lo.tolist(), core.hi.tolist(), core.cut.tolist(),
                       [core.question(j) for j in cols],
-                      core.members[:, cols].T.astype(bool).tolist())
+                      core.members[:, cols].T.tolist())
 
 
 @pytest.fixture

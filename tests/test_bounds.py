@@ -183,6 +183,8 @@ def test_incidence_core_equals_the_per_pair_reference(name):
     for cands, knowns in partial_states(spec, 67):
         core = Incidence(cands, spec, knowns)
         lb, ub, cut = core.lo, core.hi, core.cut
+        assert core.rows.tolist() == list(range(len(cands)))
+        assert core.dropped == ()
         ref = [score_bounds(c, spec, knowns) for c in cands]
         assert lb.tolist() == [iv.lo for iv in ref]
         assert ub.tolist() == [iv.hi for iv in ref]
@@ -208,10 +210,10 @@ def test_incidence_core_equals_the_per_pair_reference(name):
 
 @pytest.mark.parametrize("name", ["step-0.5", "step-0.1", "rel-weight-0.3"])
 def test_folded_answers_equal_the_state_rebuilt_from_scratch(name):
-    """`Incidence.fold` after every answer of a random order leaves the
-    bounds, open mask and all-rows cuts exactly equal to a core rebuilt
-    from the known answers, and the live rows the solve loop reads equal
-    those rows of the rebuilt cuts, while pruned rows stay in."""
+    """`Incidence.fold` after every answer of a random order, with rows
+    dropped as the solve loop prunes them, leaves every row's bounds and
+    the open mask exactly equal to a core rebuilt from the known answers,
+    and the live cuts equal to the rebuilt cuts of the live rows."""
     spec = REFERENCE_SPECS[name]
     pruned_seen = False
     for seed in range(30):
@@ -222,7 +224,6 @@ def test_folded_answers_equal_the_state_rebuilt_from_scratch(name):
             unknown_count=rng.randrange(4, 12))
         knowns = problem.knowns
         core = Incidence(problem.candidates, spec, knowns)
-        live = np.ones(len(problem.candidates), dtype=bool)
         order = np.flatnonzero(core.unknown).tolist()
         rng.shuffle(order)
         for j in order:
@@ -233,16 +234,55 @@ def test_folded_answers_equal_the_state_rebuilt_from_scratch(name):
             assert core.lo.tolist() == want.lo.tolist()
             assert core.hi.tolist() == want.hi.tolist()
             assert core.unknown.tolist() == want.unknown.tolist()
-            assert core.cut.tolist() == want.cut.tolist()
-            rows = np.flatnonzero(live)
-            keep, _ = prune_and_prove(core.lo[rows], core.hi[rows],
-                                      core.cut[np.ix_(rows, rows)])
-            live[rows[~keep]] = False
-            rows = np.flatnonzero(live)
-            assert core.cut[np.ix_(rows, rows)].tolist() == \
-                want.cut[np.ix_(rows, rows)].tolist()
-            pruned_seen = pruned_seen or not live.all()
+            assert core.cut.tolist() == \
+                want.cut[np.ix_(core.rows, core.rows)].tolist()
+            keep, _ = prune_and_prove(core.lo[core.rows], core.hi[core.rows],
+                                      core.cut)
+            if not keep.all():
+                core.drop(keep)
+                pruned_seen = True
     assert pruned_seen
+
+
+@pytest.mark.parametrize("name", REFERENCE_SPECS)
+def test_random_drops_between_folds_keep_the_per_pair_reference(name):
+    """Random `drop` masks interleaved with folds: `rows` and `dropped`
+    split the candidates, `cut` is the per-pair `elimination_cut` over
+    `rows` with diagonal hi - lo, and every row's bounds, dropped or
+    live, stay its `score_bounds`."""
+    spec = REFERENCE_SPECS[name]
+    drops = 0
+    for seed in range(30):
+        rng = random.Random(seed)
+        problem = generate_synthetic(
+            rng.randrange(4, 7), rng.randrange(2, 4),
+            candidate_cap=rng.choice((6, 12, None)), seed=seed, spec=spec,
+            unknown_count=rng.randrange(3, 10))
+        cands, knowns = problem.candidates, problem.knowns
+        core = Incidence(cands, spec, knowns)
+        order = np.flatnonzero(core.unknown).tolist()
+        rng.shuffle(order)
+        for j in order:
+            keep = np.array([rng.random() < 0.8 for _ in core.rows])
+            keep[rng.randrange(len(keep))] = True
+            core.drop(keep)
+            drops += not keep.all()
+            q = core.question(j)
+            knowns = knowns.record(spec, q, problem.ground_truth[q])
+            core.fold(j, knowns.get(q))
+            rows = core.rows.tolist()
+            assert rows == sorted(rows)
+            assert sorted(rows + list(core.dropped)) == list(range(len(cands)))
+            ref = [score_bounds(c, spec, knowns) for c in cands]
+            assert core.lo.tolist() == [iv.lo for iv in ref]
+            assert core.hi.tolist() == [iv.hi for iv in ref]
+            assert core.cut.diagonal().tolist() == \
+                (core.hi - core.lo)[rows].tolist()
+            assert core.cut.tolist() == [
+                [elimination_cut(shared_unknowns(cands[a], cands[b], spec,
+                                                 knowns), spec)
+                 for b in rows] for a in rows]
+    assert drops
 
 
 @pytest.mark.parametrize("name", REFERENCE_SPECS)
@@ -255,9 +295,9 @@ def test_pruning_never_changes_the_winner_check(name):
                                          shuffled_states(spec, 67)):
         core = Incidence(cands, spec, knowns)
         keep, first = prune_and_prove(core.lo, core.hi, core.cut)
-        rows = np.flatnonzero(keep)
-        _, again = prune_and_prove(core.lo[rows], core.hi[rows],
-                                   core.cut[np.ix_(rows, rows)])
+        core.drop(keep)
+        rows = core.rows
+        _, again = prune_and_prove(core.lo[rows], core.hi[rows], core.cut)
         if first is None:
             assert again is None
         else:

@@ -439,6 +439,8 @@ def test_negative_unknown_count_is_a_validation_error(tmp_path, capsys,
     ({"candidateCountList": [True]}, "candidateCountList True is not an "
                                      "integer"),
     ({"candidateCountList": "4"}, "candidateCountList '4' is not a list"),
+    ({"policies": "random"}, "policies 'random' is not a list"),
+    ({"gridStep": True}, "gridStep True is not a number"),
     ({"trials": 1.9}, "trials 1.9 is not an integer"),
     ({"trials": True}, "trials True is not an integer"),
     ({"seedBase": 0.5}, "seedBase 0.5 is not an integer"),
@@ -448,8 +450,9 @@ def test_negative_unknown_count_is_a_validation_error(tmp_path, capsys,
      "support of 30001 points, above the limit of 10000"),
 ], ids=["k-zero", "count-zero", "unknown-negative", "step-off-range",
         "workers-zero", "k-fraction", "count-bool", "count-not-a-list",
-        "trials-fraction", "trials-bool", "seed-fraction",
-        "unknown-fraction", "workers-fraction", "dep-support-over-limit"])
+        "policies-not-a-list", "step-bool", "trials-fraction", "trials-bool",
+        "seed-fraction", "unknown-fraction", "workers-fraction",
+        "dep-support-over-limit"])
 def test_bad_experiment_config_fails_before_touching_out(tmp_path, capsys,
                                                          override, message):
     cfg = tmp_path / "exp.json"

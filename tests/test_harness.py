@@ -208,6 +208,55 @@ class TestLoadSpec:
         spec = load_spec(p)
         assert spec.constructs[0].weight == 1.0
 
+    @pytest.mark.parametrize("construct, top, message", [
+        ({"arity": 1.7}, {}, "arity 1.7 is not an integer"),
+        ({"arity": True}, {}, "arity True is not an integer"),
+        ({"weight": True}, {}, "weight True is not a number"),
+        ({"weight": False}, {}, "weight False is not a number"),
+        ({}, {"step": True}, "step True is not a number"),
+        ({}, {"range": [False, 1]}, "range False is not a number"),
+        ({}, {"range": [0, True]}, "range True is not a number"),
+        ({"name": 5}, {}, "name 5 is not a string"),
+        ({"definition": ["x"]}, {}, "definition ['x'] is not a string"),
+        ({}, {"range": 5}, "range 5 is not a list of two numbers"),
+        ({}, {"range": [0, 1, 2]},
+         "range [0, 1, 2] is not a list of two numbers"),
+        ({}, {"constructs": "rel"}, "constructs 'rel' is not a list of "
+                                    "objects"),
+        ({}, {"constructs": ["rel"]}, "constructs ['rel'] is not a list of "
+                                      "objects"),
+    ], ids=["arity-fraction", "arity-bool", "weight-true", "weight-false",
+            "step-bool", "range-low-bool", "range-high-bool", "name-number",
+            "definition-list", "range-number", "range-three",
+            "constructs-string", "constructs-of-strings"])
+    def test_mistyped_field_names_key_and_value(self, tmp_path, construct,
+                                                top, message):
+        p = tmp_path / "spec.json"
+        p.write_text(json.dumps({
+            "constructs": [{"name": "rel", "arity": 1, **construct}],
+            "range": [0, 1], "step": 0.5, **top}))
+        with pytest.raises(ValidationError) as err:
+            load_spec(p)
+        assert str(err.value) == f"malformed scoring spec {p}: {message}"
+
+    def test_numeric_strings_are_numbers(self, tmp_path):
+        p = tmp_path / "spec.json"
+        p.write_text(json.dumps({
+            "constructs": [{"name": "rel", "arity": "1", "weight": "2"},
+                           {"name": "div", "arity": 2.0}],
+            "range": ["0", "1"], "step": "0.25"}))
+        spec = load_spec(p)
+        assert [(c.arity, c.weight) for c in spec.constructs] == \
+            [(1, 2.0), (2, 1.0)]
+        assert (spec.min_score, spec.max_score, spec.grid_step) == \
+            (0.0, 1.0, 0.25)
+
+    def test_not_a_json_object(self, tmp_path):
+        p = tmp_path / "spec.json"
+        p.write_text("[]")
+        with pytest.raises(ValidationError, match="is not a JSON object"):
+            load_spec(p)
+
     def test_only_sum_aggregation(self, tmp_path):
         p = tmp_path / "spec.json"
         raw = {"constructs": [{"name": "rel", "arity": 1}],
@@ -384,6 +433,12 @@ class TestExperimentConfig:
             "trials": 1, key: value}))
         with pytest.raises(ValidationError, match=f"{key} .* is not an "
                                                   f"integer"):
+            ExperimentConfig.from_json(p)
+
+    def test_file_that_is_not_a_json_object(self, tmp_path):
+        p = tmp_path / "cfg.json"
+        p.write_text('[{"kList": [2]}]')
+        with pytest.raises(ValidationError, match="is not a JSON object"):
             ExperimentConfig.from_json(p)
 
     def test_bad_policy_name(self, tmp_path):

@@ -313,6 +313,13 @@ def test_import_leaves_the_http_stack_unloaded(module):
         print("requests" in sys.modules)""") == "False"
 
 
+def test_import_leaves_the_worker_pool_unloaded():
+    """Only `run_experiment` with workers > 1 needs concurrent.futures."""
+    assert fresh_python("""
+        import sys, topkset
+        print("concurrent.futures" in sys.modules)""") == "False"
+
+
 def test_table_oracle_solve_never_loads_the_http_stack():
     assert fresh_python(f"""
         import contextlib, io, sys
