@@ -4,13 +4,16 @@ Two estimators share one shape, a product of pairwise beat terms per
 candidate followed by normalization:
 
 - prob_ind treats every pairwise comparison on the candidates' full score
-  pdfs, ignoring score dependence through shared questions. One pass
-  over each unordered pair counts, from the two ranges' overlap, the
-  lattice pairs where each side is at least the other: an arithmetic
-  series gives one count, and the tie identity
-  P(A >= B) + P(B >= A) = 1 + P(A = B) gives the other. Both are exact
-  integers over the product of the two support sizes, so the cost per
-  pair is constant and does not depend on the grid resolution.
+  pdfs, ignoring score dependence through shared questions. Candidates
+  with the same (lo, hi) span have the same beat terms, so the terms are
+  counted once per unordered pair of distinct spans into a class table:
+  from the two ranges' overlap, an arithmetic series gives the lattice
+  pairs where one side is at least the other, and the tie identity
+  P(A >= B) + P(B >= A) = 1 + P(A = B) gives the reverse count. Both are
+  exact integers over the product of the two support sizes, so no term
+  depends on the grid resolution. Every candidate pair still multiplies
+  one table term into each side's product, so the cost stays quadratic
+  in the candidate count however few distinct spans there are.
 - prob_dep first pins the unknowns shared by each compared pair to the
   range minimum, so terms that would move both scores identically drop
   out of the comparison. Each beat term walks one eliminated pdf against
@@ -73,6 +76,8 @@ def most_probable(probs: Sequence[float]) -> int:
 
 def normalize(raw: Sequence[float]) -> tuple[float, ...]:
     """Scale raw weights to sum to 1; an all-zero vector becomes uniform."""
+    if not raw:
+        raise ValueError("empty candidate list: no weights to normalize")
     if any(r < 0 for r in raw):
         raise ValueError("raw weights must be nonnegative")
     total = sum(raw)
@@ -88,37 +93,63 @@ def prob_ind(lo: Sequence[int], hi: Sequence[int]) -> WinnerDistribution:
     `lo[i]` and `hi[i]` are candidate i's `score_bounds` in quanta, as
     Python ints; the solve loop reads them from its incidence core.
 
-    One inline pass per unordered pair (i, j), i < j. With the overlap
-    [a, b] of the two ranges, candidate i's count of pairs (x, y) with
-    x >= y is the arithmetic series over the overlap plus all of j's
-    n_j values for each x above hi_j. Candidate j's count follows from
-    the tie identity: pairs - count + ties, where ties is the overlap's
-    length. Each exact count becomes a beat term by one correctly
-    rounded division by n_i * n_j. Every candidate's product takes its
-    factors in ascending opponent order: i's from j > i in its own
-    pass, after those from every earlier candidate's pass.
+    Each distinct span (lo, hi) gets a class id in order of first
+    appearance, and a D x D table `beat`, D the number of distinct spans,
+    holds beat[x][y] = P(X >= Y) for spans x and y. It is filled once per
+    unordered class pair x <= y. With the overlap [a, b] of the two
+    ranges, x's count of pairs (X, Y) with X >= Y is the arithmetic
+    series over the overlap plus all of y's n_y values for each X above
+    hi_y. y's count follows from the tie identity: pairs - count + ties,
+    where ties is the overlap's length. Each exact count becomes a term
+    by one correctly rounded division by n_x * n_y, so a term is the
+    same float whichever side its count came from.
+
+    The pair loop then multiplies one table term into each side of every
+    unordered candidate pair (i, j), i < j: the cost stays quadratic in
+    the candidate count, and only the counting scales with D. Every
+    candidate's product takes its factors in ascending opponent order:
+    i's from j > i in its own pass, after those from every earlier
+    candidate's pass.
+
+    Raises ValueError for an empty candidate list or a span with
+    lo > hi.
     """
-    spans = [(a, b, b - a + 1) for a, b in zip(lo, hi)]
-    m = len(spans)
-    raw = [1.0] * m
-    for i, (lo_i, hi_i, n_i) in enumerate(spans):
-        r = raw[i]
-        for j in range(i + 1, m):
-            lo_j, hi_j, n_j = spans[j]
-            pairs = n_i * n_j
+    classes: dict[tuple[int, int], int] = {}
+    ids = [classes.setdefault(span, len(classes)) for span in zip(lo, hi)]
+    spans = list(classes)
+    for lo_x, hi_x in spans:
+        if lo_x > hi_x:
+            raise ValueError(f"inverted span: lo {lo_x} > hi {hi_x}")
+    d = len(spans)
+    beat = [[0.0] * d for _ in range(d)]
+    for x, (lo_x, hi_x) in enumerate(spans):
+        n_x = hi_x - lo_x + 1
+        row = beat[x]
+        for y in range(x, d):
+            lo_y, hi_y = spans[y]
+            n_y = hi_y - lo_y + 1
+            pairs = n_x * n_y
             # Conditional expressions instead of max/min: the builtin
-            # calls cost several times more than the arithmetic.
-            a = lo_i if lo_i > lo_j else lo_j
-            b = hi_i if hi_i < hi_j else hi_j
+            # calls cost several times more than the arithmetic, and with
+            # every span distinct the table has M^2 / 2 entries.
+            a = lo_x if lo_x > lo_y else lo_y
+            b = hi_x if hi_x < hi_y else hi_y
             if a <= b:
                 ties = b - a + 1
-                beats = (a + b - 2 * lo_j + 2) * ties // 2
+                beats = (a + b - 2 * lo_y + 2) * ties // 2
             else:
                 ties = beats = 0
-            if hi_i > hi_j:
-                beats += (hi_i - (lo_i if lo_i > hi_j else hi_j + 1) + 1) * n_j
-            r *= beats / pairs
-            raw[j] *= (pairs - beats + ties) / pairs
+            if hi_x > hi_y:
+                beats += (hi_x - (lo_x if lo_x > hi_y else hi_y + 1) + 1) * n_y
+            row[y] = beats / pairs
+            beat[y][x] = (pairs - beats + ties) / pairs
+    raw = [1.0] * len(ids)
+    for i, ci in enumerate(ids):
+        row, r = beat[ci], raw[i]
+        for j in range(i + 1, len(ids)):
+            cj = ids[j]
+            r *= row[cj]
+            raw[j] *= beat[cj][ci]
         raw[i] = r
     return WinnerDistribution(normalize(raw), tuple(raw))
 

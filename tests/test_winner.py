@@ -55,6 +55,10 @@ class TestNormalize:
         with pytest.raises(ValueError):
             normalize([-1.0, 2.0])
 
+    def test_empty_rejected(self):
+        with pytest.raises(ValueError, match="empty candidate list"):
+            normalize([])
+
 
 def test_top_index_breaks_ties_low():
     dist = WinnerDistribution((0.4, 0.4, 0.2), (1.0, 1.0, 0.5))
@@ -130,26 +134,53 @@ def _prob_ind_two_counts(lo, hi):
     return tuple(raw), normalize(raw)
 
 
-@pytest.mark.parametrize("seed", range(12))
-def test_prob_ind_matches_the_two_count_reference_bit_for_bit(seed):
-    """Negative lows, point intervals and repeated spans, up to M = 60."""
-    rng = random.Random(seed)
-    m = rng.randrange(1, 61)
-    repeated = [(lo, lo + rng.randrange(0, 8))
-                for lo in (rng.randrange(-20, 20) for _ in range(4))]
-    spans = []
-    for _ in range(m):
-        kind = rng.random()
-        lo = rng.randrange(-40, 40)
-        if kind < 0.3:
-            spans.append(rng.choice(repeated))
-        elif kind < 0.5:
-            spans.append((lo, lo))
-        else:
-            spans.append((lo, lo + rng.randrange(0, 50)))
+@pytest.mark.parametrize("case", [*range(12), "identical", "distinct",
+                                  "one", "m300"])
+def test_prob_ind_matches_the_two_count_reference_bit_for_bit(case):
+    """Negative lows, point intervals and repeated spans, up to M = 60 per
+    seed; every span identical (one span class, criterion 09's shape),
+    every span distinct (one class per candidate), one candidate, and
+    M = 300."""
+    rng = random.Random(case)
+    if case == "identical":
+        spans = [(-3, 9)] * 50
+    elif case == "distinct":
+        spans = [(lo, lo + rng.randrange(0, 30))
+                 for lo in rng.sample(range(-40, 40), 60)]
+    elif case == "one":
+        spans = [(-2, 5)]
+    else:
+        m = 300 if case == "m300" else rng.randrange(1, 61)
+        repeated = [(lo, lo + rng.randrange(0, 8))
+                    for lo in (rng.randrange(-20, 20) for _ in range(4))]
+        spans = []
+        for _ in range(m):
+            kind = rng.random()
+            lo = rng.randrange(-40, 40)
+            if kind < 0.3:
+                spans.append(rng.choice(repeated))
+            elif kind < 0.5:
+                spans.append((lo, lo))
+            else:
+                spans.append((lo, lo + rng.randrange(0, 50)))
     lo, hi = [s[0] for s in spans], [s[1] for s in spans]
     dist = prob_ind(lo, hi)
     assert (dist.raw, dist.probs) == _prob_ind_two_counts(lo, hi)
+
+
+def test_estimators_reject_an_empty_candidate_list():
+    with pytest.raises(ValueError, match="empty candidate list"):
+        prob_ind([], [])
+    with pytest.raises(ValueError, match="empty candidate list"):
+        prob_dep([], [], [])
+
+
+@pytest.mark.parametrize("lo, hi", [
+    ([3], [2]), ([3, 3], [2, 2]), ([0, 3], [4, 2]), ([3, 0], [2, 4])],
+    ids=["one", "two-equal", "after-a-valid-span", "before-a-valid-span"])
+def test_prob_ind_rejects_an_inverted_span(lo, hi):
+    with pytest.raises(ValueError, match=r"inverted span: lo 3 > hi 2"):
+        prob_ind(lo, hi)
 
 
 def test_prob_ind_cost_does_not_grow_with_lattice_resolution():
