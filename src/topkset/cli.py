@@ -11,13 +11,10 @@ import sys
 import click
 
 from .engine import Policy, SolveLimitError, solve
-from .harness import (ExperimentConfig, generate_synthetic, load_problem,
-                      run_experiment, write_bundle)
+from .harness import (ExperimentConfig, default_spec, generate_synthetic,
+                      load_problem, run_experiment, write_bundle)
 from .model import ValidationError
 from .oracle import LlmOracle, LlmOracleConfig, OracleError, TableOracle
-
-_POLICY_TOKENS = {p.value: p for p in Policy}
-
 
 @click.group()
 def main():
@@ -30,7 +27,7 @@ def main():
 @click.option("--k", required=True, type=int)
 @click.option("--candidates", "candidate_cap", type=int, default=None,
               help="Cap the candidate list at this many entries.")
-@click.option("--policy", type=click.Choice(sorted(_POLICY_TOKENS)),
+@click.option("--policy", type=click.Choice(sorted(p.value for p in Policy)),
               default=Policy.ENTRRED_DEP.value)
 @click.option("--oracle", "oracle_kind", type=click.Choice(["table", "llm"]),
               default="table")
@@ -53,7 +50,7 @@ def solve_cmd(dataset_dir, k, candidate_cap, policy, oracle_kind, llm_config,
         cfg = LlmOracleConfig.from_json(llm_config)
         oracle = LlmOracle(cfg, problem.spec, problem.query_text,
                            problem.entity_context)
-    result = solve(problem, _POLICY_TOKENS[policy], oracle, seed=seed,
+    result = solve(problem, Policy(policy), oracle, seed=seed,
                    max_calls=max_calls, trace_path=trace_path)
     click.echo(f"winner: {{{', '.join(result.winner.members)}}}")
     click.echo(f"oracleCalls: {result.oracle_calls}")
@@ -85,7 +82,6 @@ def experiment_cmd(config_path, out_dir):
               help="Leave exactly this many questions initially unknown.")
 def gen_cmd(n, k, seed, out_dir, step, candidate_cap, unknown_count):
     """Write a seeded synthetic dataset directory."""
-    from .harness import default_spec
     problem = generate_synthetic(n, k, candidate_cap=candidate_cap, seed=seed,
                                  spec=default_spec(step),
                                  unknown_count=unknown_count)

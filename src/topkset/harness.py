@@ -28,6 +28,7 @@ import math
 import random
 import statistics
 import time
+from collections.abc import Container
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -36,8 +37,9 @@ from .bounds import score_bounds
 from .engine import (DEP_MAX_SUPPORT, Clock, Policy, enumerate_candidates,
                      solve)
 from .model import (Candidate, Construct, KnownStore, Problem, Question,
-                    ScoringSpec, ValidationError, question_universe,
-                    real_number, universe_keys, whole_number)
+                    ScoringSpec, ValidationError, instance_of,
+                    question_universe, read_json_object, real_number, typed,
+                    universe_keys, whole_number)
 from .oracle import TableOracle
 
 ENTITY_COLUMNS = ("id", "displayName", "contextText")
@@ -61,54 +63,33 @@ def _read_rows(path: Path, reader=csv.DictReader) -> list:
     return _read(path, lambda fh: list(reader(fh)), newline="")
 
 
-def _typed(key: str, value, kind, what: str):
-    """kind(value), or a ValidationError naming the key and the value."""
-    try:
-        return kind(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ValidationError(f"{key} {value!r} is not {what}") from None
-
-
 def load_spec(path: Path) -> ScoringSpec:
-    """Read a spec.json: an object with a list of construct objects and a
-    two-item `range`. A string `name` and `definition`, a whole-number
-    `arity`, and numbers (not booleans) for `weight`, `range` and `step`;
-    numeric strings count as numbers. A bad file or value is a
+    """Read a spec.json: constructs with a string `name` and `definition`
+    and a whole-number `arity`, numbers (numeric strings too, booleans
+    not) for `weight`, `range` and `step`. A bad file or value is a
     ValidationError naming the key."""
+    raw = read_json_object(path, "scoring spec")
     try:
-        raw = json.loads(path.read_text(encoding="utf-8-sig"))
-    except (OSError, ValueError) as exc:
-        raise ValidationError(f"cannot read scoring spec {path}: {exc}")
-    if not isinstance(raw, dict):
-        raise ValidationError(f"scoring spec {path} is not a JSON object")
-
-    def text(key: str, value) -> str:
-        if not isinstance(value, str):
-            raise ValueError(f"{key} {value!r} is not a string")
-        return value
-
-    def number(key: str, value) -> float:
-        return _typed(key, value, real_number, "a number")
-
-    try:
-        items, ends = raw["constructs"], raw["range"]
-        if not (isinstance(items, list)
-                and all(isinstance(c, dict) for c in items)):
-            raise ValueError(f"constructs {items!r} is not a list of objects")
-        if not (isinstance(ends, list) and len(ends) == 2):
-            raise ValueError(f"range {ends!r} is not a list of two numbers")
+        items = typed("constructs", raw["constructs"], instance_of(list),
+                      "a list of objects",
+                      lambda v: all(isinstance(c, dict) for c in v))
+        lo, hi = (typed("range", v, real_number, "a number")
+                  for v in typed("range", raw["range"], instance_of(list),
+                                 "a list of two numbers",
+                                 lambda v: len(v) == 2))
         constructs = tuple(
-            Construct(text("name", c["name"]),
-                      _typed("arity", c["arity"], whole_number, "an integer"),
-                      number("weight", c.get("weight", 1.0)),
-                      text("definition", c.get("definition", "")))
+            Construct(typed("name", c["name"], instance_of(str), "a string"),
+                      typed("arity", c["arity"], whole_number, "an integer"),
+                      typed("weight", c.get("weight", 1.0), real_number,
+                            "a number"),
+                      typed("definition", c.get("definition", ""),
+                            instance_of(str), "a string"))
             for c in items)
-        lo, hi = ends
         if raw.get("aggregation", "sum") != "sum":
             raise ValueError(f"unsupported aggregation {raw['aggregation']!r}")
-        return ScoringSpec(constructs, number("range", lo),
-                           number("range", hi), number("step", raw["step"]))
-    except (KeyError, TypeError, ValueError) as exc:
+        return ScoringSpec(constructs, lo, hi,
+                           typed("step", raw["step"], real_number, "a number"))
+    except (KeyError, ValueError) as exc:
         raise ValidationError(f"malformed scoring spec {path}: {exc}")
 
 
@@ -125,26 +106,21 @@ def load_problem(dataset_dir: str | Path, k: int,
     root = Path(dataset_dir)
     spec = load_spec(root / "spec.json")
 
-    erows = _read_rows(root / "entities.csv")
-    entities: list[str] = []
-    display: dict[str, str] = {}
     context: dict[str, str] = {}
-    for r in erows:
+    for r in _read_rows(root / "entities.csv"):
         eid = (r.get("id") or "").strip()
         if not eid:
             raise ValidationError("entity row without id")
-        if eid in display:
+        if eid in context:
             raise ValidationError(f"duplicate entity id {eid!r}")
-        entities.append(eid)
-        display[eid] = (r.get("displayName") or eid).strip()
         context[eid] = (r.get("contextText") or "").strip()
-    if not entities:
+    if not context:
         raise ValidationError("entities.csv has no rows")
 
-    pool = set(entities)
+    entities = tuple(context)
     cand_file = root / "candidates.csv"
     if cand_file.exists():
-        candidates = _load_candidates(cand_file, k, pool, candidate_cap)
+        candidates = _load_candidates(cand_file, k, context, candidate_cap)
     else:
         candidates = enumerate_candidates(entities, k, cap=candidate_cap)
 
@@ -161,7 +137,7 @@ def load_problem(dataset_dir: str | Path, k: int,
         if not rows:
             raise ValidationError(f"score file {path.name} has no rows")
         for line, r in enumerate(rows, start=2):
-            q = _row_question(con, r, pool, path.name)
+            q = _row_question(con, r, context, path.name)
             score_text = (r.get("score") or "").strip()
             flag = (r.get("known") or "").strip().lower()
             if flag not in KNOWN_FLAGS:
@@ -203,11 +179,11 @@ def load_problem(dataset_dir: str | Path, k: int,
     query_text = _read(query_file, lambda fh: fh.read()).strip() \
         if query_file.exists() else ""
 
-    return Problem(tuple(entities), spec, k, candidates, KnownStore(revealed),
+    return Problem(entities, spec, k, candidates, KnownStore(revealed),
                    ground_truth, query_text, context)
 
 
-def _load_candidates(path: Path, k: int, entity_pool: set,
+def _load_candidates(path: Path, k: int, entity_pool: Container[str],
                      cap: Optional[int]) -> tuple[Candidate, ...]:
     if cap is not None and cap < 1:
         raise ValidationError(f"candidate cap must be >= 1, got {cap}")
@@ -231,14 +207,10 @@ def _load_candidates(path: Path, k: int, entity_pool: set,
     return tuple(out)
 
 
-def _row_question(con: Construct, row: dict, entity_pool: set,
+def _row_question(con: Construct, row: dict, entity_pool: Container[str],
                   fname: str) -> Question:
-    if con.arity == 1:
-        cols = ("entity",)
-    else:
-        cols = ("entityA", "entityB")
     args = []
-    for col in cols:
+    for col in ("entity",) if con.arity == 1 else ("entityA", "entityB"):
         e = (row.get(col) or "").strip()
         if not e:
             raise ValidationError(f"{fname}: row missing column {col!r}")
@@ -332,6 +304,22 @@ def write_bundle(problem: Problem, out_dir: str | Path) -> Path:
     return root
 
 
+# Each ExperimentConfig field's key in a config file, which its type
+# errors name, the kind of value it holds and what that reads as.
+_EXPERIMENT_FIELDS = {
+    "k_list": ("kList", whole_number, "an integer"),
+    "candidate_count_list": ("candidateCountList", whole_number, "an integer"),
+    "policies": ("policies", Policy, "a policy"),
+    "trials": ("trials", whole_number, "an integer"),
+    "seed_base": ("seedBase", whole_number, "an integer"),
+    "grid_step": ("gridStep", real_number, "a number"),
+    "unknown_count": ("unknownCount", whole_number, "an integer"),
+    "workers": ("workers", whole_number, "an integer"),
+}
+# The fields that hold lists of them, the only ones without a default.
+_EXPERIMENT_LISTS = ("k_list", "candidate_count_list", "policies")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     k_list: tuple[int, ...]
@@ -344,23 +332,28 @@ class ExperimentConfig:
     workers: int = 1
 
     def __post_init__(self):
-        """Reject every value a cell would fail on, before
-        `run_experiment` creates anything."""
-        if self.trials < 1:
-            raise ValidationError("trials must be >= 1")
+        """Type every field as a config file would, then reject any value
+        a cell would fail on, before `run_experiment` creates anything."""
+        for name, (key, kind, what) in _EXPERIMENT_FIELDS.items():
+            value = getattr(self, name)
+            if name in _EXPERIMENT_LISTS:
+                value = tuple(typed(key, v, kind, what) for v in typed(
+                    key, value, instance_of(list, tuple), "a list"))
+            elif value is not None or name != "unknown_count":
+                value = typed(key, value, kind, what)
+            object.__setattr__(self, name, value)
         if not self.k_list or not self.candidate_count_list or not self.policies:
             raise ValidationError("k_list, candidate_count_list and policies "
                                   "must be nonempty")
-        for name, values in (("k", self.k_list),
-                             ("candidate count", self.candidate_count_list)):
+        for what, values, least in (
+                ("trials", (self.trials,), 1), ("k", self.k_list, 1),
+                ("candidate count", self.candidate_count_list, 1),
+                ("unknown question count", (self.unknown_count or 0,), 0),
+                ("workers", (self.workers,), 1)):
             for v in values:
-                if v < 1:
-                    raise ValidationError(f"{name} must be >= 1, got {v}")
-        if self.unknown_count is not None and self.unknown_count < 0:
-            raise ValidationError(f"unknown question count must be >= 0, "
-                                  f"got {self.unknown_count}")
-        if self.workers < 1:
-            raise ValidationError(f"workers must be >= 1, got {self.workers}")
+                if v < least:
+                    raise ValidationError(
+                        f"{what} must be >= {least}, got {v}")
         spec = default_spec(self.grid_step)
         if Policy.ENTRRED_DEP in self.policies:
             # An upper bound on the largest initial support `solve` would
@@ -381,39 +374,12 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, path: str | Path) -> "ExperimentConfig":
+        raw = read_json_object(path, "experiment config")
         try:
-            raw = json.loads(Path(path).read_text(encoding="utf-8-sig"))
-        except (OSError, ValueError) as exc:
-            raise ValidationError(f"cannot read experiment config: {exc}")
-        if not isinstance(raw, dict):
-            raise ValidationError(
-                f"experiment config {path} is not a JSON object")
-
-        def whole(key: str, value) -> int:
-            return _typed(key, value, whole_number, "an integer")
-
-        def listed(key: str) -> list:
-            values = raw[key]
-            if not isinstance(values, list):
-                raise ValidationError(f"{key} {values!r} is not a list")
-            return values
-
-        try:
-            return cls(
-                k_list=tuple(whole("kList", x) for x in listed("kList")),
-                candidate_count_list=tuple(
-                    whole("candidateCountList", x)
-                    for x in listed("candidateCountList")),
-                policies=tuple(Policy(p) for p in listed("policies")),
-                trials=whole("trials", raw.get("trials", 5)),
-                seed_base=whole("seedBase", raw.get("seedBase", 0)),
-                grid_step=_typed("gridStep", raw.get("gridStep", 0.5),
-                                 real_number, "a number"),
-                unknown_count=(whole("unknownCount", raw["unknownCount"])
-                               if raw.get("unknownCount") is not None else None),
-                workers=whole("workers", raw.get("workers", 1)),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
+            return cls(**{name: raw[key] for name, (key, *_)
+                          in _EXPERIMENT_FIELDS.items()
+                          if key in raw or name in _EXPERIMENT_LISTS})
+        except (KeyError, ValidationError) as exc:
             raise ValidationError(f"malformed experiment config: {exc}")
 
 

@@ -10,9 +10,11 @@ which may still be unknown.
 from __future__ import annotations
 
 import itertools
+import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 EntityId = str
@@ -45,6 +47,39 @@ def real_number(value) -> float:
     if isinstance(value, bool):
         raise ValueError(f"{value!r} is not a number")
     return float(value)
+
+
+def instance_of(*types):
+    """A `typed` kind that keeps a value of one of `types` as it is."""
+    def kind(value):
+        if not isinstance(value, types):
+            raise TypeError(f"{value!r} is not of type {types}")
+        return value
+    return kind
+
+
+def typed(key: str, value, kind, what: str, valid=lambda v: True):
+    """kind(value) if `valid` accepts it, else a ValidationError
+    "<key> <value> is not <what>": the one typed-field check."""
+    try:
+        out = kind(value)
+        if valid(out):
+            return out
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ValidationError(f"{key} {value!r} is not {what}")
+
+
+def read_json_object(path: str | Path, what: str) -> dict:
+    """The JSON object in the UTF-8 file `path`, which may start with a
+    byte-order mark, or a ValidationError naming `what` and the path."""
+    try:
+        raw = json.loads(Path(path).read_text(encoding="utf-8-sig"))
+    except (OSError, ValueError) as exc:
+        raise ValidationError(f"cannot read {what} {path}: {exc}") from None
+    if not isinstance(raw, dict):
+        raise ValidationError(f"{what} {path} is not a JSON object")
+    return raw
 
 
 @dataclass(frozen=True)

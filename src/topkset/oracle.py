@@ -10,7 +10,6 @@ chat-completion JSON shape.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import re
@@ -21,6 +20,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Mapping, Optional, Sequence
 
 from .model import (GRID_TOL, Question, ScoringSpec, ValidationError,
+                    instance_of, read_json_object, real_number, typed,
                     whole_number)
 
 if TYPE_CHECKING:
@@ -148,6 +148,21 @@ class TableOracle:
         return OracleResponse.point(self._table[q])
 
 
+# Each LlmOracleConfig field's key in an llm.json, which its errors name,
+# and the rest of its `typed` check: kind, what it reads as, valid values.
+_LLM_FIELDS = {
+    "endpoint_url": ("endpointUrl", instance_of(str), "a string"),
+    "api_key_env": ("apiKeyEnvVar", instance_of(str), "a string"),
+    "model": ("model", instance_of(str), "a string"),
+    "prompt_template": ("promptTemplate", instance_of(str), "a string"),
+    "timeout_s": ("timeout", real_number, "a positive number",
+                  lambda v: math.isfinite(v) and v > 0),
+    "max_retries": ("maxRetries", whole_number, "a nonnegative integer",
+                    lambda v: v >= 0),
+    "temperature": ("temperature", real_number, "a number", math.isfinite),
+}
+
+
 @dataclass(frozen=True)
 class LlmOracleConfig:
     endpoint_url: str
@@ -162,51 +177,23 @@ class LlmOracleConfig:
     max_retries: int = 3
     temperature: float = 0.0
 
+    def __post_init__(self):
+        """Check every field as an llm.json would, before any request."""
+        for name, (key, *check) in _LLM_FIELDS.items():
+            object.__setattr__(self, name, typed(key, getattr(self, name),
+                                                 *check))
+
     @classmethod
     def from_json(cls, path: str | Path) -> "LlmOracleConfig":
         """Read an `llm.json`; a bad file or key is a ValidationError."""
-        try:
-            raw = json.loads(Path(path).read_text(encoding="utf-8-sig"))
-        except (OSError, ValueError) as exc:
-            raise ValidationError(f"cannot read LLM config {path}: {exc}")
-        if not isinstance(raw, dict):
-            raise ValidationError(f"LLM config {path} is not a JSON object")
+        raw = read_json_object(path, "LLM config")
         if "endpointUrl" not in raw:
             raise ValidationError(f"LLM config {path} lacks 'endpointUrl'")
-
-        def bad(key: str, what: str) -> ValidationError:
-            return ValidationError(
-                f"LLM config {path}: {key} {raw[key]!r} is not {what}")
-
-        def text(key: str, default: str) -> str:
-            value = raw.get(key, default)
-            if not isinstance(value, str):
-                raise bad(key, "a string")
-            return value
-
-        def number(key, kind, default, what, valid=lambda v: True):
-            value = raw.get(key, default)
-            if isinstance(value, bool):
-                raise bad(key, what)
-            try:
-                value = kind(value)
-            except (TypeError, ValueError, OverflowError):
-                raise bad(key, what) from None
-            if not (math.isfinite(value) and valid(value)):
-                raise bad(key, what)
-            return value
-
-        return cls(
-            endpoint_url=text("endpointUrl", ""),
-            api_key_env=text("apiKeyEnvVar", cls.api_key_env),
-            model=text("model", cls.model),
-            prompt_template=text("promptTemplate", cls.prompt_template),
-            timeout_s=number("timeout", float, cls.timeout_s,
-                             "a positive number", lambda v: v > 0),
-            max_retries=number("maxRetries", whole_number, cls.max_retries,
-                               "a nonnegative integer", lambda v: v >= 0),
-            temperature=number("temperature", float, cls.temperature,
-                               "a number"))
+        try:
+            return cls(**{name: raw[key] for name, (key, *_)
+                          in _LLM_FIELDS.items() if key in raw})
+        except ValidationError as exc:
+            raise ValidationError(f"LLM config {path}: {exc}") from None
 
 
 # Seconds before the first retry; doubled per attempt. Module level so

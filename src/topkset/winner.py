@@ -111,9 +111,11 @@ def prob_ind(lo: Sequence[int], hi: Sequence[int]) -> WinnerDistribution:
     i's from j > i in its own pass, after those from every earlier
     candidate's pass.
 
-    Raises ValueError for an empty candidate list or a span with
-    lo > hi.
+    Raises ValueError for an empty candidate list, for `lo` and `hi` of
+    different lengths or for a span with lo > hi.
     """
+    if len(lo) != len(hi):
+        raise ValueError(f"lo and hi have {len(lo)} and {len(hi)} entries")
     classes: dict[tuple[int, int], int] = {}
     ids = [classes.setdefault(span, len(classes)) for span in zip(lo, hi)]
     spans = list(classes)
@@ -169,13 +171,25 @@ def prob_dep(lo: Sequence[int], hi: Sequence[int],
     pdf depends only on the cut, so each distinct (candidate, cut) pdf is
     built once and serves every opponent with that cut; every pair that
     shares no unknowns uses the full pdfs.
+
+    Raises ValueError for an empty candidate list, inputs of different
+    lengths, a span with lo > hi or a cut with hi - cut < lo.
     """
     m = len(lo)
+    if not m == len(hi) == len(cut):
+        raise ValueError(f"lo, hi and cut have {m}, {len(hi)} and "
+                         f"{len(cut)} entries")
+    for lo_i, hi_i in zip(lo, hi):
+        if lo_i > hi_i:
+            raise ValueError(f"inverted span: lo {lo_i} > hi {hi_i}")
     pdfs: dict[tuple[int, int], DiscretePdf] = {}
 
     def eliminated(i: int, drop: int) -> DiscretePdf:
         pdf = pdfs.get((i, drop))
         if pdf is None:
+            if hi[i] - drop < lo[i]:
+                raise ValueError(f"cut {drop} empties candidate {i}'s span "
+                                 f"[{lo[i]}, {hi[i]}]")
             pdf = pdfs[i, drop] = uniform_pdf(lo[i], hi[i] - drop)
         return pdf
 

@@ -3,11 +3,13 @@
 import csv
 import json
 import math
+import re
 import shutil
 from pathlib import Path
 
 import pytest
 
+from topkset import LlmOracleConfig, ValidationError
 from topkset.cli import entrypoint
 
 F1_DIR = str(Path(__file__).resolve().parent.parent / "datasets" / "f1")
@@ -150,6 +152,13 @@ def test_call_limit_trace_ends_with_a_status_line(tmp_path, capsys,
         {k: a[k] for k in ("construct", "args")} for a in summary["answered"]]
 
 
+# The LlmOracleConfig field each llm.json key sets.
+LLM_FIELDS = {"endpointUrl": "endpoint_url", "apiKeyEnvVar": "api_key_env",
+              "model": "model", "promptTemplate": "prompt_template",
+              "timeout": "timeout_s", "maxRetries": "max_retries",
+              "temperature": "temperature"}
+
+
 @pytest.mark.parametrize("text, message", [
     ('{"endpointUrl": "http://localhost:9",', "cannot read LLM config"),
     ('["http://localhost:9"]', "is not a JSON object"),
@@ -171,10 +180,19 @@ def test_call_limit_trace_ends_with_a_status_line(tmp_path, capsys,
      "timeout True is not a positive number"),
     ('{"endpointUrl": "http://localhost:9", "temperature": "warm"}',
      "temperature 'warm' is not a number"),
+    ('{"endpointUrl": "http://localhost:9", "timeout": NaN}',
+     "timeout nan is not a positive number"),
+    ('{"endpointUrl": "http://localhost:9", "timeout": 0.0}',
+     "timeout 0.0 is not a positive number"),
+    ('{"endpointUrl": "http://localhost:9", "timeout": Infinity}',
+     "timeout inf is not a positive number"),
+    ('{"endpointUrl": "http://localhost:9", "temperature": Infinity}',
+     "temperature inf is not a number"),
 ], ids=["invalid-json", "not-an-object", "no-endpoint", "endpoint-type",
         "timeout-text", "timeout-zero", "retries-text", "retries-negative",
         "retries-fraction", "retries-bool", "timeout-bool",
-        "temperature-text"])
+        "temperature-text", "timeout-nan", "timeout-zero-float",
+        "timeout-infinite", "temperature-infinite"])
 def test_bad_llm_config_is_a_validation_error(tmp_path, capsys, text,
                                               message):
     cfg = tmp_path / "llm.json"
@@ -183,6 +201,15 @@ def test_bad_llm_config_is_a_validation_error(tmp_path, capsys, text,
                         "--oracle", "llm", "--llm-config", str(cfg)], capsys)
     assert code == 2
     assert message in err
+    try:
+        fields = json.loads(text)
+    except ValueError:
+        return
+    if isinstance(fields, dict) and "endpointUrl" in fields:
+        # Built in code from the same values, the config checks them itself.
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            LlmOracleConfig(**{LLM_FIELDS[k]: v for k, v in fields.items()})
+
 
 
 @pytest.mark.parametrize("name, message", [

@@ -383,6 +383,13 @@ class TestSmallestN:
         assert _smallest_n(2, 7) == 5
 
 
+# The ExperimentConfig field each config-file key sets.
+CONFIG_FIELDS = {"kList": "k_list", "candidateCountList": "candidate_count_list",
+                 "policies": "policies", "trials": "trials",
+                 "seedBase": "seed_base", "gridStep": "grid_step",
+                 "unknownCount": "unknown_count", "workers": "workers"}
+
+
 class TestExperimentConfig:
     def test_from_json(self, tmp_path):
         p = tmp_path / "cfg.json"
@@ -398,6 +405,9 @@ class TestExperimentConfig:
         assert (cfg.trials, cfg.seed_base, cfg.grid_step) == (2, 3, 0.25)
         assert cfg.unknown_count == 5
         assert cfg.workers == 2
+        # Built in code from lists and names, it holds the same values.
+        assert cfg == ExperimentConfig([1, 2], [4], ["entrred-dep", "random"],
+                                       2, 3, 0.25, 5, 2)
 
     def test_defaults(self, tmp_path):
         p = tmp_path / "cfg.json"
@@ -421,19 +431,31 @@ class TestExperimentConfig:
         assert all(type(v) is int for v in (cfg.k_list[0], cfg.trials,
                                              cfg.seed_base, cfg.workers))
 
-    @pytest.mark.parametrize("key, value", [
-        ("kList", [2.5]), ("candidateCountList", [False]), ("trials", 1.9),
-        ("seedBase", True), ("unknownCount", 0.5), ("workers", 2.25)],
+    @pytest.mark.parametrize("key, value, what", [
+        ("kList", [2.5], "an integer"),
+        ("candidateCountList", [False], "an integer"),
+        ("trials", 1.9, "an integer"), ("seedBase", True, "an integer"),
+        ("unknownCount", 0.5, "an integer"), ("workers", 2.25, "an integer"),
+        ("trials", 1.5, "an integer"), ("kList", (2.5,), "an integer"),
+        ("gridStep", "x", "a number"), ("policies", ["greedy"], "a policy")],
         ids=["kList", "candidateCountList", "trials", "seedBase",
-             "unknownCount", "workers"])
-    def test_rejects_fractions_and_bools_by_key(self, tmp_path, key, value):
+             "unknownCount", "workers", "trials-half", "kList-tuple",
+             "gridStep-text", "policies-unknown"])
+    def test_rejects_fractions_and_bools_by_key(self, tmp_path, key, value,
+                                                what):
+        fields = {"kList": [2], "candidateCountList": [4],
+                  "policies": ["random"], "trials": 1, key: value}
         p = tmp_path / "cfg.json"
-        p.write_text(json.dumps({
-            "kList": [2], "candidateCountList": [4], "policies": ["random"],
-            "trials": 1, key: value}))
-        with pytest.raises(ValidationError, match=f"{key} .* is not an "
-                                                  f"integer"):
+        p.write_text(json.dumps(fields))
+        with pytest.raises(ValidationError, match=f"{key} .* is not {what}"):
             ExperimentConfig.from_json(p)
+        # Built in code, the config checks the same fields itself, before
+        # `run_experiment` creates the output directory.
+        out = tmp_path / "out"
+        with pytest.raises(ValidationError, match=f"{key} .* is not {what}"):
+            run_experiment(ExperimentConfig(
+                **{CONFIG_FIELDS[k]: v for k, v in fields.items()}), out)
+        assert not out.exists()
 
     def test_file_that_is_not_a_json_object(self, tmp_path):
         p = tmp_path / "cfg.json"

@@ -285,6 +285,17 @@ def test_llm_config_reads_an_integral_float_as_the_retry_count(tmp_path):
     assert cfg.max_retries == 2 and type(cfg.max_retries) is int
 
 
+def test_llm_config_built_in_code_keeps_its_values():
+    """A URL, a template and a timeout given in code, as a benchmark
+    harness passes them, build unchanged; the rest keep their defaults."""
+    cfg = LlmOracleConfig("http://127.0.0.1:9", prompt_template="{entityA}",
+                          timeout_s=10.0)
+    assert (cfg.endpoint_url, cfg.prompt_template, cfg.timeout_s) == \
+        ("http://127.0.0.1:9", "{entityA}", 10.0)
+    assert (cfg.api_key_env, cfg.model, cfg.max_retries, cfg.temperature) \
+        == ("", "", 3, 0.0)
+
+
 def test_llm_config_may_start_with_a_byte_order_mark(tmp_path):
     path = tmp_path / "llm.json"
     path.write_text('\ufeff{"endpointUrl": "http://localhost:9", '

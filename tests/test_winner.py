@@ -181,6 +181,27 @@ def test_estimators_reject_an_empty_candidate_list():
 def test_prob_ind_rejects_an_inverted_span(lo, hi):
     with pytest.raises(ValueError, match=r"inverted span: lo 3 > hi 2"):
         prob_ind(lo, hi)
+    # prob_dep checks every span up front too, even with no pair to compare.
+    with pytest.raises(ValueError, match=r"inverted span: lo 3 > hi 2"):
+        prob_dep(lo, hi, [[0] * len(lo)] * len(lo))
+
+
+@pytest.mark.parametrize("estimator, args, message", [
+    (prob_ind, ([0, 1], [5]), "lo and hi have 2 and 1 entries"),
+    (prob_ind, ([0], [5, 6]), "lo and hi have 1 and 2 entries"),
+    (prob_dep, ([0, 1], [5], [[0, 0], [0, 0]]),
+     "lo, hi and cut have 2, 1 and 2 entries"),
+    (prob_dep, ([0, 1], [5, 6], [[0, 0]]),
+     "lo, hi and cut have 2, 2 and 1 entries"),
+    (prob_dep, ([0, 1], [5, 6], [[0, 0]] * 3),
+     "lo, hi and cut have 2, 2 and 3 entries"),
+    (prob_dep, ([0, 0], [2, 4], [[0, 3], [3, 0]]),
+     r"cut 3 empties candidate 0's span \[0, 2\]"),
+], ids=["ind-short-hi", "ind-long-hi", "dep-short-hi", "dep-short-cut",
+        "dep-long-cut", "dep-emptying-cut"])
+def test_estimators_reject_inputs_that_do_not_fit(estimator, args, message):
+    with pytest.raises(ValueError, match=message):
+        estimator(*args)
 
 
 def test_prob_ind_cost_does_not_grow_with_lattice_resolution():
