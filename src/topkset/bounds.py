@@ -126,26 +126,68 @@ class Incidence:
     and `rows[b]`. All are built from `knowns`, narrowed in place by
     `fold`, and always equal to their per-pair reference. The diagonal
     cut[a, a] sums row `rows[a]`'s own open spans, hi - lo.
+
+    The build loops in Python over entities and distinct keys, never over
+    candidate x question pairs. Each member entity gets its rank in sorted
+    order, and the question of construct r over ranks (x, y), or (y,) when
+    unary, is coded as (r * n + x) * n + y with n entities and x = 0 when
+    unary. The codes' numeric order is `question_universe` order, so one
+    stable argsort of every row's codes yields the sorted keys and each
+    row's columns. The cut adds, for each distinct span s among the open
+    columns, s times the number of open questions of span s that each
+    pair of rows shares. That number is one float64 product of the 0/1
+    columns: every partial sum is a whole number no larger than the column
+    count, so BLAS returns it exactly for any spec, and the product by s
+    is taken in int64.
     """
 
     def __init__(self, candidates: Sequence[Candidate], spec: ScoringSpec,
                  knowns: KnownStore):
         if not candidates:
             raise ValidationError("no candidates")
-        rows = [[(con.name, args) for con in spec.constructs
-                 for args in arg_tuples(con, c.members)] for c in candidates]
-        order = {con.name: r for r, con in enumerate(spec.constructs)}
-        self.keys = sorted({key for row in rows for key in row},
-                           key=lambda key: (order[key[0]], key[1]))
-        position = {key: j for j, key in enumerate(self.keys)}
-        self.members = np.zeros((len(candidates), len(self.keys)),
+        k = len(candidates[0].members)
+        for c in candidates:
+            if len(c.members) != k:
+                raise ValidationError(
+                    f"candidate {c.index} has {len(c.members)} members, "
+                    f"not {k} like candidate {candidates[0].index}")
+        flat = [e for c in candidates for e in c.members]
+        entities = sorted(set(flat))
+        n = len(entities)
+        rank = {e: r for r, e in enumerate(entities)}
+        # Column k reads rank 0, the x of a unary question.
+        ranks = np.zeros((len(candidates), k + 1), dtype=np.int64)
+        ranks[:, :k] = np.fromiter(map(rank.__getitem__, flat), dtype=np.int64,
+                                   count=len(flat)).reshape(-1, k)
+        # Each question of a row: its construct r and the columns of
+        # `ranks` that hold its x and y.
+        place_r, place_x, place_y = np.array(
+            [(r, *(k,) * (2 - con.arity), *args)
+             for r, con in enumerate(spec.constructs)
+             for args in arg_tuples(con, range(k))],
+            dtype=np.int64).reshape(-1, 3).T
+        codes = (place_r * n + ranks[:, place_x]) * n + ranks[:, place_y]
+        # Each element's column depends only on its code, so stability
+        # changes no result; the stable kind is used because its first
+        # call maps about 0.3 MB less memory than the default sort's.
+        order = np.argsort(codes, axis=None, kind="stable")
+        ordered = codes.ravel()[order]
+        first = np.ones(len(ordered), dtype=bool)
+        first[1:] = ordered[1:] != ordered[:-1]
+        self.members = np.zeros((len(candidates), int(first.sum())),
                                 dtype=bool)
-        self.members[[i for i, row in enumerate(rows) for _ in row],
-                     [position[key] for row in rows for key in row]] = True
-        names = [name for name, _ in self.keys]
-        low = np.array([spec.low[n] for n in names], dtype=np.int64)
-        self.rise = np.array([spec.rise[n] for n in names], dtype=np.int64)
-        self.span = np.array([spec.span(n) for n in names], dtype=np.int64)
+        self.members[order // len(place_r), first.cumsum() - 1] = True
+        construct, xy = np.divmod(ordered[first], n * n)
+        x, y = np.divmod(xy, n)
+        name = [con.name for con in spec.constructs]
+        arity = [con.arity for con in spec.constructs]
+        self.keys = [(name[r], (entities[a], entities[b])[2 - arity[r]:])
+                     for r, a, b in zip(construct.tolist(), x.tolist(),
+                                        y.tolist())]
+        low, self.rise, self.span = np.array(
+            [(spec.low[c.name], spec.rise[c.name], spec.span(c.name))
+             for c in spec.constructs], dtype=np.int64).T[:, construct]
+        position = {key: j for j, key in enumerate(self.keys)}
         index = np.full(len(self.keys), -1, dtype=np.int64)
         for q, i in knowns.items():
             j = position.get((q.construct, q.args))
@@ -155,8 +197,11 @@ class Incidence:
         value = low + index * self.rise
         self.lo = self.members @ np.where(self.unknown, low, value)
         self.hi = self.members @ np.where(self.unknown, low + self.span, value)
-        open_ = self.members[:, self.unknown]
-        self.cut = (open_ * self.span[self.unknown]) @ open_.T
+        self.cut = np.zeros((len(candidates), len(candidates)), dtype=np.int64)
+        for s in set(self.span[self.unknown].tolist()):
+            group = self.members[:, self.unknown & (self.span == s)
+                                 ].astype(np.float64)
+            self.cut += s * (group @ group.T).astype(np.int64)
         self.rows = np.arange(len(candidates))
         self.dropped: tuple[int, ...] = ()
 

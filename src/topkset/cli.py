@@ -79,7 +79,8 @@ def experiment_cmd(config_path, out_dir):
 @click.option("--step", type=float, default=0.5)
 @click.option("--candidates", "candidate_cap", type=int, default=None)
 @click.option("--unknown", "unknown_count", type=int, default=None,
-              help="Leave exactly this many questions initially unknown.")
+              help="Leave this many questions initially unknown, or every "
+                   "question when there are fewer.")
 def gen_cmd(n, k, seed, out_dir, step, candidate_cap, unknown_count):
     """Write a seeded synthetic dataset directory."""
     problem = generate_synthetic(n, k, candidate_cap=candidate_cap, seed=seed,

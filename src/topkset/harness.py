@@ -37,7 +37,7 @@ from .bounds import score_bounds
 from .engine import (DEP_MAX_SUPPORT, Clock, Policy, enumerate_candidates,
                      solve)
 from .model import (Candidate, Construct, KnownStore, Problem, Question,
-                    ScoringSpec, ValidationError, instance_of,
+                    ScoringSpec, ValidationError, instance_of, only_keys,
                     question_universe, read_json_object, real_number, typed,
                     universe_keys, whole_number)
 from .oracle import TableOracle
@@ -63,16 +63,25 @@ def _read_rows(path: Path, reader=csv.DictReader) -> list:
     return _read(path, lambda fh: list(reader(fh)), newline="")
 
 
+# The keys a spec.json and each of its constructs may hold.
+_SPEC_KEYS = ("constructs", "range", "step", "aggregation")
+_CONSTRUCT_KEYS = ("name", "arity", "weight", "definition")
+
+
 def load_spec(path: Path) -> ScoringSpec:
     """Read a spec.json: constructs with a string `name` and `definition`
     and a whole-number `arity`, numbers (numeric strings too, booleans
-    not) for `weight`, `range` and `step`. A bad file or value is a
-    ValidationError naming the key."""
+    not) for `weight`, `range` and `step`. A bad file or value, or a key
+    the spec or a construct does not have, is a ValidationError naming
+    the key."""
     raw = read_json_object(path, "scoring spec")
     try:
+        only_keys(raw, _SPEC_KEYS)
         items = typed("constructs", raw["constructs"], instance_of(list),
                       "a list of objects",
                       lambda v: all(isinstance(c, dict) for c in v))
+        for c in items:
+            only_keys(c, _CONSTRUCT_KEYS, "construct key")
         lo, hi = (typed("range", v, real_number, "a number")
                   for v in typed("range", raw["range"], instance_of(list),
                                  "a list of two numbers",
@@ -232,8 +241,9 @@ def generate_synthetic(n: int, k: int, candidate_cap: Optional[int] = None,
                        unknown_count: Optional[int] = None) -> Problem:
     """Seeded random instance: grid-valued ground truth over all questions.
 
-    `unknown_count` leaves exactly that many questions unrevealed (the
-    rest become initially known); without it every question is unknown.
+    `unknown_count` leaves that many questions unrevealed, or all of them
+    when the universe holds fewer (the rest become initially known);
+    without it every question is unknown.
     """
     if n < k:
         raise ValidationError("need n >= k")
@@ -376,6 +386,7 @@ class ExperimentConfig:
     def from_json(cls, path: str | Path) -> "ExperimentConfig":
         raw = read_json_object(path, "experiment config")
         try:
+            only_keys(raw, (key for key, *_ in _EXPERIMENT_FIELDS.values()))
             return cls(**{name: raw[key] for name, (key, *_)
                           in _EXPERIMENT_FIELDS.items()
                           if key in raw or name in _EXPERIMENT_LISTS})

@@ -82,6 +82,16 @@ def read_json_object(path: str | Path, what: str) -> dict:
     return raw
 
 
+def only_keys(raw: dict, allowed: Iterable[str], what: str = "key") -> None:
+    """A ValidationError "unknown <what> <key>", listing the allowed keys,
+    unless `allowed` holds every key of `raw`."""
+    allowed = tuple(allowed)
+    for key in raw:
+        if key not in allowed:
+            raise ValidationError(f"unknown {what} {key!r}; expected one of "
+                                  f"{', '.join(allowed)}")
+
+
 @dataclass(frozen=True)
 class Construct:
     """One component of the scoring function, e.g. rel (arity 1) or div (arity 2)."""

@@ -20,8 +20,8 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Mapping, Optional, Sequence
 
 from .model import (GRID_TOL, Question, ScoringSpec, ValidationError,
-                    instance_of, read_json_object, real_number, typed,
-                    whole_number)
+                    instance_of, only_keys, read_json_object, real_number,
+                    typed, whole_number)
 
 if TYPE_CHECKING:
     import requests
@@ -185,11 +185,13 @@ class LlmOracleConfig:
 
     @classmethod
     def from_json(cls, path: str | Path) -> "LlmOracleConfig":
-        """Read an `llm.json`; a bad file or key is a ValidationError."""
+        """Read an `llm.json`; a bad file, value or unknown key is a
+        ValidationError."""
         raw = read_json_object(path, "LLM config")
         if "endpointUrl" not in raw:
             raise ValidationError(f"LLM config {path} lacks 'endpointUrl'")
         try:
+            only_keys(raw, (key for key, *_ in _LLM_FIELDS.values()))
             return cls(**{name: raw[key] for name, (key, *_)
                           in _LLM_FIELDS.items() if key in raw})
         except ValidationError as exc:

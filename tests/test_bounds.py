@@ -10,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from topkset import (Candidate, Construct, Interval, KnownStore, Question,
-                     ScoringSpec, dominates, eliminated_bounds,
-                     generate_synthetic, score_bounds)
+                     ScoringSpec, ValidationError, dominates,
+                     eliminated_bounds, generate_synthetic, score_bounds)
 from topkset.bounds import (Incidence, elimination_cut, prune_and_prove,
                             shared_unknowns)
 from topkset.harness import default_spec
@@ -173,39 +173,97 @@ REFERENCE_SPECS = {
                                  Construct("div", 2))),
     "rel-weight-0.3": ScoringSpec((Construct("rel", 1, weight=0.3),
                                    Construct("div", 2))),
+    # A span of 0 among the open columns.
+    "rel-weight-0": ScoringSpec((Construct("rel", 1, weight=0.0),
+                                 Construct("div", 2))),
+    # Two binary constructs whose open columns form one span group, and
+    # two that form two groups.
+    "two-binary-equal-spans": ScoringSpec((Construct("rel", 1),
+                                           Construct("div", 2),
+                                           Construct("sim", 2))),
+    "two-binary-unequal-spans": ScoringSpec((Construct("rel", 1),
+                                             Construct("div", 2),
+                                             Construct("sim", 2, weight=3.0))),
+    # rel's span is 2**41 quanta, so span**2 is far beyond 2**53.
+    "rel-weight-2**40": ScoringSpec((Construct("rel", 1, weight=2.0**40),
+                                     Construct("div", 2))),
 }
+
+
+def assert_core_is_the_reference(cands, spec, knowns):
+    """A fresh core's keys, incidence, bounds, cuts, pruning and winner
+    check equal the per-pair references exactly, with no tolerance."""
+    core = Incidence(cands, spec, knowns)
+    lb, ub, cut = core.lo, core.hi, core.cut
+    universe = list(question_universe(spec, cands))
+    assert [core.question(j) for j in range(len(core.keys))] == universe
+    assert core.members.shape == (len(cands), len(universe))
+    owns = [set(questions_of(c, spec)) for c in cands]
+    assert core.members.tolist() == [[q in own for q in universe]
+                                     for own in owns]
+    assert core.unknown.tolist() == [q not in knowns for q in universe]
+    assert core.rows.tolist() == list(range(len(cands)))
+    assert core.dropped == ()
+    ref = [score_bounds(c, spec, knowns) for c in cands]
+    assert lb.tolist() == [iv.lo for iv in ref]
+    assert ub.tolist() == [iv.hi for iv in ref]
+    assert cut.diagonal().tolist() == (ub - lb).tolist()
+    weak, strict = {}, {}
+    for i, a in enumerate(cands):
+        for j, b in enumerate(cands):
+            if i == j:
+                continue
+            assert cut[i, j] == elimination_cut(
+                shared_unknowns(a, b, spec, knowns), spec)
+            weak[i, j] = dominates(a, b, spec, knowns)
+            strict[i, j] = dominates(a, b, spec, knowns, strict=True)
+    others = [(i, [j for j in range(len(cands)) if j != i])
+              for i in range(len(cands))]
+    winner = next((i for i, rest in others
+                   if all(weak[i, j] for j in rest)), None)
+    keep, first = prune_and_prove(lb, ub, cut)
+    assert first == winner
+    assert keep.tolist() == [
+        not any(strict[j, i] for j in rest) for i, rest in others]
+    return core
 
 
 @pytest.mark.parametrize("name", REFERENCE_SPECS)
 def test_incidence_core_equals_the_per_pair_reference(name):
-    """Bounds, cuts, pruning and the winner check, exactly, with no tolerance."""
+    """Keys, incidence, bounds, cuts, pruning and the winner check."""
     spec = REFERENCE_SPECS[name]
     for cands, knowns in partial_states(spec, 67):
-        core = Incidence(cands, spec, knowns)
-        lb, ub, cut = core.lo, core.hi, core.cut
-        assert core.rows.tolist() == list(range(len(cands)))
-        assert core.dropped == ()
-        ref = [score_bounds(c, spec, knowns) for c in cands]
-        assert lb.tolist() == [iv.lo for iv in ref]
-        assert ub.tolist() == [iv.hi for iv in ref]
-        assert cut.diagonal().tolist() == (ub - lb).tolist()
-        weak, strict = {}, {}
-        for i, a in enumerate(cands):
-            for j, b in enumerate(cands):
-                if i == j:
-                    continue
-                assert cut[i, j] == elimination_cut(
-                    shared_unknowns(a, b, spec, knowns), spec)
-                weak[i, j] = dominates(a, b, spec, knowns)
-                strict[i, j] = dominates(a, b, spec, knowns, strict=True)
-        others = [(i, [j for j in range(len(cands)) if j != i])
-                  for i in range(len(cands))]
-        winner = next((i for i, rest in others
-                       if all(weak[i, j] for j in rest)), None)
-        keep, first = prune_and_prove(lb, ub, cut)
-        assert first == winner
-        assert keep.tolist() == [
-            not any(strict[j, i] for j in rest) for i, rest in others]
+        assert_core_is_the_reference(cands, spec, knowns)
+
+
+def test_unary_candidates_under_a_binary_spec_have_no_columns():
+    """k=1 with only a binary construct: no question touches any
+    candidate, so the incidence has no columns and every cut is 0."""
+    spec = ScoringSpec((Construct("div", 2),))
+    cands = tuple(Candidate(i, (e,)) for i, e in enumerate("DBCA"))
+    core = assert_core_is_the_reference(cands, spec, KnownStore())
+    assert core.keys == [] and core.members.shape == (4, 0)
+    assert core.cut.tolist() == [[0] * 4] * 4
+
+
+def test_cut_stays_exact_where_a_float_product_of_spans_rounds():
+    """rel's span is 2**52 + 1 quanta. Three shared open rel questions
+    cut 3 * 2**52 + 3, an odd number above 2**53 that no float64 holds."""
+    spec = ScoringSpec((Construct("rel", 1, weight=2.0**52 + 1),
+                        Construct("div", 2)), grid_step=1.0)
+    assert spec.span("rel") == 2**52 + 1
+    cands = (Candidate(0, ("A", "B", "C", "D")),
+             Candidate(1, ("A", "B", "C", "E")),
+             Candidate(2, ("B", "C", "E", "F")))
+    knowns = KnownStore().record(spec, Question("div", ("B", "C")), 1.0)
+    core = assert_core_is_the_reference(cands, spec, knowns)
+    assert core.cut[0, 1] == 3 * (2**52 + 1) + 2
+
+
+def test_incidence_rejects_candidates_of_different_sizes():
+    cands = (Candidate(0, ("A", "B")), Candidate(1, ("A", "B", "C")))
+    with pytest.raises(ValidationError, match="candidate 1 has 3 members"):
+        Incidence(cands, default_spec(), KnownStore())
 
 
 @pytest.mark.parametrize("name", ["step-0.5", "step-0.1", "rel-weight-0.3"])

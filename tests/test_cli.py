@@ -188,11 +188,13 @@ LLM_FIELDS = {"endpointUrl": "endpoint_url", "apiKeyEnvVar": "api_key_env",
      "timeout inf is not a positive number"),
     ('{"endpointUrl": "http://localhost:9", "temperature": Infinity}',
      "temperature inf is not a number"),
+    ('{"endpointUrl": "http://localhost:9", "maxRetry": 0, "timeOut": 1}',
+     "unknown key 'maxRetry'; expected one of endpointUrl, "),
 ], ids=["invalid-json", "not-an-object", "no-endpoint", "endpoint-type",
         "timeout-text", "timeout-zero", "retries-text", "retries-negative",
         "retries-fraction", "retries-bool", "timeout-bool",
         "temperature-text", "timeout-nan", "timeout-zero-float",
-        "timeout-infinite", "temperature-infinite"])
+        "timeout-infinite", "temperature-infinite", "key-unknown"])
 def test_bad_llm_config_is_a_validation_error(tmp_path, capsys, text,
                                               message):
     cfg = tmp_path / "llm.json"
@@ -205,8 +207,10 @@ def test_bad_llm_config_is_a_validation_error(tmp_path, capsys, text,
         fields = json.loads(text)
     except ValueError:
         return
-    if isinstance(fields, dict) and "endpointUrl" in fields:
-        # Built in code from the same values, the config checks them itself.
+    if isinstance(fields, dict) and "endpointUrl" in fields \
+            and set(fields) <= set(LLM_FIELDS):
+        # Built in code from the same values, the config checks them itself
+        # (a key that names no field has no form in code).
         with pytest.raises(ValidationError, match=re.escape(message)):
             LlmOracleConfig(**{LLM_FIELDS[k]: v for k, v in fields.items()})
 
@@ -475,11 +479,12 @@ def test_negative_unknown_count_is_a_validation_error(tmp_path, capsys,
     ({"workers": 1.5}, "workers 1.5 is not an integer"),
     ({"policies": ["random", "entrred-dep"], "gridStep": 1e-4},
      "support of 30001 points, above the limit of 10000"),
+    ({"trial": 1}, "unknown key 'trial'; expected one of kList, "),
 ], ids=["k-zero", "count-zero", "unknown-negative", "step-off-range",
         "workers-zero", "k-fraction", "count-bool", "count-not-a-list",
         "policies-not-a-list", "step-bool", "trials-fraction", "trials-bool",
         "seed-fraction", "unknown-fraction", "workers-fraction",
-        "dep-support-over-limit"])
+        "dep-support-over-limit", "key-unknown"])
 def test_bad_experiment_config_fails_before_touching_out(tmp_path, capsys,
                                                          override, message):
     cfg = tmp_path / "exp.json"

@@ -225,10 +225,15 @@ class TestLoadSpec:
                                     "objects"),
         ({}, {"constructs": ["rel"]}, "constructs ['rel'] is not a list of "
                                       "objects"),
+        ({"wieght": 0.5}, {}, "unknown construct key 'wieght'; expected one "
+                              "of name, arity, weight, definition"),
+        ({}, {"steps": 0.25}, "unknown key 'steps'; expected one of "
+                              "constructs, range, step, aggregation"),
     ], ids=["arity-fraction", "arity-bool", "weight-true", "weight-false",
             "step-bool", "range-low-bool", "range-high-bool", "name-number",
             "definition-list", "range-number", "range-three",
-            "constructs-string", "constructs-of-strings"])
+            "constructs-string", "constructs-of-strings",
+            "construct-key-unknown", "spec-key-unknown"])
     def test_mistyped_field_names_key_and_value(self, tmp_path, construct,
                                                 top, message):
         p = tmp_path / "spec.json"
@@ -299,6 +304,10 @@ class TestGenerateSynthetic:
         universe = question_universe(p.spec, p.candidates)
         assert unknown_questions(universe, p.knowns) == ()
         assert len(p.knowns) == len(universe)
+
+    def test_unknown_count_above_the_universe_leaves_all_open(self):
+        p = generate_synthetic(4, 2, seed=2, unknown_count=100)
+        assert len(p.knowns) == 0 and len(p.ground_truth) == 10
 
     def test_candidate_cap(self):
         p = generate_synthetic(8, 3, candidate_cap=5, seed=0)
