@@ -47,6 +47,11 @@ Clock = Callable[[], int]
 # short, and the other policies take any support.
 DEP_MAX_SUPPORT = 10_000
 
+# Every policy keeps M x M arrays: peak RSS of an uncapped k=3 solve read
+# 157-165 MB at M=2024 and 437-550 MB at M=4060 (fresh process, Python 3.11,
+# numpy 2.4, x86-64), about 0.8 GB at this limit; `solve` rejects more.
+MAX_CANDIDATES = 5_000
+
 
 class Policy(Enum):
     ENTRRED_DEP = "entrred-dep"
@@ -148,6 +153,10 @@ def solve(problem: Problem, policy: Policy, oracle: Oracle, *,
     """
     if max_calls is not None and max_calls < 0:
         raise ValidationError(f"max_calls must be >= 0, got {max_calls}")
+    if len(problem.candidates) > MAX_CANDIDATES:
+        raise ValidationError(
+            f"{len(problem.candidates)} candidates, above the limit of "
+            f"{MAX_CANDIDATES} per solve; cap the list with --candidates")
     clock = clock or time.perf_counter_ns
     spec = problem.spec
     all_candidates = problem.candidates

@@ -34,8 +34,8 @@ from pathlib import Path
 from typing import Optional
 
 from .bounds import score_bounds
-from .engine import (DEP_MAX_SUPPORT, Clock, Policy, enumerate_candidates,
-                     solve)
+from .engine import (DEP_MAX_SUPPORT, MAX_CANDIDATES, Clock, Policy,
+                     enumerate_candidates, solve)
 from .model import (Candidate, Construct, KnownStore, Problem, Question,
                     ScoringSpec, ValidationError, instance_of, only_keys,
                     question_universe, read_json_object, real_number, typed,
@@ -364,6 +364,11 @@ class ExperimentConfig:
                 if v < least:
                     raise ValidationError(
                         f"{what} must be >= {least}, got {v}")
+        if max(self.candidate_count_list) > MAX_CANDIDATES:
+            raise ValidationError(
+                f"candidate count {max(self.candidate_count_list)} is above "
+                f"the limit of {MAX_CANDIDATES} per solve; lower "
+                f"candidateCountList (solve caps a dataset with --candidates)")
         spec = default_spec(self.grid_step)
         if Policy.ENTRRED_DEP in self.policies:
             # An upper bound on the largest initial support `solve` would
@@ -391,7 +396,7 @@ class ExperimentConfig:
                           in _EXPERIMENT_FIELDS.items()
                           if key in raw or name in _EXPERIMENT_LISTS})
         except (KeyError, ValidationError) as exc:
-            raise ValidationError(f"malformed experiment config: {exc}")
+            raise ValidationError(f"malformed experiment config {path}: {exc}")
 
 
 def _smallest_n(k: int, want: int) -> int:

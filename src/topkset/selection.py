@@ -9,8 +9,8 @@ over the candidates c it touches and the candidates c' it does not.
 `_separation` computes it as the reference, one pair at a time, left to
 right. `select_entrred` returns exactly the question that reference loop
 would pick, but scores the whole pool at once with one matrix product and
-runs the loop only on the questions whose scores the product cannot tell
-apart (see its docstring for the error bound).
+repeats the reference's sums only for the questions whose scores the
+product cannot tell apart (see its docstring for the error bound).
 """
 
 from __future__ import annotations
@@ -25,14 +25,6 @@ from .model import Candidate, Question, ScoringSpec, questions_of
 from .winner import most_probable
 
 T = TypeVar("T")
-
-# Pools with len(pool) * M * M below this go straight to the reference
-# loop, which is faster there than the filter's fixed numpy cost. Measured
-# on the 611 selections of twelve instances of each benchmark workload
-# (Python 3.11, numpy 2.4, one core of a 2-core x86-64 VM): the filter
-# takes 25-35 us at M <= 100 whatever the pool, the loop grows with
-# len(pool) * M * M, and the two break even near 1000.
-_LOOP_MAX_WORK = 1000
 
 
 def entropy(probs: Sequence[float]) -> float:
@@ -67,11 +59,14 @@ def _separation(affected: Sequence[bool], probs: Sequence[float]) -> float:
 
 
 def _first_best(pool: Sequence[int], rows: np.ndarray,
-                probs: Sequence[float]) -> int:
-    """The row of `pool` with the highest `_separation`; the first on ties."""
+                d: np.ndarray) -> int:
+    """The row of `pool` with the highest `_separation`, the first on ties:
+    each adds its terms of `d` = |p_i - p_j| in the reference's row-major
+    order, one after another, so the scores match it bit for bit."""
     if len(pool) == 1:
         return pool[0]
-    scores = [_separation(rows[r].tolist(), probs) for r in pool]
+    blocks = (d[rows[r]][:, ~rows[r]].ravel() for r in pool)
+    scores = [np.add.accumulate(b)[-1] if b.size else 0.0 for b in blocks]
     return pool[scores.index(max(scores))]
 
 
@@ -111,14 +106,9 @@ def select_entrred(unknowns: Sequence[T], probs: Sequence[float],
     every partial sum is subnormal and so exact, and s = g = S; otherwise
     tol >= 12 * 2**-1075, and its rounding error, at most 2**-1075, stays
     inside the margin. The reference's first maximum therefore always
-    survives, and the reference loop, run over the survivors in pool
-    order, returns it as their first maximum. When a single question
-    survives it is the answer; when every g is 0 every score is exactly 0
-    and the first pool question is the answer.
-
-    A single-question pool needs no score. Small pools, with
-    len(pool) * M * M below `_LOOP_MAX_WORK`, go straight to the
-    reference loop, which is faster there than the numpy calls.
+    survives, and `_first_best` returns it as the survivors' first exact
+    maximum. When every g is 0 every score is exactly 0 and the first pool
+    question is the answer. A single-question pool needs no score.
     """
     if len(unknowns) == 0:
         raise ValueError("no unknown questions to select from")
@@ -127,8 +117,8 @@ def select_entrred(unknowns: Sequence[T], probs: Sequence[float],
     pool = rows[:, most_probable(probs)].nonzero()[0].tolist()
     if not pool:
         pool = list(range(len(unknowns)))
-    if len(pool) == 1 or len(pool) * m * m < _LOOP_MAX_WORK:
-        return unknowns[_first_best(pool, rows, probs)]
+    if len(pool) == 1:
+        return unknowns[pool[0]]
     p = np.asarray(probs, dtype=np.float64)
     d = np.abs(p[:, None] - p[None, :])
     a = rows[pool]
@@ -136,10 +126,9 @@ def select_entrred(unknowns: Sequence[T], probs: Sequence[float],
     rel = 4 * (m * m + 2 * m) * 2.0 ** -53
     floor = max(s - s * rel for s in g)
     if floor == 0:
-        # Every g, and so every score, is exactly 0.
         return unknowns[pool[0]]
     near = [r for r, s in zip(pool, g) if s + s * rel >= floor]
-    return unknowns[_first_best(near, rows, probs)]
+    return unknowns[_first_best(near, rows, d)]
 
 
 def select_random(unknowns: Sequence[T], rng: random.Random) -> T:

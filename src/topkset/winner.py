@@ -64,10 +64,6 @@ class WinnerDistribution:
     probs: tuple[float, ...]
     raw: tuple[float, ...]
 
-    def top_index(self) -> int:
-        """Index of the most probable candidate (`most_probable`)."""
-        return most_probable(self.probs)
-
 
 def most_probable(probs: Sequence[float]) -> int:
     """Index of the largest probability; ties go to the lowest index."""

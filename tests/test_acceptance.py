@@ -20,6 +20,7 @@ from topkset import (Candidate, KnownStore, OracleResponse, Policy,
                      qef_score, question_universe, score_bounds,
                      select_entrred, solve, uniform_pdf)
 from topkset.harness import default_spec, exact_scores
+from topkset.winner import most_probable
 
 from .conftest import FakeClock, core_arrays, hotel_spec
 
@@ -188,7 +189,7 @@ def test_criterion_08_estimator_properties(suite6):
                 sum_bad += 1
         top = max(bf.probs)
         ties = {j for j, p in enumerate(bf.probs) if p >= top - 1e-9}
-        agree += dep.top_index() in ties
+        agree += most_probable(dep.probs) in ties
     agreement = agree / len(suite6)
 
     disjoint_gap = 0.0

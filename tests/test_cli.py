@@ -3,12 +3,17 @@
 import csv
 import json
 import math
+import os
 import re
 import shutil
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import pytest
 
+import topkset
 from topkset import LlmOracleConfig, ValidationError
 from topkset.cli import entrypoint
 
@@ -433,6 +438,34 @@ def test_dep_support_over_the_limit_asks_nothing(tmp_path, capsys,
         assert "winner: {" in out
 
 
+def test_candidate_count_over_the_limit_exits_2_in_little_memory(tmp_path,
+                                                                 capsys):
+    """M=9880 loads, but its M x M state would not fit: `solve` exits 2
+    before building it, here under a 700 MB address-space cap set on the
+    child process only."""
+    ds = tmp_path / "big"
+    assert run(["gen", "--n", "40", "--k", "3", "--out", str(ds)],
+               capsys)[0] == 0
+    trace = tmp_path / "t.jsonl"
+    code = textwrap.dedent("""
+        import resource, sys
+        resource.setrlimit(resource.RLIMIT_AS, (700 << 20, 700 << 20))
+        from topkset.cli import entrypoint
+        sys.exit(entrypoint(sys.argv[1:]))""")
+    src = str(Path(topkset.__file__).resolve().parent.parent)
+    out = subprocess.run(
+        [sys.executable, "-c", code, "solve", "--dataset", str(ds),
+         "--k", "3", "--trace", str(trace)],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+        text=True, timeout=120)
+    assert out.returncode == 2, out.stderr
+    assert re.match(r"error: 9880 candidates, above the limit of \d+ per "
+                    r"solve; cap the list with --candidates$", out.stderr)
+    assert "Traceback" not in out.stderr
+    assert out.stdout == ""
+    assert not trace.exists()
+
+
 def test_gen_rejects_n_below_k(tmp_path, capsys):
     code, _, err = run(["gen", "--n", "2", "--k", "3",
                         "--out", str(tmp_path / "x")], capsys)
@@ -480,11 +513,13 @@ def test_negative_unknown_count_is_a_validation_error(tmp_path, capsys,
     ({"policies": ["random", "entrred-dep"], "gridStep": 1e-4},
      "support of 30001 points, above the limit of 10000"),
     ({"trial": 1}, "unknown key 'trial'; expected one of kList, "),
+    ({"kList": [3], "candidateCountList": [9880]},
+     "candidate count 9880 is above the limit of "),
 ], ids=["k-zero", "count-zero", "unknown-negative", "step-off-range",
         "workers-zero", "k-fraction", "count-bool", "count-not-a-list",
         "policies-not-a-list", "step-bool", "trials-fraction", "trials-bool",
         "seed-fraction", "unknown-fraction", "workers-fraction",
-        "dep-support-over-limit", "key-unknown"])
+        "dep-support-over-limit", "key-unknown", "count-over-limit"])
 def test_bad_experiment_config_fails_before_touching_out(tmp_path, capsys,
                                                          override, message):
     cfg = tmp_path / "exp.json"
@@ -495,6 +530,7 @@ def test_bad_experiment_config_fails_before_touching_out(tmp_path, capsys,
     code, _, err = run(["experiment", "--config", str(cfg),
                         "--out", str(out_dir)], capsys)
     assert code == 2
+    assert f"error: malformed experiment config {cfg}: " in err
     assert message in err
     assert not out_dir.exists()
 

@@ -12,7 +12,7 @@ from topkset import (Candidate, KnownStore, OracleResponse, Policy, Problem,
                      enumerate_candidates, generate_synthetic, solve)
 from topkset import bounds, engine, selection, winner
 from topkset.bounds import prune_and_prove
-from topkset.engine import DEP_MAX_SUPPORT
+from topkset.engine import DEP_MAX_SUPPORT, MAX_CANDIDATES
 from topkset.harness import default_spec, exact_scores
 from topkset.model import question_universe, questions_of, unknown_questions
 
@@ -425,6 +425,38 @@ def test_per_task_nanos_with_injected_clock(f1, make_clock):
         {"bounds", "probability", "selection", "oracle"}
     assert all(v >= 0 for v in result.per_task_nanos.values())
     assert result.per_task_nanos["oracle"] > 0
+
+
+def test_more_candidates_than_the_limit_ask_nothing(tmp_path):
+    """Over `MAX_CANDIDATES` no policy builds the core, opens the trace or
+    asks the oracle."""
+    n = next(n for n in itertools.count(2)
+             if n * (n - 1) // 2 > MAX_CANDIDATES)
+    problem = generate_synthetic(n, 2, candidate_cap=MAX_CANDIDATES + 1)
+    trace = tmp_path / "trace.jsonl"
+    for policy in ALL_POLICIES:
+        oracle = ScriptedOracle()
+        with pytest.raises(ValidationError,
+                           match=f"^{MAX_CANDIDATES + 1} candidates, above "
+                                 f"the limit of {MAX_CANDIDATES} per solve; "
+                                 f"cap the list with --candidates$"):
+            solve(problem, policy, oracle, trace_path=str(trace))
+        assert oracle.calls == 0
+        assert not trace.exists()
+
+
+@pytest.mark.parametrize("count", [5, 6])
+def test_the_candidate_limit_is_inclusive(monkeypatch, count):
+    monkeypatch.setattr(engine, "MAX_CANDIDATES", 5)
+    problem = generate_synthetic(4, 2, seed=2, candidate_cap=count)
+    oracle = TableOracle(problem.ground_truth)
+    if count <= 5:
+        truth = exact_scores(problem)
+        result = solve(problem, Policy.ENTRRED_IND, oracle)
+        assert truth[result.winner.index] == max(truth)
+    else:
+        with pytest.raises(ValidationError, match="6 candidates"):
+            solve(problem, Policy.ENTRRED_IND, oracle)
 
 
 def test_solve_rejects_empty_candidates(f1, tmp_path):

@@ -11,7 +11,7 @@ import pytest
 from topkset import (ExperimentConfig, Policy, Question, TableOracle,
                      ValidationError, generate_synthetic, load_problem,
                      run_experiment, solve, unknown_questions, write_bundle)
-from topkset.engine import DEP_MAX_SUPPORT
+from topkset.engine import DEP_MAX_SUPPORT, MAX_CANDIDATES
 from topkset.harness import (_smallest_n, default_spec, exact_scores,
                              load_spec)
 
@@ -506,6 +506,14 @@ class TestExperimentConfig:
                                      f"{support} points, above the limit of "
                                      f"{DEP_MAX_SUPPORT}"):
                 ExperimentConfig(policies=(Policy.ENTRRED_DEP,), **cfg)
+
+    def test_bounds_the_candidate_count(self):
+        ExperimentConfig((2,), (4, MAX_CANDIDATES), (Policy.RANDOM,))
+        with pytest.raises(ValidationError,
+                           match=f"candidate count {MAX_CANDIDATES + 1} is "
+                                 f"above the limit of {MAX_CANDIDATES} per "
+                                 f"solve; .*--candidates"):
+            ExperimentConfig((2,), (4, MAX_CANDIDATES + 1), (Policy.RANDOM,))
 
     def test_rejects_empty_lists_and_zero_trials(self):
         with pytest.raises(ValidationError):

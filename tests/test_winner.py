@@ -10,14 +10,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from topkset import (Candidate, CapExceededError, Construct, KnownStore,
-                     Question, ScoringSpec, WinnerDistribution,
-                     brute_force_dist, eliminated_bounds, generate_synthetic,
-                     normalize, prob_dep, prob_ind, score_bounds)
+                     Question, ScoringSpec, brute_force_dist,
+                     eliminated_bounds, generate_synthetic, normalize,
+                     prob_dep, prob_ind, score_bounds)
 from topkset.bounds import Incidence
 from topkset.distributions import (geq_probability, geq_probability_naive,
                                    uniform_pdf)
 from topkset.harness import default_spec
 from topkset.model import question_universe, questions_of, unknown_questions
+from topkset.winner import most_probable
 
 from .conftest import (core_arrays, hotel_spec, partial_states,
                        shuffled_states)
@@ -60,9 +61,9 @@ class TestNormalize:
             normalize([])
 
 
-def test_top_index_breaks_ties_low():
-    dist = WinnerDistribution((0.4, 0.4, 0.2), (1.0, 1.0, 0.5))
-    assert dist.top_index() == 0
+def test_most_probable_breaks_ties_low():
+    assert most_probable((0.4, 0.4, 0.2)) == 0
+    assert most_probable([0.2, 0.4, 0.4]) == 1
 
 
 def test_prob_ind_on_hotels(f1):
@@ -72,7 +73,7 @@ def test_prob_ind_on_hotels(f1):
         [Fraction(418, 625), Fraction(12, 125), Fraction(38, 125)])
     assert list(dist.probs) == exact(
         [Fraction(418, 668), Fraction(60, 668), Fraction(190, 668)])
-    assert dist.top_index() == 0
+    assert most_probable(dist.probs) == 0
 
 
 @PARTIAL_SPECS
@@ -225,7 +226,7 @@ def test_prob_dep_on_hotels(f1):
         [Fraction(8, 9), Fraction(1, 27), Fraction(8, 27)])
     assert list(dist.probs) == exact(
         [Fraction(8, 11), Fraction(1, 33), Fraction(8, 33)])
-    assert dist.top_index() == 0
+    assert most_probable(dist.probs) == 0
     # Unnormalized products keep the middle candidate last.
     assert dist.raw[1] < dist.raw[2] < dist.raw[0]
 
@@ -295,7 +296,7 @@ def test_brute_force_on_hotels(f1):
     dist = brute_force_dist(f1.candidates, f1.spec, f1.knowns)
     assert list(dist.probs) == exact(
         [Fraction(61, 81), Fraction(5, 162), Fraction(35, 162)])
-    assert dist.top_index() == 0
+    assert most_probable(dist.probs) == 0
 
 
 def test_single_candidate_is_certain(f1):
@@ -362,7 +363,7 @@ def test_elimination_sees_dominance_that_the_product_form_misses(f1):
     ind, dep, bf = estimates(f1.candidates, f1.spec, knowns)
     for dist in (dep, bf):
         assert dist.probs == (1.0, 0.0, 0.0)
-    assert ind.top_index() == 0
+    assert most_probable(ind.probs) == 0
     assert 0.8 < ind.probs[0] < 1.0
 
 
