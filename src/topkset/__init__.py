@@ -8,8 +8,7 @@ the most and stops as soon as the winner is provable.
 """
 
 from .bounds import Interval, dominates, eliminated_bounds, score_bounds
-from .distributions import (DiscretePdf, geq_probability, geq_probability_naive,
-                            uniform_pdf)
+from .distributions import DiscretePdf, geq_probability, uniform_pdf
 from .engine import (Policy, SolveLimitError, SolveResult, TraceStep,
                      enumerate_candidates, solve)
 from .harness import (ExperimentConfig, generate_synthetic, load_problem,
@@ -33,10 +32,9 @@ __all__ = [
     "SolveLimitError", "SolveResult", "TableOracle", "TraceStep",
     "ValidationError", "WinnerDistribution", "brute_force_dist", "dominates",
     "eliminated_bounds", "entropy", "enumerate_candidates",
-    "generate_synthetic", "geq_probability", "geq_probability_naive",
-    "load_problem", "normalize", "prob_dep", "prob_ind",
-    "process_responses", "qef_score", "question_universe",
-    "questions_of", "run_experiment", "score_bounds", "select_entrred",
-    "select_random", "snap_to_grid", "solve", "uniform_pdf",
-    "unknown_questions", "write_bundle",
+    "generate_synthetic", "geq_probability", "load_problem", "normalize",
+    "prob_dep", "prob_ind", "process_responses", "qef_score",
+    "question_universe", "questions_of", "run_experiment", "score_bounds",
+    "select_entrred", "select_random", "snap_to_grid", "solve",
+    "uniform_pdf", "unknown_questions", "write_bundle",
 ]

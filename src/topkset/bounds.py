@@ -270,6 +270,7 @@ def prune_and_prove(lo: np.ndarray, hi: np.ndarray,
     Among rows tied at the top the winner need not be the lowest tied
     row: a tied row whose bounds are still open does not dominate yet.
     """
-    gap = lo[:, None] - (hi[None, :] - cut)
+    gap = cut - hi
+    gap += lo[:, None]
     winners = np.flatnonzero(gap.min(axis=1) >= 0)
     return gap.max(axis=0) <= 0, (int(winners[0]) if len(winners) else None)

@@ -40,6 +40,8 @@ def main():
 def solve_cmd(dataset_dir, k, candidate_cap, policy, oracle_kind, llm_config,
               seed, trace_path, max_calls):
     """Answer the query for one dataset and print the exact winner."""
+    if llm_config and oracle_kind != "llm":
+        raise ValidationError("--llm-config needs --oracle llm")
     problem = load_problem(dataset_dir, k, candidate_cap,
                            require_ground_truth=(oracle_kind == "table"))
     if oracle_kind == "table":
@@ -86,7 +88,11 @@ def gen_cmd(n, k, seed, out_dir, step, candidate_cap, unknown_count):
     problem = generate_synthetic(n, k, candidate_cap=candidate_cap, seed=seed,
                                  spec=default_spec(step),
                                  unknown_count=unknown_count)
-    root = write_bundle(problem, out_dir)
+    try:
+        root = write_bundle(problem, out_dir)
+    except OSError as exc:
+        raise ValidationError(
+            f"cannot write dataset {out_dir}: {exc.strerror}") from None
     click.echo(f"dataset: {root}")
 
 

@@ -26,7 +26,7 @@ import numpy as np
 # score_bounds, elimination_cut, question_universe, questions_of and
 # unknown_questions are imported only because perfbench/tracing.py wraps
 # them by name on `engine`; the solve loop calls none of them.
-from .bounds import (Incidence, Interval, elimination_cut, prune_and_prove,
+from .bounds import (Incidence, elimination_cut, prune_and_prove,
                      score_bounds)
 from .model import (Candidate, KnownStore, Problem, Question,
                     ValidationError, lattice_floats, question_universe,
@@ -48,8 +48,8 @@ Clock = Callable[[], int]
 DEP_MAX_SUPPORT = 10_000
 
 # Every policy keeps M x M arrays: peak RSS of an uncapped k=3 solve read
-# 157-165 MB at M=2024 and 437-550 MB at M=4060 (fresh process, Python 3.11,
-# numpy 2.4, x86-64), about 0.8 GB at this limit; `solve` rejects more.
+# 105-163 MB at M=2024 and 315-436 MB at M=4060 (fresh process, Python 3.11,
+# numpy 2.4, x86-64), about 0.65 GB at this limit; `solve` rejects more.
 MAX_CANDIDATES = 5_000
 
 
@@ -71,7 +71,7 @@ class TraceStep:
     Bounds and probabilities cover every candidate of the original
     problem; pruned candidates keep narrowing bounds and carry
     probability zero. `lo` and `hi` are each candidate's score bounds in
-    quanta of `quantum`; `bounds` builds them as `Interval`s when read.
+    quanta of `quantum`.
     `response` is the grid value recorded, as a correctly rounded float.
 
     A traced solve's steps are its trace lines. Untraced `random` and
@@ -88,11 +88,6 @@ class TraceStep:
     probs: tuple[float, ...]
     entropy: Optional[float]
     pruned: tuple[int, ...]
-
-    @property
-    def bounds(self) -> tuple[Interval, ...]:
-        return tuple(map(Interval, self.lo, self.hi,
-                         itertools.repeat(self.quantum)))
 
 
 @dataclass(frozen=True)
@@ -212,7 +207,7 @@ def solve(problem: Problem, policy: Policy, oracle: Oracle, *,
         if winner is not None:
             probs = (rows == top).astype(float).tolist()
         elif policy is Policy.ENTRRED_DEP:
-            probs = prob_dep(lo.tolist(), hi.tolist(), core.cut.tolist()).probs
+            probs = prob_dep(lo.tolist(), hi.tolist(), core.cut).probs
         elif policy is Policy.ENTRRED_IND or trace_path:
             # Random and baseline selection never read it; a trace does.
             probs = prob_ind(lo.tolist(), hi.tolist()).probs

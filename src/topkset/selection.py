@@ -120,7 +120,8 @@ def select_entrred(unknowns: Sequence[T], probs: Sequence[float],
     if len(pool) == 1:
         return unknowns[pool[0]]
     p = np.asarray(probs, dtype=np.float64)
-    d = np.abs(p[:, None] - p[None, :])
+    d = p[:, None] - p
+    np.abs(d, out=d)
     a = rows[pool]
     g = ((a @ d) * ~a).sum(axis=1).tolist()
     rel = 4 * (m * m + 2 * m) * 2.0 ** -53

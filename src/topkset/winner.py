@@ -153,13 +153,15 @@ def prob_ind(lo: Sequence[int], hi: Sequence[int]) -> WinnerDistribution:
 
 
 def prob_dep(lo: Sequence[int], hi: Sequence[int],
-             cut: Sequence[Sequence[int]]) -> WinnerDistribution:
+             cut: np.ndarray) -> WinnerDistribution:
     """Pairwise estimate with shared-unknown elimination.
 
-    `lo[i]` and `hi[i]` are candidate i's `score_bounds` and `cut[i][j]`
-    (read for i < j) the `elimination_cut` of candidates i and j's shared
-    unknowns, all in quanta, as Python ints; the solve loop reads them
-    from its incidence core.
+    `lo[i]` and `hi[i]` are candidate i's `score_bounds` as Python ints,
+    and `cut` is the incidence core's M x M int64 array of pair cuts:
+    `cut[i, j]` (read for i < j) is the `elimination_cut` of candidates i
+    and j's shared unknowns, all in quanta. Each row becomes Python ints
+    as its pass begins (`cut[i].tolist()`), so the walk reads no numpy
+    scalars and no M x M copy of the cut is ever made.
 
     Each beat term P(c >= c_i) is evaluated on the pair's eliminated pdfs
     by the linear walk of `geq_probability`, and every candidate's
@@ -191,7 +193,7 @@ def prob_dep(lo: Sequence[int], hi: Sequence[int],
 
     raw = [1.0] * m
     for i in range(m):
-        row = cut[i]
+        row = cut[i].tolist()
         for j in range(i + 1, m):
             pi, pj = eliminated(i, row[j]), eliminated(j, row[j])
             raw[i] *= geq_probability(pi, pj)

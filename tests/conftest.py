@@ -7,6 +7,7 @@ import itertools
 import json
 import random
 import threading
+import tracemalloc
 from fractions import Fraction
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import NamedTuple
@@ -124,14 +125,15 @@ class CoreArrays(NamedTuple):
 
     lo: list[int]
     hi: list[int]
-    cut: list[list[int]]
+    cut: np.ndarray
     unknowns: list[Question]
     affected: list[list[bool]]
 
 
 def core_arrays(candidates, spec, knowns) -> CoreArrays:
     """Bounds, pair cuts, open questions and their incidence rows of every
-    candidate, read from `Incidence` as `solve` reads them for its live rows.
+    candidate, read from `Incidence` as `solve` reads them for its live rows;
+    the cut is the core's own int64 array.
 
     `prob_ind(a.lo, a.hi)`, `prob_dep(a.lo, a.hi, a.cut)` and
     `select_entrred(a.unknowns, probs, a.affected)` then estimate and
@@ -139,9 +141,26 @@ def core_arrays(candidates, spec, knowns) -> CoreArrays:
     """
     core = Incidence(candidates, spec, knowns)
     cols = np.flatnonzero(core.unknown & core.members.any(axis=0))
-    return CoreArrays(core.lo.tolist(), core.hi.tolist(), core.cut.tolist(),
+    return CoreArrays(core.lo.tolist(), core.hi.tolist(), core.cut,
                       [core.question(j) for j in cols],
                       core.members[:, cols].T.tolist())
+
+
+def peak_bytes(fn, *args) -> int:
+    """The most memory that `fn(*args)` held at once, in bytes, numpy
+    buffers included; what the arguments already held does not count."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def wide_core() -> Incidence:
+    """The core of an M=400 instance with every question open."""
+    problem = generate_synthetic(15, 3, candidate_cap=400, seed=7)
+    return Incidence(problem.candidates, problem.spec, problem.knowns)
 
 
 @pytest.fixture

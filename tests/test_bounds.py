@@ -17,7 +17,7 @@ from topkset.bounds import (Incidence, elimination_cut, prune_and_prove,
 from topkset.harness import default_spec
 from topkset.model import question_universe, questions_of, unknown_questions
 
-from .conftest import partial_states, shuffled_states
+from .conftest import partial_states, peak_bytes, shuffled_states, wide_core
 
 
 def test_hotel_bounds_are_exact(f1):
@@ -364,3 +364,13 @@ def test_pruning_never_changes_the_winner_check(name):
             won += 1
         pruned += not keep.all()
     assert pruned and won
+
+
+def test_the_margin_pass_holds_one_m_by_m_array():
+    """At M=400 the margin matrix takes 1.28 MB; a second M x M
+    temporary would take the peak to twice that."""
+    core = wide_core()
+    m = len(core.rows)
+    assert m == 400
+    assert peak_bytes(prune_and_prove, core.lo, core.hi, core.cut) \
+        < 1.5 * m * m * 8

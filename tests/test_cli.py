@@ -85,6 +85,17 @@ def test_llm_oracle_needs_a_config(capsys):
     assert "--llm-config" in err
 
 
+def test_llm_config_needs_the_llm_oracle(tmp_path, capsys, chat_server):
+    cfg = tmp_path / "llm.json"
+    cfg.write_text(json.dumps({"endpointUrl": chat_server.url}))
+    code, out, err = run(["solve", "--dataset", F1_DIR, "--k", "3",
+                          "--llm-config", str(cfg)], capsys)
+    assert code == 2
+    assert err == "error: --llm-config needs --oracle llm\n"
+    assert "winner" not in out
+    assert chat_server.requests == []
+
+
 def test_llm_oracle_round_trip(tmp_path, capsys, chat_server):
     chat_server.default_reply = "1.0"
     cfg = tmp_path / "llm.json"
@@ -464,6 +475,19 @@ def test_candidate_count_over_the_limit_exits_2_in_little_memory(tmp_path,
     assert "Traceback" not in out.stderr
     assert out.stdout == ""
     assert not trace.exists()
+
+
+def test_gen_into_a_path_that_cannot_be_created(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out_dir = blocker / "x"
+    code, out, err = run(["gen", "--n", "4", "--k", "2",
+                          "--out", str(out_dir)], capsys)
+    assert code == 2
+    assert re.match(f"error: cannot write dataset {re.escape(str(out_dir))}"
+                    f": .+\n$", err)
+    assert "Traceback" not in err
+    assert out == ""
 
 
 def test_gen_rejects_n_below_k(tmp_path, capsys):

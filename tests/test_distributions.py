@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from topkset import (DiscretePdf, geq_probability, geq_probability_naive,
-                     prob_ind, uniform_pdf)
+from topkset import DiscretePdf, geq_probability, prob_ind, uniform_pdf
+from topkset.distributions import geq_probability_naive
 
 
 class TestDiscretePdf:

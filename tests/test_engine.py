@@ -43,7 +43,7 @@ class TestEnumerateCandidates:
 def bounds_and_cuts(cands, spec, knowns):
     """The arrays the solve loop's winner check and pruning read."""
     a = core_arrays(cands, spec, knowns)
-    return np.array(a.lo), np.array(a.hi), np.array(a.cut)
+    return np.array(a.lo), np.array(a.hi), a.cut
 
 
 class TestFindWinnerAndPrune:
@@ -177,9 +177,8 @@ def test_bounds_narrow_monotonically_along_the_trace():
                    seed=1)
     assert len(result.steps) >= 2
     for prev, cur in zip(result.steps, result.steps[1:]):
-        for old, new in zip(prev.bounds, cur.bounds):
-            assert new.lb >= old.lb
-            assert new.ub <= old.ub
+        assert all(new >= old for old, new in zip(prev.lo, cur.lo))
+        assert all(new <= old for old, new in zip(prev.hi, cur.hi))
 
 
 def test_final_distribution_is_one_hot_for_all_policies():

@@ -10,7 +10,7 @@ from topkset import (Question, entropy, qef_score, select_entrred,
                      select_random, selection)
 from topkset.model import question_universe, unknown_questions
 
-from .conftest import core_arrays
+from .conftest import core_arrays, peak_bytes, wide_core
 
 HOTEL_DIST = (0.75, 0.24, 0.01)
 
@@ -246,6 +246,22 @@ def test_last_bit_ties_go_to_the_exact_tiebreak(survivors):
     assert _loop_select(["a", "b"], probs, rows) == want
     assert select_entrred(["a", "b"], tuple(probs), rows) == want
     assert survivors == [[0, 1]]
+
+
+def test_the_distance_matrix_is_one_m_by_m_array():
+    """At M=400 the distance matrix takes 1.28 MB; a second M x M
+    temporary would take the peak to twice that."""
+    core = wide_core()
+    m = len(core.rows)
+    rng = random.Random(7)
+    raw = [rng.random() for _ in range(m)]
+    probs = tuple(r / sum(raw) for r in raw)
+    cols = np.flatnonzero(core.unknown)
+    affected = core.members[:, cols].T
+    # The pool: the six questions of the top candidate, a 3-set.
+    assert affected[:, probs.index(max(probs))].sum() == 6
+    assert peak_bytes(select_entrred, cols, probs, affected) \
+        < 1.5 * m * m * 8
 
 
 class TestSelectRandom:

@@ -5,6 +5,7 @@ import random
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -173,7 +174,7 @@ def test_estimators_reject_an_empty_candidate_list():
     with pytest.raises(ValueError, match="empty candidate list"):
         prob_ind([], [])
     with pytest.raises(ValueError, match="empty candidate list"):
-        prob_dep([], [], [])
+        prob_dep([], [], np.zeros((0, 0), dtype=np.int64))
 
 
 @pytest.mark.parametrize("lo, hi", [
@@ -184,19 +185,19 @@ def test_prob_ind_rejects_an_inverted_span(lo, hi):
         prob_ind(lo, hi)
     # prob_dep checks every span up front too, even with no pair to compare.
     with pytest.raises(ValueError, match=r"inverted span: lo 3 > hi 2"):
-        prob_dep(lo, hi, [[0] * len(lo)] * len(lo))
+        prob_dep(lo, hi, np.zeros((len(lo), len(lo)), dtype=np.int64))
 
 
 @pytest.mark.parametrize("estimator, args, message", [
     (prob_ind, ([0, 1], [5]), "lo and hi have 2 and 1 entries"),
     (prob_ind, ([0], [5, 6]), "lo and hi have 1 and 2 entries"),
-    (prob_dep, ([0, 1], [5], [[0, 0], [0, 0]]),
+    (prob_dep, ([0, 1], [5], np.zeros((2, 2), dtype=np.int64)),
      "lo, hi and cut have 2, 1 and 2 entries"),
-    (prob_dep, ([0, 1], [5, 6], [[0, 0]]),
+    (prob_dep, ([0, 1], [5, 6], np.zeros((1, 2), dtype=np.int64)),
      "lo, hi and cut have 2, 2 and 1 entries"),
-    (prob_dep, ([0, 1], [5, 6], [[0, 0]] * 3),
+    (prob_dep, ([0, 1], [5, 6], np.zeros((3, 2), dtype=np.int64)),
      "lo, hi and cut have 2, 2 and 3 entries"),
-    (prob_dep, ([0, 0], [2, 4], [[0, 3], [3, 0]]),
+    (prob_dep, ([0, 0], [2, 4], np.array([[0, 3], [3, 0]], dtype=np.int64)),
      r"cut 3 empties candidate 0's span \[0, 2\]"),
 ], ids=["ind-short-hi", "ind-long-hi", "dep-short-hi", "dep-short-cut",
         "dep-long-cut", "dep-emptying-cut"])
