@@ -131,8 +131,8 @@ class Incidence:
     candidate x question pairs. Each member entity gets its rank in sorted
     order, and the question of construct r over ranks (x, y), or (y,) when
     unary, is coded as (r * n + x) * n + y with n entities and x = 0 when
-    unary. The codes' numeric order is `question_universe` order, so one
-    stable argsort of every row's codes yields the sorted keys and each
+    unary. The codes' numeric order is `question_universe` order, so
+    `np.unique` of every row's codes yields the sorted keys and each
     row's columns. The cut adds, for each distinct span s among the open
     columns, s times the number of open questions of span s that each
     pair of rows shares. That number is one float64 product of the 0/1
@@ -167,17 +167,11 @@ class Incidence:
              for args in arg_tuples(con, range(k))],
             dtype=np.int64).reshape(-1, 3).T
         codes = (place_r * n + ranks[:, place_x]) * n + ranks[:, place_y]
-        # Each element's column depends only on its code, so stability
-        # changes no result; the stable kind is used because its first
-        # call maps about 0.3 MB less memory than the default sort's.
-        order = np.argsort(codes, axis=None, kind="stable")
-        ordered = codes.ravel()[order]
-        first = np.ones(len(ordered), dtype=bool)
-        first[1:] = ordered[1:] != ordered[:-1]
-        self.members = np.zeros((len(candidates), int(first.sum())),
-                                dtype=bool)
-        self.members[order // len(place_r), first.cumsum() - 1] = True
-        construct, xy = np.divmod(ordered[first], n * n)
+        code, column = np.unique(codes, return_inverse=True)
+        self.members = np.zeros((len(codes), len(code)), dtype=bool)
+        # np.unique's inverse is flat in some numpy versions.
+        np.put_along_axis(self.members, column.reshape(codes.shape), True, 1)
+        construct, xy = np.divmod(code, n * n)
         x, y = np.divmod(xy, n)
         name = [con.name for con in spec.constructs]
         arity = [con.arity for con in spec.constructs]
@@ -197,11 +191,15 @@ class Incidence:
         value = low + index * self.rise
         self.lo = self.members @ np.where(self.unknown, low, value)
         self.hi = self.members @ np.where(self.unknown, low + self.span, value)
-        self.cut = np.zeros((len(candidates), len(candidates)), dtype=np.int64)
-        for s in set(self.span[self.unknown].tolist()):
+        # With no open column, span 0 selects no column and the cut is 0.
+        for g, s in enumerate(set(self.span[self.unknown].tolist()) or {0}):
             group = self.members[:, self.unknown & (self.span == s)
                                  ].astype(np.float64)
-            self.cut += s * (group @ group.T).astype(np.int64)
+            shared = (group @ group.T).astype(np.int64)
+            shared *= s
+            if g:
+                shared += self.cut
+            self.cut = shared
         self.rows = np.arange(len(candidates))
         self.dropped: tuple[int, ...] = ()
 
@@ -215,7 +213,8 @@ class Incidence:
         self.dropped = tuple(sorted(self.dropped
                                     + tuple(self.rows[~keep].tolist())))
         self.rows = self.rows[keep]
-        self.cut = self.cut[keep][:, keep]
+        self.cut = self.cut[keep]  # frees the old cut before the columns
+        self.cut = self.cut[:, keep]
 
     def fold(self, j: int, index: int) -> None:
         """Fold the answer `index` (a grid index) to open column j into

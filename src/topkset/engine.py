@@ -48,8 +48,8 @@ Clock = Callable[[], int]
 DEP_MAX_SUPPORT = 10_000
 
 # Every policy keeps M x M arrays: peak RSS of an uncapped k=3 solve read
-# 105-163 MB at M=2024 and 315-436 MB at M=4060 (fresh process, Python 3.11,
-# numpy 2.4, x86-64), about 0.65 GB at this limit; `solve` rejects more.
+# 105-132 MB at M=2024 and 310-333 MB at M=4060 (fresh process, Python 3.11,
+# numpy 2.4, x86-64), about 0.5 GB at this limit; `solve` rejects more.
 MAX_CANDIDATES = 5_000
 
 

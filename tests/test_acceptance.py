@@ -299,6 +299,9 @@ def test_criterion_09_complexity_trends():
     wall_ok = dep_total > ind_total
 
     ok = slope_ok and ratio_ok and wall_ok
+    print(f"prob_ind slope {slope:.2f}; dep/ind ratios "
+          f"{', '.join(f'{r:.1f}' for r in ratios)}; solve wall dep "
+          f"{dep_total / 1e6:.0f} ms, ind {ind_total / 1e6:.0f} ms")
     _report(9, "estimator cost scaling", ok)
     assert slope_ok, slope
     assert ratio_ok, ratios

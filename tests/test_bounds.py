@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -374,3 +375,35 @@ def test_the_margin_pass_holds_one_m_by_m_array():
     assert m == 400
     assert peak_bytes(prune_and_prove, core.lo, core.hi, core.cut) \
         < 1.5 * m * m * 8
+
+
+def test_the_core_build_holds_two_m_by_m_arrays():
+    """At M=400 every open column has one span, so the build holds the
+    float64 count product and its int64 copy, which becomes the cut: two
+    M x M arrays. Adding the copy into a zeroed cut would make three."""
+    problem = generate_synthetic(15, 3, candidate_cap=400, seed=7)
+    m = len(problem.candidates)
+    assert m == 400
+    assert peak_bytes(Incidence, problem.candidates, problem.spec,
+                      problem.knowns) < 2.6 * m * m * 8
+
+
+def test_drop_frees_the_old_cut_before_gathering_the_columns():
+    """Dropping every 10th of M=400 rows gathers 0.9 M² cuts by row, then
+    0.81 M² by column. Freeing the old M² cut in between keeps drop's
+    extra peak at the row gather; holding all three adds 1.71 M²."""
+    problem = generate_synthetic(15, 3, candidate_cap=400, seed=7)
+    m = len(problem.candidates)
+    # Traced from the build, so that freeing the old cut lowers the count.
+    tracemalloc.start()
+    try:
+        core = Incidence(problem.candidates, problem.spec, problem.knowns)
+        keep = np.arange(m) % 10 != 0
+        tracemalloc.reset_peak()
+        held = tracemalloc.get_traced_memory()[0]
+        core.drop(keep)
+        extra = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert core.cut.shape == (360, 360)
+    assert extra < 1.2 * m * m * 8
