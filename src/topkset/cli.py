@@ -1,6 +1,7 @@
 """Command line entry points: solve a dataset, run experiments, generate data.
 
-Exit codes: 0 success, 2 validation problem, 3 oracle failure.
+Exit codes: 0 success, 2 validation problem, 3 oracle failure, 130
+interrupted (Ctrl-C).
 """
 
 from __future__ import annotations
@@ -111,6 +112,10 @@ def entrypoint(argv=None) -> int:
     except (OracleError, SolveLimitError) as exc:
         click.echo(f"error: {exc}", err=True)
         return 3
+    except click.exceptions.Abort:
+        # What click makes of a KeyboardInterrupt.
+        click.echo("error: interrupted", err=True)
+        return 130
 
 
 if __name__ == "__main__":

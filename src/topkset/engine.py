@@ -19,7 +19,7 @@ import time
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Optional, Protocol, Sequence
+from typing import Callable, Optional, Protocol, Sequence, TextIO
 
 import numpy as np
 
@@ -74,9 +74,9 @@ class TraceStep:
     quanta of `quantum`.
     `response` is the grid value recorded, as a correctly rounded float.
 
-    A traced solve's steps are its trace lines. Untraced `random` and
-    `baseline` steps carry no estimate (`probs == ()`, `entropy is None`)
-    until a winner is provable, and the one-hot distribution from then on.
+    A trace gets each step's line, flushed, as the step is made. Untraced
+    `random` and `baseline` steps carry no estimate (`probs == ()`,
+    `entropy is None`) until a winner is provable, then the one-hot one.
     """
 
     iteration: int
@@ -143,8 +143,9 @@ def solve(problem: Problem, policy: Policy, oracle: Oracle, *,
     other live one once the proof completes; among tied maxima the
     questions asked decide which that is.
 
-    `clock` must be a nanosecond counter; injecting a deterministic one
-    makes the emitted trace byte-for-byte reproducible.
+    A trace gets each step's line as the step is made and a status line on
+    every exit (`_end_trace`). `clock` must be a nanosecond counter;
+    injecting a deterministic one makes the trace byte-for-byte reproducible.
     """
     if max_calls is not None and max_calls < 0:
         raise ValidationError(f"max_calls must be >= 0, got {max_calls}")
@@ -159,7 +160,8 @@ def solve(problem: Problem, policy: Policy, oracle: Oracle, *,
     nanos = {"bounds": 0, "probability": 0, "selection": 0, "oracle": 0}
     rng = random.Random(seed)
     steps: list[TraceStep] = []
-    pending: Optional[tuple[Question, float]] = None
+    # Validated answers in the order asked: the last one makes a step.
+    answered: list[tuple[Question, float]] = []
     calls = 0
     # Bounds of every candidate, the live rows and their pairs' cuts, kept
     # current by folding in each answer (`Incidence.fold`) and dropping
@@ -175,108 +177,107 @@ def solve(problem: Problem, policy: Policy, oracle: Oracle, *,
                 f"candidate support here is {support} points, above the "
                 f"limit of {DEP_MAX_SUPPORT}; use a coarser grid step or "
                 f"another policy")
-    if trace_path:
-        # Fail before paying for any answer; the trace is written at the end.
-        try:
-            open(trace_path, "w", encoding="utf-8").close()
-        except OSError as exc:
-            raise ValidationError(
-                f"cannot write trace {trace_path}: {exc.strerror}") from None
     baseline = policy is Policy.BASELINE
-
-    def end(status: str, winner: Optional[Candidate] = None,
-            exception: Optional[str] = None) -> None:
-        if trace_path:
-            _write_trace(trace_path, steps, status, winner, calls, nanos,
-                         exception)
-
-    t0 = clock()
-    while True:
-        rows = core.rows
-        lo, hi = core.lo[rows], core.hi[rows]
-        # The winner is a survivor of the pruning (see prune_and_prove).
-        keep, first = prune_and_prove(lo, hi, core.cut)
-        top = None if first is None else rows[first]
-        if not baseline and not keep.all():
-            core.drop(keep)
-            rows, lo, hi = core.rows, lo[keep], hi[keep]
-        winner = None if top is None else all_candidates[top]
-        nanos["bounds"] += clock() - t0
-
+    # The trace's one open: fail before paying for any answer.
+    try:
+        trace = open(trace_path, "w", encoding="utf-8") if trace_path else None
+    except OSError as exc:
+        raise ValidationError(
+            f"cannot write trace {trace_path}: {exc.strerror}") from None
+    stage = None  # "ask" or "record" while the oracle or the answer can fail
+    try:
         t0 = clock()
-        if winner is not None:
-            probs = (rows == top).astype(float).tolist()
-        elif policy is Policy.ENTRRED_DEP:
-            probs = prob_dep(lo.tolist(), hi.tolist(), core.cut).probs
-        elif policy is Policy.ENTRRED_IND or trace_path:
-            # Random and baseline selection never read it; a trace does.
-            probs = prob_ind(lo.tolist(), hi.tolist()).probs
-        else:
-            probs = ()
-        probs_padded = ()
-        if probs:
-            padded = np.zeros(len(all_candidates))
-            padded[rows] = probs
-            probs_padded = tuple(padded.tolist())
-        # Called once per iteration: perfbench counts iterations by it.
-        step_entropy = entropy(probs)
-        if not probs_padded:
-            step_entropy = None
-        nanos["probability"] += clock() - t0
+        while True:
+            rows = core.rows
+            lo, hi = core.lo[rows], core.hi[rows]
+            # The winner is a survivor of the pruning (see prune_and_prove).
+            keep, first = prune_and_prove(lo, hi, core.cut)
+            top = None if first is None else rows[first]
+            if not baseline and not keep.all():
+                core.drop(keep)
+                rows, lo, hi = core.rows, lo[keep], hi[keep]
+            winner = None if top is None else all_candidates[top]
+            nanos["bounds"] += clock() - t0
 
-        if pending is not None:
-            q, v = pending
-            steps.append(TraceStep(len(steps), q, v,
-                                   tuple(core.lo.tolist()),
-                                   tuple(core.hi.tolist()), spec.quantum,
-                                   probs_padded, step_entropy, core.dropped))
-            pending = None
-
-        t0 = clock()
-        # Open questions of the live candidates, in universe order.
-        hits = core.members[rows]
-        cols = (core.unknown & hits.any(axis=0)).nonzero()[0]
-        if winner is not None and not (baseline and len(cols)):
-            nanos["selection"] += clock() - t0
-            end("ok", winner)
-            return SolveResult(winner, calls, tuple(steps), nanos, knowns)
-        if not len(cols):
-            raise RuntimeError("no open question and no provable winner")
-        if baseline:
-            j = int(cols[0])
-        elif policy is Policy.RANDOM:
-            j = select_random(cols.tolist(), rng)
-        else:
-            j = int(select_entrred(cols, probs, hits[:, cols].T))
-        question = core.question(j)
-        nanos["selection"] += clock() - t0
-
-        if max_calls is not None and calls >= max_calls:
-            end("limit")
-            raise SolveLimitError(max_calls, tuple(steps), nanos)
-
-        t0 = clock()
-        try:
-            response = oracle.ask(question)
-        except BaseException as exc:
-            # Whatever the oracle raised, keep the answers paid for.
-            nanos["oracle"] += clock() - t0
-            if isinstance(exc, OracleError):
-                end("oracle_error")
+            t0 = clock()
+            if winner is not None:
+                probs = (rows == top).astype(float).tolist()
+            elif policy is Policy.ENTRRED_DEP:
+                probs = prob_dep(lo.tolist(), hi.tolist(), core.cut).probs
+            elif policy is Policy.ENTRRED_IND or trace:
+                # Random and baseline selection never read it; a trace does.
+                probs = prob_ind(lo.tolist(), hi.tolist()).probs
             else:
-                end("oracle_exception", exception=type(exc).__name__)
-            raise
-        nanos["oracle"] += clock() - t0
-        calls += 1
-        try:
+                probs = ()
+            probs_padded = ()
+            if probs:
+                padded = np.zeros(len(all_candidates))
+                padded[rows] = probs
+                probs_padded = tuple(padded.tolist())
+            # Called once per iteration: perfbench counts iterations by it.
+            step_entropy = entropy(probs)
+            if not probs_padded:
+                step_entropy = None
+            nanos["probability"] += clock() - t0
+
+            if len(steps) < len(answered):
+                steps.append(TraceStep(
+                    len(steps), *answered[-1], tuple(core.lo.tolist()),
+                    tuple(core.hi.tolist()), spec.quantum, probs_padded,
+                    step_entropy, core.dropped))
+                if trace:
+                    print(_step_line(steps[-1]), file=trace, flush=True)
+
+            t0 = clock()
+            # Open questions of the live candidates, in universe order.
+            hits = core.members[rows]
+            cols = (core.unknown & hits.any(axis=0)).nonzero()[0]
+            if winner is not None and not (baseline and len(cols)):
+                nanos["selection"] += clock() - t0
+                break
+            if not len(cols):
+                raise RuntimeError("no open question and no provable winner")
+            if baseline:
+                j = int(cols[0])
+            elif policy is Policy.RANDOM:
+                j = select_random(cols.tolist(), rng)
+            else:
+                j = int(select_entrred(cols, probs, hits[:, cols].T))
+            question = core.question(j)
+            nanos["selection"] += clock() - t0
+
+            if max_calls is not None and calls >= max_calls:
+                raise SolveLimitError(max_calls, tuple(steps), nanos)
+
+            t0 = clock()
+            stage = "ask"
+            try:
+                response = oracle.ask(question)
+            finally:
+                nanos["oracle"] += clock() - t0
+            calls += 1
+            stage = "record"
             knowns = knowns.record(spec, question, _response_value(response))
-        except ValidationError:
-            end("invalid_response")
-            raise
-        index = knowns.get(question)
-        pending = (question, spec.grid_values()[index])
-        t0 = clock()
-        core.fold(j, index)
+            stage = None
+            index = knowns.get(question)
+            answered.append((question, spec.grid_values()[index]))
+            t0 = clock()
+            core.fold(j, index)
+    except BaseException as exc:
+        if stage == "ask":
+            status = ("oracle_error" if isinstance(exc, OracleError)
+                      else "oracle_exception")
+        elif stage == "record" and isinstance(exc, ValidationError):
+            status = "invalid_response"
+        elif isinstance(exc, SolveLimitError):
+            status = "limit"
+        else:
+            status = "exception"
+        _end_trace(trace, status, calls, nanos, answered, exception=(
+            type(exc).__name__ if status.endswith("exception") else None))
+        raise
+    _end_trace(trace, "ok", calls, nanos, answered, winner)
+    return SolveResult(winner, calls, tuple(steps), nanos, knowns)
 
 
 def _step_line(s: TraceStep) -> str:
@@ -294,26 +295,24 @@ def _step_line(s: TraceStep) -> str:
     }, separators=(",", ":"))
 
 
-def _write_trace(path: str, steps: Sequence[TraceStep], status: str,
-                 winner: Optional[Candidate], calls: int,
-                 nanos: dict[str, int],
-                 exception: Optional[str] = None) -> None:
-    """One line per step, then a status line: "ok" (with the winner),
-    "limit", "oracle_error", "invalid_response" or "oracle_exception"
-    (with the type name of what the oracle raised), the calls and time so
-    far, and every validated answer paid for, so a failed solve keeps
-    them."""
-    summary: dict = {"status": status}
-    if winner is not None:
-        summary["winner"] = list(winner.members)
-    if exception is not None:
-        summary["exception"] = exception
-    summary.update(
-        oracleCalls=calls, perTaskNanos=nanos,
-        answered=[{"construct": s.question.construct,
-                   "args": list(s.question.args), "response": s.response}
-                  for s in steps])
-    lines = [_step_line(s) for s in steps]
-    lines.append(json.dumps(summary, separators=(",", ":")))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+def _end_trace(trace: Optional[TextIO], status: str, calls: int,
+               nanos: dict[str, int], answered: list[tuple[Question, float]],
+               winner: Optional[Candidate] = None,
+               exception: Optional[str] = None) -> None:
+    """Close the trace, if any, with its status line: "ok" (with the
+    winner), "limit", "oracle_error", "invalid_response", "oracle_exception"
+    or "exception" (with the type name of what the oracle, or else the solve,
+    raised), the calls and time so far, and every validated answer paid for."""
+    if trace is None:
+        return
+    with trace:
+        summary: dict = {"status": status}
+        if winner is not None:
+            summary["winner"] = list(winner.members)
+        if exception is not None:
+            summary["exception"] = exception
+        summary.update(
+            oracleCalls=calls, perTaskNanos=nanos,
+            answered=[{"construct": q.construct, "args": list(q.args),
+                       "response": v} for q, v in answered])
+        print(json.dumps(summary, separators=(",", ":")), file=trace)

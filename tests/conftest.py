@@ -1,5 +1,5 @@
 """Shared fixtures: the hotel worked example, the incidence core's arrays,
-a fake clock and a chat stub."""
+a fake clock, an interrupted estimator and a chat stub."""
 
 from __future__ import annotations
 
@@ -17,6 +17,7 @@ import pytest
 
 from topkset import (Candidate, Construct, KnownStore, Problem, Question,
                      ScoringSpec, generate_synthetic)
+from topkset import engine
 from topkset.bounds import Incidence
 from topkset.model import question_universe, unknown_questions
 
@@ -183,6 +184,24 @@ class FakeClock:
 @pytest.fixture
 def make_clock():
     return FakeClock
+
+
+@pytest.fixture
+def interrupt_estimate(monkeypatch):
+    """`arm(n)` makes the solve loop's `prob_ind` raise KeyboardInterrupt on
+    its n-th call, as a Ctrl-C there would, and returns that exception."""
+    def arm(n: int) -> KeyboardInterrupt:
+        original, calls = engine.prob_ind, itertools.count(1)
+        interrupt = KeyboardInterrupt()
+
+        def estimate(lo, hi):
+            if next(calls) == n:
+                raise interrupt
+            return original(lo, hi)
+
+        monkeypatch.setattr(engine, "prob_ind", estimate)
+        return interrupt
+    return arm
 
 
 class ChatStub:

@@ -168,6 +168,29 @@ def test_call_limit_trace_ends_with_a_status_line(tmp_path, capsys,
         {k: a[k] for k in ("construct", "args")} for a in summary["answered"]]
 
 
+def test_ctrl_c_exits_130_and_keeps_the_paid_answer(tmp_path, capsys,
+                                                    interrupt_estimate):
+    """A KeyboardInterrupt in the second estimate, after one paid answer
+    and before its step: click turns it into Abort, the CLI prints one
+    error line and exits 130, and the trace still lists the answer."""
+    ds = tmp_path / "ds"
+    assert run(["gen", "--n", "8", "--k", "3", "--seed", "3", "--unknown",
+                "20", "--out", str(ds)], capsys)[0] == 0
+    interrupt_estimate(2)
+    trace = tmp_path / "t.jsonl"
+    code, out, err = run(["solve", "--dataset", str(ds), "--k", "3",
+                          "--candidates", "40", "--policy", "entrred-ind",
+                          "--trace", str(trace)], capsys)
+    assert code == 130
+    assert err.strip() == "error: interrupted"
+    assert out == ""
+    [summary] = [json.loads(x) for x in trace.read_text().splitlines()]
+    assert summary["status"] == "exception"
+    assert summary["exception"] == "KeyboardInterrupt"
+    assert summary["oracleCalls"] == 1
+    assert len(summary["answered"]) == 1
+
+
 # The LlmOracleConfig field each llm.json key sets.
 LLM_FIELDS = {"endpointUrl": "endpoint_url", "apiKeyEnvVar": "api_key_env",
               "model": "model", "promptTemplate": "prompt_template",

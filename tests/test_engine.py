@@ -365,6 +365,70 @@ def test_any_oracle_exception_trace_keeps_the_paid_answers(f1, tmp_path,
     assert summary["answered"] == [
         {"construct": "rel", "args": ["HNY"], "response": 1.0}]
 
+
+class TraceReadingOracle:
+    """A table oracle that notes each question and the trace lines on disk
+    when it was asked."""
+
+    def __init__(self, problem, trace):
+        self.table = TableOracle(problem.ground_truth)
+        self.trace = trace
+        self.asked, self.seen = [], []
+
+    def ask(self, q):
+        self.asked.append(q)
+        self.seen.append(self.trace.read_text().splitlines())
+        return self.table.ask(q)
+
+
+def _interruptible_problem():
+    return generate_synthetic(8, 3, candidate_cap=40, seed=3,
+                              unknown_count=20)
+
+
+def test_an_interrupt_outside_the_oracle_keeps_the_paid_answers(
+        tmp_path, interrupt_estimate):
+    """A KeyboardInterrupt in the third estimate, after two paid answers
+    but before the second one's step, propagates unchanged; the trace
+    keeps the step already made and lists both answers."""
+    problem = _interruptible_problem()
+    interrupt = interrupt_estimate(3)
+    trace = tmp_path / "run.jsonl"
+    oracle = TraceReadingOracle(problem, trace)
+    with pytest.raises(KeyboardInterrupt) as err:
+        solve(problem, Policy.ENTRRED_IND, oracle, trace_path=str(trace))
+    assert err.value is interrupt
+    *steps, summary = [json.loads(x) for x in trace.read_text().splitlines()]
+    assert len(oracle.asked) == 2
+    first = oracle.asked[0]
+    assert [s["question"] for s in steps] == [
+        {"construct": first.construct, "args": list(first.args)}]
+    assert summary["status"] == "exception"
+    assert summary["exception"] == "KeyboardInterrupt"
+    assert "winner" not in summary
+    assert summary["oracleCalls"] == 2
+    assert summary["answered"] == [
+        {"construct": q.construct, "args": list(q.args),
+         "response": problem.ground_truth[q]} for q in oracle.asked]
+
+
+@pytest.mark.parametrize("policy", ALL_POLICIES, ids=lambda p: p.value)
+def test_steps_reach_the_trace_as_they_are_made(tmp_path, policy):
+    """At its (t+1)-th call the oracle finds exactly the first t step
+    lines of the finished trace on disk, and no status line."""
+    problem = _interruptible_problem()
+    trace = tmp_path / "run.jsonl"
+    oracle = TraceReadingOracle(problem, trace)
+    result = solve(problem, policy, oracle, trace_path=str(trace))
+    assert result.oracle_calls >= 3
+    final = trace.read_text().splitlines()
+    assert len(final) == result.oracle_calls + 1
+    assert len(oracle.seen) == result.oracle_calls
+    for t, lines in enumerate(oracle.seen):
+        assert lines == final[:t]
+        assert all("status" not in json.loads(x) for x in lines)
+
+
 def _renamed_and_shuffled(problem, rng):
     """The same ground truth over entities renamed `b<i>` (so `b10` sorts
     before `b2`), with a shuffled subset of all k-sets as candidates."""
