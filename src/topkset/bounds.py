@@ -125,7 +125,8 @@ class Incidence:
     rest, and `cut[a, b]` is the `elimination_cut` of live rows `rows[a]`
     and `rows[b]`. All are built from `knowns`, narrowed in place by
     `fold`, and always equal to their per-pair reference. The diagonal
-    cut[a, a] sums row `rows[a]`'s own open spans, hi - lo.
+    cut[a, a] sums row `rows[a]`'s own open spans, hi - lo, and the build
+    reads `hi` off it.
 
     The build loops in Python over entities and distinct keys, never over
     candidate x question pairs. Each member entity gets its rank in sorted
@@ -190,7 +191,6 @@ class Incidence:
         self.unknown = index < 0
         value = low + index * self.rise
         self.lo = self.members @ np.where(self.unknown, low, value)
-        self.hi = self.members @ np.where(self.unknown, low + self.span, value)
         # With no open column, span 0 selects no column and the cut is 0.
         for g, s in enumerate(set(self.span[self.unknown].tolist()) or {0}):
             group = self.members[:, self.unknown & (self.span == s)
@@ -200,6 +200,7 @@ class Incidence:
             if g:
                 shared += self.cut
             self.cut = shared
+        self.hi = self.lo + np.diagonal(self.cut)
         self.rows = np.arange(len(candidates))
         self.dropped: tuple[int, ...] = ()
 

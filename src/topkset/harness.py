@@ -257,16 +257,15 @@ def generate_synthetic(n: int, k: int, candidate_cap: Optional[int] = None,
     rng = random.Random(seed)
     grid = spec.grid_values()
     ground_truth = {q: rng.choice(grid) for q in universe}
-    revealed = []
+    revealed = {}
     if unknown_count is not None:
         u = min(unknown_count, len(universe))
         hidden = set(rng.sample(range(len(universe)), u))
-        revealed = [i for i in range(len(universe)) if i not in hidden]
-    knowns = KnownStore()
-    for i in revealed:
-        q = universe[i]
-        knowns = knowns.record(spec, q, ground_truth[q])
-    return Problem(entities, spec, k, candidates, knowns, ground_truth,
+        revealed = {q: spec.grid_index(v)
+                    for i, (q, v) in enumerate(ground_truth.items())
+                    if i not in hidden}
+    return Problem(entities, spec, k, candidates, KnownStore(revealed),
+                   ground_truth,
                    query_text=f"synthetic n={n} k={k} seed={seed}")
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import os
 import re
+import threading
 import time
 from dataclasses import dataclass
 from enum import Enum
@@ -148,6 +149,11 @@ class TableOracle:
         return OracleResponse.point(self._table[q])
 
 
+# A timeout ceiling in seconds within what the socket layer accepts; a
+# longer timeout raises OverflowError inside the HTTP client at the first
+# request.
+_MAX_TIMEOUT_S = threading.TIMEOUT_MAX
+
 # Each LlmOracleConfig field's key in an llm.json, which its errors name,
 # and the rest of its `typed` check: kind, what it reads as, valid values.
 _LLM_FIELDS = {
@@ -155,8 +161,9 @@ _LLM_FIELDS = {
     "api_key_env": ("apiKeyEnvVar", instance_of(str), "a string"),
     "model": ("model", instance_of(str), "a string"),
     "prompt_template": ("promptTemplate", instance_of(str), "a string"),
-    "timeout_s": ("timeout", real_number, "a positive number",
-                  lambda v: math.isfinite(v) and v > 0),
+    "timeout_s": ("timeout", real_number,
+                  f"a positive number of seconds up to {_MAX_TIMEOUT_S:.0f}",
+                  lambda v: 0 < v <= _MAX_TIMEOUT_S),
     "max_retries": ("maxRetries", whole_number, "a nonnegative integer",
                     lambda v: v >= 0),
     "temperature": ("temperature", real_number, "a number", math.isfinite),

@@ -55,14 +55,9 @@ class CapExceededError(RuntimeError):
 
 @dataclass(frozen=True)
 class WinnerDistribution:
-    """Normalized winner probabilities aligned with candidate indices.
-
-    `raw` keeps the unnormalized per-candidate products; no trace writes
-    them, but tests read them as the exact products.
-    """
+    """Normalized winner probabilities aligned with candidate indices."""
 
     probs: tuple[float, ...]
-    raw: tuple[float, ...]
 
 
 def most_probable(probs: Sequence[float]) -> int:
@@ -149,7 +144,7 @@ def prob_ind(lo: Sequence[int], hi: Sequence[int]) -> WinnerDistribution:
             r *= row[cj]
             raw[j] *= beat[cj][ci]
         raw[i] = r
-    return WinnerDistribution(normalize(raw), tuple(raw))
+    return WinnerDistribution(normalize(raw))
 
 
 def prob_dep(lo: Sequence[int], hi: Sequence[int],
@@ -198,7 +193,7 @@ def prob_dep(lo: Sequence[int], hi: Sequence[int],
             pi, pj = eliminated(i, row[j]), eliminated(j, row[j])
             raw[i] *= geq_probability(pi, pj)
             raw[j] *= geq_probability(pj, pi)
-    return WinnerDistribution(normalize(raw), tuple(raw))
+    return WinnerDistribution(normalize(raw))
 
 
 def brute_force_dist(candidates: Sequence[Candidate], spec: ScoringSpec,
@@ -239,5 +234,4 @@ def brute_force_dist(candidates: Sequence[Candidate], spec: ScoringSpec,
         tied = scores == scores.max(axis=1, keepdims=True)
         counts += (tied / tied.sum(axis=1, keepdims=True)).sum(axis=0)
 
-    raw = tuple(float(x) for x in counts)
-    return WinnerDistribution(normalize(raw), raw)
+    return WinnerDistribution(normalize(counts.tolist()))

@@ -232,13 +232,11 @@ def test_criterion_08_estimator_properties(suite6):
 
 
 def _interleaved_best_ns(fns, rounds, passes=5):
-    """Each callable's best wall time, as the median over `passes`.
+    """Each callable's best wall time in each of `passes` passes.
 
     A pass calls every function in turn, `rounds` times, and keeps each
     one's best time: a slow stretch of the host then lands on every
     function instead of on one, and the minimum discards additive noise.
-    The median over passes keeps one pass whose samples were all slowed
-    from deciding the result.
     """
     per_pass = []
     for _ in range(passes):
@@ -250,7 +248,13 @@ def _interleaved_best_ns(fns, rounds, passes=5):
                 t = time.perf_counter_ns() - t0
                 best[k] = t if best[k] is None else min(best[k], t)
         per_pass.append(best)
-    return [statistics.median(ts) for ts in zip(*per_pass)]
+    return per_pass
+
+
+def _medians(per_pass):
+    """The median over passes of each column: one pass whose samples were
+    all slowed does not decide the result."""
+    return [statistics.median(col) for col in zip(*per_pass)]
 
 
 def test_criterion_09_complexity_trends():
@@ -263,7 +267,7 @@ def test_criterion_09_complexity_trends():
         fn = lambda a=a: prob_ind(a.lo, a.hi)
         fn()
         fns.append(fn)
-    times = _interleaved_best_ns(fns, rounds=3)
+    times = _medians(_interleaved_best_ns(fns, rounds=3))
     slope = statistics.linear_regression(
         [math.log(m) for m in sizes], [math.log(t) for t in times]).slope
     slope_ok = 1.5 <= slope <= 2.5
@@ -277,10 +281,13 @@ def test_criterion_09_complexity_trends():
         prob_dep(a.lo, a.hi, a.cut)
         fns += [lambda a=a: prob_ind(a.lo, a.hi),
                 lambda a=a: prob_dep(a.lo, a.hi, a.cut)]
-    # Many short passes: a pass that straddles a change in host speed
-    # skews the ratios, and the median over 15 passes discards it.
-    best = _interleaved_best_ns(fns, rounds=10, passes=15)
-    ratios = [dep / ind for ind, dep in zip(best[::2], best[1::2])]
+    # Many short passes, each rung's dep time over its ind time from the
+    # same pass: load that slows both alike cancels in the ratio, and the
+    # median over 15 passes discards a pass that straddles a change in
+    # host speed.
+    ratios = _medians([dep / ind for ind, dep in zip(best[::2], best[1::2])]
+                      for best in _interleaved_best_ns(fns, rounds=10,
+                                                       passes=15))
     ratio_ok = all(b > a for a, b in zip(ratios, ratios[1:]))
 
     dep_total = ind_total = 0

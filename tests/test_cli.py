@@ -9,6 +9,7 @@ import shutil
 import subprocess
 import sys
 import textwrap
+import threading
 from pathlib import Path
 
 import pytest
@@ -227,13 +228,16 @@ LLM_FIELDS = {"endpointUrl": "endpoint_url", "apiKeyEnvVar": "api_key_env",
      "timeout inf is not a positive number"),
     ('{"endpointUrl": "http://localhost:9", "temperature": Infinity}',
      "temperature inf is not a number"),
+    ('{"endpointUrl": "http://localhost:9", "timeout": 1e10}',
+     "timeout 10000000000.0 is not a positive number"),
     ('{"endpointUrl": "http://localhost:9", "maxRetry": 0, "timeOut": 1}',
      "unknown key 'maxRetry'; expected one of endpointUrl, "),
 ], ids=["invalid-json", "not-an-object", "no-endpoint", "endpoint-type",
         "timeout-text", "timeout-zero", "retries-text", "retries-negative",
         "retries-fraction", "retries-bool", "timeout-bool",
         "temperature-text", "timeout-nan", "timeout-zero-float",
-        "timeout-infinite", "temperature-infinite", "key-unknown"])
+        "timeout-infinite", "temperature-infinite", "timeout-oversized",
+        "key-unknown"])
 def test_bad_llm_config_is_a_validation_error(tmp_path, capsys, text,
                                               message):
     cfg = tmp_path / "llm.json"
@@ -253,6 +257,22 @@ def test_bad_llm_config_is_a_validation_error(tmp_path, capsys, text,
         with pytest.raises(ValidationError, match=re.escape(message)):
             LlmOracleConfig(**{LLM_FIELDS[k]: v for k, v in fields.items()})
 
+
+
+def test_llm_timeout_at_the_ceiling_reaches_the_oracle(tmp_path, capsys,
+                                                      chat_server):
+    """The longest timeout the config accepts still reaches the socket
+    layer and makes a request."""
+    chat_server.default_reply = "1.0"
+    cfg = tmp_path / "llm.json"
+    cfg.write_text(json.dumps({"endpointUrl": chat_server.url,
+                               "timeout": threading.TIMEOUT_MAX}))
+    code, out, err = run(["solve", "--dataset", F1_DIR, "--k", "3",
+                          "--oracle", "llm", "--llm-config", str(cfg)],
+                         capsys)
+    assert (code, err) == (0, "")
+    assert "oracleCalls: 1" in out.splitlines()
+    assert len(chat_server.requests) == 1
 
 
 @pytest.mark.parametrize("name, message", [

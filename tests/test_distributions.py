@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from topkset import DiscretePdf, geq_probability, prob_ind, uniform_pdf
+from topkset import (DiscretePdf, geq_probability, normalize, prob_ind,
+                     uniform_pdf)
 from topkset.distributions import geq_probability_naive
 
 
@@ -76,9 +77,9 @@ def test_linear_walk_matches_naive_double_sum(lo_a, n_a, lo_b, n_b):
     b = uniform_pdf(lo_b, lo_b + n_b)
     naive = geq_probability_naive(a, b)
     assert geq_probability(a, b) == pytest.approx(naive, abs=1e-12)
-    raw = prob_ind([lo_a, lo_b], [lo_a + n_a, lo_b + n_b]).raw
-    assert raw[0] == pytest.approx(naive, abs=1e-12)
-    assert raw[1] == pytest.approx(geq_probability_naive(b, a), abs=1e-12)
+    dist = prob_ind([lo_a, lo_b], [lo_a + n_a, lo_b + n_b])
+    assert dist.probs == pytest.approx(
+        normalize([naive, geq_probability_naive(b, a)]), abs=1e-12)
 
 
 @settings(deadline=None, max_examples=60)

@@ -70,17 +70,16 @@ def test_most_probable_breaks_ties_low():
 def test_prob_ind_on_hotels(f1):
     a = core_arrays(f1.candidates, f1.spec, f1.knowns)
     dist = prob_ind(a.lo, a.hi)
-    assert list(dist.raw) == exact(
-        [Fraction(418, 625), Fraction(12, 125), Fraction(38, 125)])
-    assert list(dist.probs) == exact(
-        [Fraction(418, 668), Fraction(60, 668), Fraction(190, 668)])
+    assert list(dist.probs) == exact(normalize(
+        [Fraction(418, 625), Fraction(12, 125), Fraction(38, 125)]))
     assert most_probable(dist.probs) == 0
 
 
 @PARTIAL_SPECS
 def test_prob_ind_raw_is_the_product_of_exact_pair_counts(spec):
-    """Each beat term is K / (na * nb), one correctly rounded division,
-    multiplied in ascending opponent order; K counted point by point."""
+    """The estimate normalizes products whose beat terms are K / (na * nb),
+    one correctly rounded division, multiplied in ascending opponent
+    order; K counted point by point."""
     for cands, knowns in partial_states(spec, 40):
         spans = [(iv.lo, iv.hi) for iv in
                  (score_bounds(c, spec, knowns) for c in cands)]
@@ -95,7 +94,7 @@ def test_prob_ind_raw_is_the_product_of_exact_pair_counts(spec):
                     r *= k / ((a_hi - a_lo + 1) * nb)
             expected.append(r)
         a = core_arrays(cands, spec, knowns)
-        assert prob_ind(a.lo, a.hi).raw == tuple(expected)
+        assert prob_ind(a.lo, a.hi).probs == normalize(expected)
 
 
 def test_prob_ind_pair_terms_equal_the_brute_force_pair_counts():
@@ -108,9 +107,9 @@ def test_prob_ind_pair_terms_equal_the_brute_force_pair_counts():
         pairs = len(xs) * len(ys)
         a_beats = sum(x >= y for x in xs for y in ys)
         b_beats = sum(y >= x for x in xs for y in ys)
-        raw = prob_ind([a_lo, b_lo], [a_hi, b_hi]).raw
-        assert raw == (a_beats / pairs, b_beats / pairs), (a_lo, a_hi,
-                                                           b_lo, b_hi)
+        dist = prob_ind([a_lo, b_lo], [a_hi, b_hi])
+        assert dist.probs == normalize([a_beats / pairs, b_beats / pairs]), \
+            (a_lo, a_hi, b_lo, b_hi)
 
 
 def _geq_count(a_lo, a_hi, b_lo, b_hi):
@@ -125,15 +124,15 @@ def _geq_count(a_lo, a_hi, b_lo, b_hi):
 
 
 def _prob_ind_two_counts(lo, hi):
-    """prob_ind as one count call per direction for each unordered pair,
-    each candidate's factors in ascending opponent order."""
+    """prob_ind's probabilities from one count call per direction for each
+    unordered pair, each candidate's factors in ascending opponent order."""
     raw = [1.0] * len(lo)
     for i in range(len(lo)):
         for j in range(i + 1, len(lo)):
             pairs = (hi[i] - lo[i] + 1) * (hi[j] - lo[j] + 1)
             raw[i] *= _geq_count(lo[i], hi[i], lo[j], hi[j]) / pairs
             raw[j] *= _geq_count(lo[j], hi[j], lo[i], hi[i]) / pairs
-    return tuple(raw), normalize(raw)
+    return normalize(raw)
 
 
 @pytest.mark.parametrize("case", [*range(12), "identical", "distinct",
@@ -167,7 +166,7 @@ def test_prob_ind_matches_the_two_count_reference_bit_for_bit(case):
                 spans.append((lo, lo + rng.randrange(0, 50)))
     lo, hi = [s[0] for s in spans], [s[1] for s in spans]
     dist = prob_ind(lo, hi)
-    assert (dist.raw, dist.probs) == _prob_ind_two_counts(lo, hi)
+    assert dist.probs == _prob_ind_two_counts(lo, hi)
 
 
 def test_estimators_reject_an_empty_candidate_list():
@@ -223,20 +222,19 @@ def test_prob_ind_cost_does_not_grow_with_lattice_resolution():
 def test_prob_dep_on_hotels(f1):
     a = core_arrays(f1.candidates, f1.spec, f1.knowns)
     dist = prob_dep(a.lo, a.hi, a.cut)
-    assert list(dist.raw) == exact(
-        [Fraction(8, 9), Fraction(1, 27), Fraction(8, 27)])
-    assert list(dist.probs) == exact(
-        [Fraction(8, 11), Fraction(1, 33), Fraction(8, 33)])
+    assert list(dist.probs) == exact(normalize(
+        [Fraction(8, 9), Fraction(1, 27), Fraction(8, 27)]))
     assert most_probable(dist.probs) == 0
-    # Unnormalized products keep the middle candidate last.
-    assert dist.raw[1] < dist.raw[2] < dist.raw[0]
+    # The products keep the middle candidate last.
+    assert dist.probs[1] < dist.probs[2] < dist.probs[0]
 
 
 @PARTIAL_SPECS
 def test_prob_dep_raw_is_the_product_of_linear_walks(spec):
-    """Each beat term is geq_probability on the pair's eliminated uniform
-    pdfs, multiplied in ascending opponent order, and agrees with the
-    quadratic reference sum."""
+    """The estimate normalizes products whose beat terms are
+    geq_probability on the pair's eliminated uniform pdfs, multiplied in
+    ascending opponent order; each term agrees with the quadratic
+    reference sum."""
     for cands, knowns in partial_states(spec, 40):
         expected = []
         for i, ca in enumerate(cands):
@@ -251,8 +249,8 @@ def test_prob_dep_raw_is_the_product_of_linear_walks(spec):
                     r *= term
             expected.append(r)
         arrays = core_arrays(cands, spec, knowns)
-        assert prob_dep(arrays.lo, arrays.hi, arrays.cut).raw == \
-            tuple(expected)
+        assert prob_dep(arrays.lo, arrays.hi, arrays.cut).probs == \
+            normalize(expected)
 
 
 @pytest.mark.parametrize("spec", [
