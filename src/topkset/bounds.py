@@ -120,13 +120,12 @@ class Incidence:
     `(construct, args)` pair in `question_universe` order; `question(j)`
     builds its `Question`, and the boolean `members[i, j]` says whether
     it adds to row i's score. `lo` and `hi` hold every candidate's
-    `score_bounds` and `unknown` the unanswered columns. `rows` lists the
-    live rows in ascending order (all of them at build), `dropped` the
-    rest, and `cut[a, b]` is the `elimination_cut` of live rows `rows[a]`
-    and `rows[b]`. All are built from `knowns`, narrowed in place by
-    `fold`, and always equal to their per-pair reference. The diagonal
-    cut[a, a] sums row `rows[a]`'s own open spans, hi - lo, and the build
-    reads `hi` off it.
+    `score_bounds`, `unknown` the unanswered columns, and `cut[a, b]` the
+    `elimination_cut` of rows a and b. Rows are never removed: the live
+    ones are read off the margins (`prune_and_prove`). All are built from
+    `knowns`, narrowed in place by `fold`, and always equal to their
+    per-pair reference. The diagonal cut[a, a] sums row a's own open
+    spans, hi - lo, and the build reads `hi` off it.
 
     The build loops in Python over entities and distinct keys, never over
     candidate x question pairs. Each member entity gets its rank in sorted
@@ -201,34 +200,22 @@ class Incidence:
                 shared += self.cut
             self.cut = shared
         self.hi = self.lo + np.diagonal(self.cut)
-        self.rows = np.arange(len(candidates))
-        self.dropped: tuple[int, ...] = ()
 
     def question(self, j: int) -> Question:
         """The question of column j."""
         return Question(*self.keys[j])
-
-    def drop(self, keep: np.ndarray) -> None:
-        """Remove the live rows where the mask `keep` (over `rows`) is
-        False from `rows` and `cut`; their bounds stay and keep narrowing."""
-        self.dropped = tuple(sorted(self.dropped
-                                    + tuple(self.rows[~keep].tolist())))
-        self.rows = self.rows[keep]
-        self.cut = self.cut[keep]  # frees the old cut before the columns
-        self.cut = self.cut[:, keep]
 
     def fold(self, j: int, index: int) -> None:
         """Fold the answer `index` (a grid index) to open column j into
         `lo`, `hi`, `unknown` and `cut`, in place.
 
         Afterwards they equal the state built with j answered: the bounds
-        of every row containing j change, the cuts only among live rows.
+        of every row containing j change, and the cuts among those rows.
         """
         rows = np.flatnonzero(self.members[:, j])
         self.lo[rows] += index * self.rise[j]
         self.hi[rows] += index * self.rise[j] - self.span[j]
-        live = np.flatnonzero(self.members[self.rows, j])
-        self.cut[live[:, None], live] -= self.span[j]
+        self.cut[rows[:, None], rows] -= self.span[j]
         self.unknown[j] = False
 
 
@@ -266,6 +253,16 @@ def prune_and_prove(lo: np.ndarray, hi: np.ndarray,
     each pruned row too, through that row's surviving dominator. So the
     first weak dominator of all rows is a survivor, and it is the first
     weak dominator of the survivors.
+
+    An answer never shrinks a margin. Folding the grid index i into an
+    open question of rise r and span s >= i * r adds i * r to lo and
+    i * r - s to hi of each row that holds it, and takes s off the cut of
+    each pair of them. So gap[a, b] grows by i * r when only a holds it,
+    by s - i * r when only b does, and stays put otherwise. A pruned row
+    therefore stays pruned, every survivor survived the previous pass,
+    and each row pruned is strictly dominated by a survivor. So the pass
+    over every row gives the same mask and winner as the pass over the
+    previous pass's survivors alone.
 
     Among rows tied at the top the winner need not be the lowest tied
     row: a tied row whose bounds are still open does not dominate yet.

@@ -48,7 +48,7 @@ Clock = Callable[[], int]
 DEP_MAX_SUPPORT = 10_000
 
 # Every policy keeps M x M arrays: peak RSS of an uncapped k=3 solve read
-# 105-132 MB at M=2024 and 310-333 MB at M=4060 (fresh process, Python 3.11,
+# 114-132 MB at M=2024 and 330-352 MB at M=4060 (fresh process, Python 3.11,
 # numpy 2.4, x86-64), about 0.5 GB at this limit; `solve` rejects more.
 MAX_CANDIDATES = 5_000
 
@@ -163,9 +163,8 @@ def solve(problem: Problem, policy: Policy, oracle: Oracle, *,
     # Validated answers in the order asked: the last one makes a step.
     answered: list[tuple[Question, float]] = []
     calls = 0
-    # Bounds of every candidate, the live rows and their pairs' cuts, kept
-    # current by folding in each answer (`Incidence.fold`) and dropping
-    # pruned rows (`Incidence.drop`) in the bounds bucket.
+    # Every candidate's bounds and pair cuts, kept current by folding in
+    # each answer (`Incidence.fold`) in the bounds bucket.
     t0 = clock()
     core = Incidence(all_candidates, spec, knowns)
     nanos["bounds"] += clock() - t0
@@ -188,14 +187,12 @@ def solve(problem: Problem, policy: Policy, oracle: Oracle, *,
     try:
         t0 = clock()
         while True:
-            rows = core.rows
+            # Over every row: a pruned row stays pruned (prune_and_prove).
+            keep, top = prune_and_prove(core.lo, core.hi, core.cut)
+            if baseline:  # asks every open question, so prunes nothing
+                keep[:] = True
+            rows = np.flatnonzero(keep)
             lo, hi = core.lo[rows], core.hi[rows]
-            # The winner is a survivor of the pruning (see prune_and_prove).
-            keep, first = prune_and_prove(lo, hi, core.cut)
-            top = None if first is None else rows[first]
-            if not baseline and not keep.all():
-                core.drop(keep)
-                rows, lo, hi = core.rows, lo[keep], hi[keep]
             winner = None if top is None else all_candidates[top]
             nanos["bounds"] += clock() - t0
 
@@ -203,7 +200,8 @@ def solve(problem: Problem, policy: Policy, oracle: Oracle, *,
             if winner is not None:
                 probs = (rows == top).astype(float).tolist()
             elif policy is Policy.ENTRRED_DEP:
-                probs = prob_dep(lo.tolist(), hi.tolist(), core.cut).probs
+                probs = prob_dep(lo.tolist(), hi.tolist(),
+                                 core.cut[np.ix_(rows, rows)]).probs
             elif policy is Policy.ENTRRED_IND or trace:
                 # Random and baseline selection never read it; a trace does.
                 probs = prob_ind(lo.tolist(), hi.tolist()).probs
@@ -224,7 +222,7 @@ def solve(problem: Problem, policy: Policy, oracle: Oracle, *,
                 steps.append(TraceStep(
                     len(steps), *answered[-1], tuple(core.lo.tolist()),
                     tuple(core.hi.tolist()), spec.quantum, probs_padded,
-                    step_entropy, core.dropped))
+                    step_entropy, tuple(np.flatnonzero(~keep).tolist())))
                 if trace:
                     print(_step_line(steps[-1]), file=trace, flush=True)
 

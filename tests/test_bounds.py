@@ -1,8 +1,6 @@
 """Score intervals, shared-unknown elimination and dominance."""
 
-import itertools
 import random
-import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -18,7 +16,7 @@ from topkset.bounds import (Incidence, elimination_cut, prune_and_prove,
 from topkset.harness import default_spec
 from topkset.model import question_universe, questions_of, unknown_questions
 
-from .conftest import partial_states, peak_bytes, shuffled_states, wide_core
+from .conftest import partial_states, peak_bytes, wide_core
 
 
 def test_hotel_bounds_are_exact(f1):
@@ -203,8 +201,6 @@ def assert_core_is_the_reference(cands, spec, knowns):
     assert core.members.tolist() == [[q in own for q in universe]
                                      for own in owns]
     assert core.unknown.tolist() == [q not in knowns for q in universe]
-    assert core.rows.tolist() == list(range(len(cands)))
-    assert core.dropped == ()
     ref = [score_bounds(c, spec, knowns) for c in cands]
     assert lb.tolist() == [iv.lo for iv in ref]
     assert ub.tolist() == [iv.hi for iv in ref]
@@ -267,14 +263,12 @@ def test_incidence_rejects_candidates_of_different_sizes():
         Incidence(cands, default_spec(), KnownStore())
 
 
-@pytest.mark.parametrize("name", ["step-0.5", "step-0.1", "rel-weight-0.3"])
+@pytest.mark.parametrize("name", REFERENCE_SPECS)
 def test_folded_answers_equal_the_state_rebuilt_from_scratch(name):
-    """`Incidence.fold` after every answer of a random order, with rows
-    dropped as the solve loop prunes them, leaves every row's bounds and
-    the open mask exactly equal to a core rebuilt from the known answers,
-    and the live cuts equal to the rebuilt cuts of the live rows."""
+    """`Incidence.fold` after every answer of a random order leaves the
+    bounds, the open mask and the cut of every row exactly equal to a
+    core rebuilt from the known answers."""
     spec = REFERENCE_SPECS[name]
-    pruned_seen = False
     for seed in range(30):
         rng = random.Random(seed)
         problem = generate_synthetic(
@@ -293,85 +287,54 @@ def test_folded_answers_equal_the_state_rebuilt_from_scratch(name):
             assert core.lo.tolist() == want.lo.tolist()
             assert core.hi.tolist() == want.hi.tolist()
             assert core.unknown.tolist() == want.unknown.tolist()
-            assert core.cut.tolist() == \
-                want.cut[np.ix_(core.rows, core.rows)].tolist()
-            keep, _ = prune_and_prove(core.lo[core.rows], core.hi[core.rows],
-                                      core.cut)
-            if not keep.all():
-                core.drop(keep)
-                pruned_seen = True
-    assert pruned_seen
-
-
-@pytest.mark.parametrize("name", REFERENCE_SPECS)
-def test_random_drops_between_folds_keep_the_per_pair_reference(name):
-    """Random `drop` masks interleaved with folds: `rows` and `dropped`
-    split the candidates, `cut` is the per-pair `elimination_cut` over
-    `rows` with diagonal hi - lo, and every row's bounds, dropped or
-    live, stay its `score_bounds`."""
-    spec = REFERENCE_SPECS[name]
-    drops = 0
-    for seed in range(30):
-        rng = random.Random(seed)
-        problem = generate_synthetic(
-            rng.randrange(4, 7), rng.randrange(2, 4),
-            candidate_cap=rng.choice((6, 12, None)), seed=seed, spec=spec,
-            unknown_count=rng.randrange(3, 10))
-        cands, knowns = problem.candidates, problem.knowns
-        core = Incidence(cands, spec, knowns)
-        order = np.flatnonzero(core.unknown).tolist()
-        rng.shuffle(order)
-        for j in order:
-            keep = np.array([rng.random() < 0.8 for _ in core.rows])
-            keep[rng.randrange(len(keep))] = True
-            core.drop(keep)
-            drops += not keep.all()
-            q = core.question(j)
-            knowns = knowns.record(spec, q, problem.ground_truth[q])
-            core.fold(j, knowns.get(q))
-            rows = core.rows.tolist()
-            assert rows == sorted(rows)
-            assert sorted(rows + list(core.dropped)) == list(range(len(cands)))
-            ref = [score_bounds(c, spec, knowns) for c in cands]
-            assert core.lo.tolist() == [iv.lo for iv in ref]
-            assert core.hi.tolist() == [iv.hi for iv in ref]
-            assert core.cut.diagonal().tolist() == \
-                (core.hi - core.lo)[rows].tolist()
-            assert core.cut.tolist() == [
-                [elimination_cut(shared_unknowns(cands[a], cands[b], spec,
-                                                 knowns), spec)
-                 for b in rows] for a in rows]
-    assert drops
+            assert core.cut.tolist() == want.cut.tolist()
 
 
 @pytest.mark.parametrize("name", REFERENCE_SPECS)
 def test_pruning_never_changes_the_winner_check(name):
-    """The first weak dominator of all rows is a survivor of the pruning,
-    and it is the first weak dominator of the survivors alone."""
+    """Answers folded in a random order: a row once outside `keep` stays
+    outside, and `prune_and_prove` over every row gives the same mask and
+    winner as the pass over the previous pass's survivors alone, or over
+    its own."""
     spec = REFERENCE_SPECS[name]
-    pruned = won = 0
-    for cands, knowns in itertools.chain(partial_states(spec, 67),
-                                         shuffled_states(spec, 67)):
-        core = Incidence(cands, spec, knowns)
-        keep, first = prune_and_prove(core.lo, core.hi, core.cut)
-        core.drop(keep)
-        rows = core.rows
-        _, again = prune_and_prove(core.lo[rows], core.hi[rows], core.cut)
-        if first is None:
-            assert again is None
-        else:
-            assert keep[first]
-            assert rows[again] == first
-            won += 1
-        pruned += not keep.all()
-    assert pruned and won
+    narrowed = won = 0
+    for seed in range(30):
+        rng = random.Random(seed)
+        problem = generate_synthetic(
+            rng.randrange(4, 8), rng.randrange(2, 4),
+            candidate_cap=rng.choice((6, 12, None)), seed=seed, spec=spec,
+            unknown_count=rng.randrange(3, 12))
+        knowns = problem.knowns
+        core = Incidence(problem.candidates, spec, knowns)
+        was = np.ones(len(problem.candidates), dtype=bool)
+        order = np.flatnonzero(core.unknown).tolist()
+        rng.shuffle(order)
+        for j in [None] + order:
+            if j is not None:
+                q = core.question(j)
+                knowns = knowns.record(spec, q, problem.ground_truth[q])
+                core.fold(j, knowns.get(q))
+            keep, first = prune_and_prove(core.lo, core.hi, core.cut)
+            assert not keep[~was].any()
+            # The previous pass's survivors, then this pass's own.
+            for live in np.flatnonzero(was), np.flatnonzero(keep):
+                live_keep, live_first = prune_and_prove(
+                    core.lo[live], core.hi[live], core.cut[np.ix_(live, live)])
+                assert np.flatnonzero(keep).tolist() == \
+                    live[live_keep].tolist()
+                assert first == (None if live_first is None
+                                 else live[live_first])
+            narrowed += not was.all() and not keep[was].all()
+            won += first is not None
+            was = keep
+    assert narrowed and won
 
 
 def test_the_margin_pass_holds_one_m_by_m_array():
     """At M=400 the margin matrix takes 1.28 MB; a second M x M
     temporary would take the peak to twice that."""
     core = wide_core()
-    m = len(core.rows)
+    m = len(core.lo)
     assert m == 400
     assert peak_bytes(prune_and_prove, core.lo, core.hi, core.cut) \
         < 1.5 * m * m * 8
@@ -386,24 +349,3 @@ def test_the_core_build_holds_two_m_by_m_arrays():
     assert m == 400
     assert peak_bytes(Incidence, problem.candidates, problem.spec,
                       problem.knowns) < 2.6 * m * m * 8
-
-
-def test_drop_frees_the_old_cut_before_gathering_the_columns():
-    """Dropping every 10th of M=400 rows gathers 0.9 M² cuts by row, then
-    0.81 M² by column. Freeing the old M² cut in between keeps drop's
-    extra peak at the row gather; holding all three adds 1.71 M²."""
-    problem = generate_synthetic(15, 3, candidate_cap=400, seed=7)
-    m = len(problem.candidates)
-    # Traced from the build, so that freeing the old cut lowers the count.
-    tracemalloc.start()
-    try:
-        core = Incidence(problem.candidates, problem.spec, problem.knowns)
-        keep = np.arange(m) % 10 != 0
-        tracemalloc.reset_peak()
-        held = tracemalloc.get_traced_memory()[0]
-        core.drop(keep)
-        extra = tracemalloc.get_traced_memory()[1] - held
-    finally:
-        tracemalloc.stop()
-    assert core.cut.shape == (360, 360)
-    assert extra < 1.2 * m * m * 8

@@ -546,30 +546,19 @@ def test_pruned_candidates_never_return():
             assert step.probs[idx] == 0.0
 
 
-def test_baseline_never_drops_a_row(monkeypatch):
-    """`baseline` asks every open question of every candidate, so it
-    never prunes, even where `entrred-ind` drops rows on the instance."""
-    drops = []
-    original = bounds.Incidence.drop
-
-    def counted(self, keep):
-        drops.append(int((~keep).sum()))
-        original(self, keep)
-
-    monkeypatch.setattr(bounds.Incidence, "drop", counted)
-    dropping = 0
+def test_baseline_never_drops_a_row():
+    """`baseline` asks every open question of every candidate, so none of
+    its steps prunes a row, even where `entrred-ind` prunes on the
+    instance."""
+    pruning = 0
     for seed, problem in _seeded_instances():
         oracle = TableOracle(problem.ground_truth)
         result = solve(problem, Policy.BASELINE, oracle, seed=seed)
-        assert drops == []
+        assert result.steps
         assert all(step.pruned == () for step in result.steps)
         result = solve(problem, Policy.ENTRRED_IND, oracle, seed=seed)
-        dropping += bool(drops)
-        assert all(drops)
-        if result.steps:
-            assert len(result.steps[-1].pruned) == sum(drops)
-        drops.clear()
-    assert dropping
+        pruning += any(step.pruned for step in result.steps)
+    assert pruning
 
 
 def fine_grid_problem():

@@ -252,7 +252,7 @@ def test_the_distance_matrix_is_one_m_by_m_array():
     """At M=400 the distance matrix takes 1.28 MB; a second M x M
     temporary would take the peak to twice that."""
     core = wide_core()
-    m = len(core.rows)
+    m = len(core.lo)
     rng = random.Random(7)
     raw = [rng.random() for _ in range(m)]
     probs = tuple(r / sum(raw) for r in raw)
