@@ -291,6 +291,46 @@ def test_folded_answers_equal_the_state_rebuilt_from_scratch(name):
 
 
 @pytest.mark.parametrize("name", REFERENCE_SPECS)
+def test_random_drops_between_folds_keep_the_per_pair_reference(name):
+    """Random live masks interleaved with folds: every row's bounds, live
+    or dropped, stay its `score_bounds`, and the cut read over the live
+    rows is the per-pair `elimination_cut` with diagonal hi - lo."""
+    spec = REFERENCE_SPECS[name]
+    drops = 0
+    for seed in range(30):
+        rng = random.Random(seed)
+        problem = generate_synthetic(
+            rng.randrange(4, 7), rng.randrange(2, 4),
+            candidate_cap=rng.choice((6, 12, None)), seed=seed, spec=spec,
+            unknown_count=rng.randrange(3, 10))
+        cands, knowns = problem.candidates, problem.knowns
+        core = Incidence(cands, spec, knowns)
+        live = np.ones(len(cands), dtype=bool)
+        order = np.flatnonzero(core.unknown).tolist()
+        rng.shuffle(order)
+        for j in order:
+            keep = np.array([rng.random() < 0.8 for _ in range(live.sum())])
+            keep[rng.randrange(len(keep))] = True
+            drops += not keep.all()
+            live[np.flatnonzero(live)[~keep]] = False
+            q = core.question(j)
+            knowns = knowns.record(spec, q, problem.ground_truth[q])
+            core.fold(j, knowns.get(q))
+            rows = np.flatnonzero(live)
+            ref = [score_bounds(c, spec, knowns) for c in cands]
+            assert core.lo.tolist() == [iv.lo for iv in ref]
+            assert core.hi.tolist() == [iv.hi for iv in ref]
+            cut = core.cut[np.ix_(rows, rows)]
+            assert cut.diagonal().tolist() == \
+                (core.hi - core.lo)[rows].tolist()
+            assert cut.tolist() == [
+                [elimination_cut(shared_unknowns(cands[a], cands[b], spec,
+                                                 knowns), spec)
+                 for b in rows] for a in rows]
+    assert drops
+
+
+@pytest.mark.parametrize("name", REFERENCE_SPECS)
 def test_pruning_never_changes_the_winner_check(name):
     """Answers folded in a random order: a row once outside `keep` stays
     outside, and `prune_and_prove` over every row gives the same mask and
