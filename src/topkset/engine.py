@@ -66,25 +66,23 @@ class Oracle(Protocol):
 
 @dataclass(frozen=True)
 class TraceStep:
-    """State snapshot taken after one response has been folded in.
+    """What one iteration decided, after its response was folded in.
 
-    Bounds and probabilities cover every candidate of the original
-    problem; pruned candidates keep narrowing bounds and carry
-    probability zero. `lo` and `hi` are each candidate's score bounds in
-    quanta of `quantum`.
     `response` is the grid value recorded, as a correctly rounded float.
+    Probabilities cover every candidate of the original problem; pruned
+    candidates carry probability zero. Untraced `random` and `baseline`
+    steps carry no estimate (`probs == ()`, `entropy is None`) until a
+    winner is provable, then the one-hot one.
 
-    A trace gets each step's line, flushed, as the step is made. Untraced
-    `random` and `baseline` steps carry no estimate (`probs == ()`,
-    `entropy is None`) until a winner is provable, then the one-hot one.
+    A step keeps no bounds. A trace gets each step's line, flushed, as the
+    step is made, and that line holds every candidate's bounds at the
+    time; `score_bounds` or `Incidence` over `problem.knowns` plus the
+    first t + 1 answers rebuild them for step t.
     """
 
     iteration: int
     question: Question
     response: float
-    lo: tuple[int, ...]
-    hi: tuple[int, ...]
-    quantum: Fraction
     probs: tuple[float, ...]
     entropy: Optional[float]
     pruned: tuple[int, ...]
@@ -125,6 +123,14 @@ def enumerate_candidates(entities: Sequence[str], k: int,
     return tuple(Candidate(i, c) for i, c in enumerate(combos))
 
 
+def check_candidate_count(count: int) -> None:
+    """Refuse `count` candidates when one solve takes fewer."""
+    if count > MAX_CANDIDATES:
+        raise ValidationError(
+            f"{count} candidates, above the limit of {MAX_CANDIDATES} per "
+            f"solve; cap the list with --candidates")
+
+
 def _response_value(resp: OracleResponse) -> float:
     if resp.kind is not ResponseKind.POINT:
         raise ValidationError(
@@ -149,10 +155,7 @@ def solve(problem: Problem, policy: Policy, oracle: Oracle, *,
     """
     if max_calls is not None and max_calls < 0:
         raise ValidationError(f"max_calls must be >= 0, got {max_calls}")
-    if len(problem.candidates) > MAX_CANDIDATES:
-        raise ValidationError(
-            f"{len(problem.candidates)} candidates, above the limit of "
-            f"{MAX_CANDIDATES} per solve; cap the list with --candidates")
+    check_candidate_count(len(problem.candidates))
     clock = clock or time.perf_counter_ns
     spec = problem.spec
     all_candidates = problem.candidates
@@ -220,11 +223,11 @@ def solve(problem: Problem, policy: Policy, oracle: Oracle, *,
 
             if len(steps) < len(answered):
                 steps.append(TraceStep(
-                    len(steps), *answered[-1], tuple(core.lo.tolist()),
-                    tuple(core.hi.tolist()), spec.quantum, probs_padded,
-                    step_entropy, tuple(np.flatnonzero(~keep).tolist())))
+                    len(steps), *answered[-1], probs_padded, step_entropy,
+                    tuple(np.flatnonzero(~keep).tolist())))
                 if trace:
-                    print(_step_line(steps[-1]), file=trace, flush=True)
+                    print(_step_line(steps[-1], core, spec.quantum),
+                          file=trace, flush=True)
 
             t0 = clock()
             # Open questions of the live candidates, in universe order.
@@ -278,15 +281,15 @@ def solve(problem: Problem, policy: Policy, oracle: Oracle, *,
     return SolveResult(winner, calls, tuple(steps), nanos, knowns)
 
 
-def _step_line(s: TraceStep) -> str:
+def _step_line(s: TraceStep, core: Incidence, quantum: Fraction) -> str:
+    """Step `s` as a trace line, with the bounds `core` holds now."""
     return json.dumps({
         "iter": s.iteration,
         "question": {"construct": s.question.construct,
                      "args": list(s.question.args)},
         "response": s.response,
-        "bounds": [[lattice_floats(lo, s.quantum),
-                    lattice_floats(hi, s.quantum)]
-                   for lo, hi in zip(s.lo, s.hi)],
+        "bounds": lattice_floats(np.column_stack((core.lo, core.hi)),
+                                 quantum).tolist(),
         "probs": list(s.probs),
         "entropy": s.entropy,
         "pruned": list(s.pruned),

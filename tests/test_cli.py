@@ -492,32 +492,61 @@ def test_dep_support_over_the_limit_asks_nothing(tmp_path, capsys,
         assert "winner: {" in out
 
 
-def test_candidate_count_over_the_limit_exits_2_in_little_memory(tmp_path,
-                                                                 capsys):
-    """M=9880 loads, but its M x M state would not fit: `solve` exits 2
-    before building it, here under a 700 MB address-space cap set on the
-    child process only."""
-    ds = tmp_path / "big"
-    assert run(["gen", "--n", "40", "--k", "3", "--out", str(ds)],
-               capsys)[0] == 0
-    trace = tmp_path / "t.jsonl"
+def _solve_in_700_mb(*argv):
+    """`topkset solve` in a child process under a 700 MB address-space cap
+    set on that process only."""
     code = textwrap.dedent("""
         import resource, sys
         resource.setrlimit(resource.RLIMIT_AS, (700 << 20, 700 << 20))
         from topkset.cli import entrypoint
         sys.exit(entrypoint(sys.argv[1:]))""")
     src = str(Path(topkset.__file__).resolve().parent.parent)
-    out = subprocess.run(
-        [sys.executable, "-c", code, "solve", "--dataset", str(ds),
-         "--k", "3", "--trace", str(trace)],
+    return subprocess.run(
+        [sys.executable, "-c", code, "solve", *argv],
         env={**os.environ, "PYTHONPATH": src}, capture_output=True,
         text=True, timeout=120)
+
+
+def test_candidate_count_over_the_limit_exits_2_in_little_memory(tmp_path,
+                                                                 capsys):
+    """M=9880 loads, but its M x M state would not fit: `solve` exits 2
+    before building it."""
+    ds = tmp_path / "big"
+    assert run(["gen", "--n", "40", "--k", "3", "--out", str(ds)],
+               capsys)[0] == 0
+    trace = tmp_path / "t.jsonl"
+    out = _solve_in_700_mb("--dataset", str(ds), "--k", "3",
+                           "--trace", str(trace))
     assert out.returncode == 2, out.stderr
     assert re.match(r"error: 9880 candidates, above the limit of \d+ per "
                     r"solve; cap the list with --candidates$", out.stderr)
     assert "Traceback" not in out.stderr
     assert out.stdout == ""
     assert not trace.exists()
+
+
+def test_too_many_k_sets_exit_2_before_any_is_listed(tmp_path):
+    """500 entities hold 20 708 500 3-sets, too many to list in 700 MB:
+    without candidates.csv or a cap, loading counts them and exits 2."""
+    ds = tmp_path / "wide"
+    ds.mkdir()
+    shutil.copy(Path(F1_DIR) / "spec.json", ds)
+    (ds / "entities.csv").write_text(
+        "id\n" + "".join(f"E{i:03d}\n" for i in range(500)))
+    trace = tmp_path / "t.jsonl"
+    out = _solve_in_700_mb("--dataset", str(ds), "--k", "3",
+                           "--trace", str(trace))
+    assert out.returncode == 2, out.stderr
+    assert re.match(r"error: 20708500 candidates, above the limit of \d+ "
+                    r"per solve; cap the list with --candidates$", out.stderr)
+    assert "Traceback" not in out.stderr
+    assert out.stdout == ""
+    assert not trace.exists()
+    # A cap lets the listing through to the next check.
+    out = _solve_in_700_mb("--dataset", str(ds), "--k", "3",
+                           "--candidates", "100")
+    assert out.returncode == 2, out.stderr
+    assert out.stderr.startswith("error: missing score file rel.csv")
 
 
 def test_gen_into_a_path_that_cannot_be_created(tmp_path, capsys):

@@ -7,16 +7,18 @@ import random
 import numpy as np
 import pytest
 
-from topkset import (Candidate, KnownStore, OracleResponse, Policy, Problem,
-                     Question, SolveLimitError, TableOracle, ValidationError,
-                     enumerate_candidates, generate_synthetic, solve)
+from topkset import (Candidate, Construct, KnownStore, OracleResponse,
+                     Policy, Problem, Question, ScoringSpec, SolveLimitError,
+                     TableOracle, ValidationError, enumerate_candidates,
+                     generate_synthetic, solve)
 from topkset import bounds, engine, selection, winner
-from topkset.bounds import prune_and_prove
+from topkset.bounds import prune_and_prove, score_bounds
 from topkset.engine import DEP_MAX_SUPPORT, MAX_CANDIDATES
 from topkset.harness import default_spec, exact_scores
 from topkset.model import question_universe, questions_of, unknown_questions
 
 from .conftest import core_arrays
+from .test_bounds import REFERENCE_SPECS
 
 ALL_POLICIES = (Policy.ENTRRED_DEP, Policy.ENTRRED_IND, Policy.RANDOM,
                 Policy.BASELINE)
@@ -171,14 +173,68 @@ def test_solve_makes_no_questions_of_call(monkeypatch, policy):
     assert len(calls) == 0
 
 
-def test_bounds_narrow_monotonically_along_the_trace():
+def _step_lines(path):
+    """A trace's step lines, parsed, without its status line."""
+    return [json.loads(x) for x in path.read_text().splitlines()[:-1]]
+
+
+def test_bounds_narrow_monotonically_along_the_trace(tmp_path):
     problem = generate_synthetic(6, 2, seed=11, unknown_count=8)
-    result = solve(problem, Policy.RANDOM, TableOracle(problem.ground_truth),
-                   seed=1)
-    assert len(result.steps) >= 2
-    for prev, cur in zip(result.steps, result.steps[1:]):
-        assert all(new >= old for old, new in zip(prev.lo, cur.lo))
-        assert all(new <= old for old, new in zip(prev.hi, cur.hi))
+    path = tmp_path / "trace.jsonl"
+    solve(problem, Policy.RANDOM, TableOracle(problem.ground_truth), seed=1,
+          trace_path=str(path))
+    bounds = [line["bounds"] for line in _step_lines(path)]
+    assert len(bounds) >= 2
+    assert bounds[0] != bounds[-1]
+    for prev, cur in zip(bounds, bounds[1:]):
+        assert all(lo1 >= lo0 and hi1 <= hi0
+                   for (lo0, hi0), (lo1, hi1) in zip(prev, cur))
+
+
+TRACED_SPECS = {
+    **REFERENCE_SPECS,
+    "range-[-1,1]": ScoringSpec((Construct("rel", 1), Construct("div", 2)),
+                                -1.0, 1.0, 0.5),
+    "range-[-3,1]": ScoringSpec((Construct("rel", 1), Construct("div", 2)),
+                                -3.0, 1.0, 0.5),
+}
+
+
+@pytest.mark.parametrize("name", TRACED_SPECS)
+def test_trace_bounds_equal_the_replayed_score_bounds(tmp_path, name):
+    """Step t's line holds every candidate's `score_bounds` over
+    `problem.knowns` plus the first t + 1 answers, under every policy."""
+    spec = TRACED_SPECS[name]
+    solved = dict.fromkeys(ALL_POLICIES, 0)
+    for seed in range(3):
+        problem = generate_synthetic(5 + seed, 2 + seed % 2,
+                                     candidate_cap=(None, 12)[seed % 2],
+                                     seed=1400 + seed, spec=spec,
+                                     unknown_count=12)
+        oracle = TableOracle(problem.ground_truth)
+        for policy in ALL_POLICIES:
+            path = tmp_path / f"{seed}-{policy.value}.jsonl"
+            try:
+                result = solve(problem, policy, oracle, seed=seed,
+                               trace_path=str(path))
+            except ValidationError as exc:
+                assert policy is Policy.ENTRRED_DEP, exc
+                assert str(exc).startswith("entrred-dep cost"), exc
+                continue
+            lines = _step_lines(path)
+            assert len(lines) == len(result.steps)
+            knowns = problem.knowns
+            for line, step in zip(lines, result.steps):
+                knowns = knowns.record(spec, step.question, step.response)
+                want = [score_bounds(c, spec, knowns)
+                        for c in problem.candidates]
+                assert line["bounds"] == [[iv.lb, iv.ub] for iv in want]
+            assert dict(knowns.items()) == dict(result.knowns.items())
+            solved[policy] += len(lines)
+    # entrred-dep's support limit refuses only the 2**40 weight; every
+    # other policy solves every spec.
+    assert [p for p, n in solved.items() if not n] == (
+        [Policy.ENTRRED_DEP] if name == "rel-weight-2**40" else [])
 
 
 def test_final_distribution_is_one_hot_for_all_policies():
@@ -236,9 +292,10 @@ def test_untraced_random_and_baseline_estimate_nothing(monkeypatch, tmp_path):
 
             assert untraced.winner == traced.winner
             assert untraced.oracle_calls == traced.oracle_calls
+            assert dict(untraced.knowns.items()) == dict(traced.knowns.items())
             for a, b in itertools.zip_longest(untraced.steps, traced.steps):
-                assert (a.question, a.response, a.lo, a.hi, a.pruned) == \
-                    (b.question, b.response, b.lo, b.hi, b.pruned)
+                assert (a.question, a.response, a.pruned) == \
+                    (b.question, b.response, b.pruned)
             # From the first step with a provable winner on, both runs
             # carry its one-hot distribution.
             first = next((i for i, st in enumerate(untraced.steps)
