@@ -70,8 +70,8 @@ class TraceStep:
 
     `response` is the grid value recorded, as a correctly rounded float.
     Probabilities cover every candidate of the original problem; pruned
-    candidates carry probability zero. Untraced `random` and `baseline`
-    steps carry no estimate (`probs == ()`, `entropy is None`) until a
+    candidates carry probability zero. `random` and `baseline` steps carry
+    no estimate (`probs == ()`, `entropy is None`), traced or not, until a
     winner is provable, then the one-hot one.
 
     A step keeps no bounds. A trace gets each step's line, flushed, as the
@@ -205,8 +205,7 @@ def solve(problem: Problem, policy: Policy, oracle: Oracle, *,
             elif policy is Policy.ENTRRED_DEP:
                 probs = prob_dep(lo.tolist(), hi.tolist(),
                                  core.cut[np.ix_(rows, rows)]).probs
-            elif policy is Policy.ENTRRED_IND or trace:
-                # Random and baseline selection never read it; a trace does.
+            elif policy is Policy.ENTRRED_IND:
                 probs = prob_ind(lo.tolist(), hi.tolist()).probs
             else:
                 probs = ()

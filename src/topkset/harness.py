@@ -23,6 +23,7 @@ per-run, summary and ratio CSVs.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 import random
@@ -59,8 +60,8 @@ def _read(path: Path, parse, newline: Optional[str] = None):
         raise ValidationError(f"cannot read {path.name}: {exc}") from None
 
 
-def _read_rows(path: Path, reader=csv.DictReader) -> list:
-    return _read(path, lambda fh: list(reader(fh)), newline="")
+def _read_rows(path: Path) -> list:
+    return _read(path, lambda fh: list(csv.DictReader(fh)), newline="")
 
 
 # The keys a spec.json and each of its constructs may hold.
@@ -201,11 +202,19 @@ def _load_candidates(path: Path, k: int, entity_pool: Container[str],
                      cap: Optional[int]) -> tuple[Candidate, ...]:
     if cap is not None and cap < 1:
         raise ValidationError(f"candidate cap must be >= 1, got {cap}")
-    out: list[Candidate] = []
-    for row in _read_rows(path, csv.reader):
-        members = tuple(x.strip() for x in row if x.strip())
-        if not members:
-            continue
+
+    def parse(fh):
+        # The nonempty rows up to the cap, and of those past the limit
+        # only a count: millions of rows, or their Candidates, exhaust
+        # memory before `solve` could refuse them.
+        rows = itertools.islice(
+            filter(None, (tuple(x.strip() for x in row if x.strip())
+                          for row in csv.reader(fh))), cap)
+        head = list(itertools.islice(rows, MAX_CANDIDATES))
+        return head, len(head) + sum(1 for _ in rows)
+
+    rows, count = _read(path, parse, newline="")
+    for members in rows:
         if len(members) != k:
             raise ValidationError(
                 f"candidates.csv row {members} is not a {k}-set")
@@ -213,12 +222,10 @@ def _load_candidates(path: Path, k: int, entity_pool: Container[str],
             if e not in entity_pool:
                 raise ValidationError(
                     f"candidates.csv references unknown entity {e!r}")
-        out.append(Candidate(len(out), members))
-        if cap is not None and len(out) >= cap:
-            break
-    if not out:
+    check_candidate_count(count)
+    if not rows:
         raise ValidationError("candidates.csv has no rows")
-    return tuple(out)
+    return tuple(Candidate(i, m) for i, m in enumerate(rows))
 
 
 def _row_question(con: Construct, row: dict, entity_pool: Container[str],

@@ -1,5 +1,6 @@
 """The solve loop: dominance, pruning, policies, traces and budgets."""
 
+import collections
 import itertools
 import json
 import random
@@ -267,55 +268,57 @@ def _seeded_instances():
 
 
 def test_untraced_random_and_baseline_estimate_nothing(monkeypatch, tmp_path):
-    """Their selection never reads an estimate, so only a trace pays for
-    one; the solve itself does not depend on whether it is traced.
-    `entrred-ind` reads its estimate and keeps it untraced."""
-    estimates = []
-    original = engine.prob_ind
+    """A trace records the solve and changes nothing: traced and untraced
+    solves return the same result, step for step, after the same estimator
+    calls. `random` and `baseline`, whose selection never reads an
+    estimate, run none and carry none until a winner is provable, then the
+    one-hot one; the `entrred-*` policies carry theirs on every step."""
+    estimates = collections.Counter()
 
-    def counted(lo, hi):
-        estimates.append(len(lo))
-        return original(lo, hi)
+    def counting(name, estimate):
+        def counted(*args):
+            estimates[name] += 1
+            return estimate(*args)
+        return counted
 
-    monkeypatch.setattr(engine, "prob_ind", counted)
+    for name in ("prob_ind", "prob_dep"):
+        monkeypatch.setattr(engine, name, counting(name, getattr(engine, name)))
+
     unread = dict.fromkeys((Policy.RANDOM, Policy.BASELINE), 0)
-    traced_estimates = dict(unread)
+    read = collections.Counter()
     for seed, problem in _seeded_instances():
         oracle = TableOracle(problem.ground_truth)
-        for policy in unread:
-            untraced = solve(problem, policy, oracle, seed=seed)
-            assert estimates == []
-            traced = solve(problem, policy, oracle, seed=seed,
-                           trace_path=str(tmp_path / "trace.jsonl"))
-            traced_estimates[policy] += len(estimates)
-            estimates.clear()
-
+        for policy in ALL_POLICIES:
+            runs = []
+            for trace in (None, str(tmp_path / "trace.jsonl")):
+                estimates.clear()
+                runs.append((solve(problem, policy, oracle, seed=seed,
+                                   trace_path=trace), dict(estimates)))
+            (untraced, untraced_estimates), (traced, traced_estimates) = runs
+            assert untraced_estimates == traced_estimates
             assert untraced.winner == traced.winner
             assert untraced.oracle_calls == traced.oracle_calls
             assert dict(untraced.knowns.items()) == dict(traced.knowns.items())
-            for a, b in itertools.zip_longest(untraced.steps, traced.steps):
-                assert (a.question, a.response, a.pruned) == \
-                    (b.question, b.response, b.pruned)
-            # From the first step with a provable winner on, both runs
-            # carry its one-hot distribution.
-            first = next((i for i, st in enumerate(untraced.steps)
-                          if st.probs), len(untraced.steps))
-            unread[policy] += first
-            for st in untraced.steps[:first]:
-                assert st.probs == () and st.entropy is None
-            for a, b in zip(untraced.steps[first:], traced.steps[first:]):
-                assert a.probs == b.probs
-                assert max(a.probs) == sum(a.probs) == 1.0
-                assert a.entropy == b.entropy == 0.0
+            assert untraced.steps == traced.steps
 
-        result = solve(problem, Policy.ENTRRED_IND, oracle, seed=seed)
-        for st in result.steps:
-            assert len(st.probs) == len(problem.candidates)
-            assert sum(st.probs) == pytest.approx(1.0, abs=1e-9)
-            assert st.entropy is not None
-        estimates.clear()
+            if policy in unread:
+                assert untraced_estimates == {}
+                first = next((i for i, st in enumerate(untraced.steps)
+                              if st.probs), len(untraced.steps))
+                unread[policy] += first
+                for st in untraced.steps[:first]:
+                    assert st.probs == () and st.entropy is None
+                for st in untraced.steps[first:]:
+                    assert max(st.probs) == sum(st.probs) == 1.0
+                    assert st.entropy == 0.0
+            else:
+                read.update(untraced_estimates)
+                for st in untraced.steps:
+                    assert len(st.probs) == len(problem.candidates)
+                    assert sum(st.probs) == pytest.approx(1.0, abs=1e-9)
+                    assert st.entropy is not None
     assert min(unread.values()) > 0
-    assert min(traced_estimates.values()) > 0
+    assert read["prob_ind"] > 0 and read["prob_dep"] > 0
 
 
 def test_trace_files_are_byte_identical(f1, make_clock, tmp_path):
@@ -348,6 +351,14 @@ def test_trace_layout(f1, make_clock, tmp_path):
         {"construct": "div", "args": ["HYN", "MLN"], "response": 1.0}]
     assert set(summary["perTaskNanos"]) == \
         {"bounds", "probability", "selection", "oracle"}
+
+    # `baseline` reads no estimate: none before its winner is provable
+    # after the second answer, then the one-hot one.
+    solve(f1, Policy.BASELINE, TableOracle(f1.ground_truth),
+          trace_path=str(path), clock=make_clock())
+    first, second = map(json.loads, path.read_text().splitlines()[:2])
+    assert (first["probs"], first["entropy"]) == ([], None)
+    assert (second["probs"], second["entropy"]) == ([1.0, 0.0, 0.0], 0.0)
 
 
 def test_call_budget_enforced(f1, tmp_path):

@@ -2,6 +2,7 @@
 
 import codecs
 import csv
+import itertools
 import json
 import shutil
 from pathlib import Path
@@ -15,7 +16,7 @@ from topkset.engine import DEP_MAX_SUPPORT, MAX_CANDIDATES
 from topkset.harness import (_smallest_n, default_spec, exact_scores,
                              load_spec)
 
-from .conftest import hotel_problem
+from .conftest import hotel_problem, peak_bytes
 
 F1_DIR = Path(__file__).resolve().parent.parent / "datasets" / "f1"
 
@@ -175,6 +176,23 @@ class TestLoaderValidation:
         ds = _broken_copy(tmp_path)
         _append(ds / "candidates.csv", "HNY,MLN,ZZZ")
         with pytest.raises(ValidationError, match="unknown entity"):
+            load_problem(ds, 3)
+
+    def test_a_long_candidate_list_is_read_in_little_memory(self, tmp_path):
+        """200 000 rows: a cap of 10 reads ten of them, not the whole
+        file; without a cap the rows past the limit are counted, not kept,
+        for solve's own error."""
+        ds = _broken_copy(tmp_path)
+        rows = (ds / "candidates.csv").read_text().splitlines()
+        (ds / "candidates.csv").write_text("".join(
+            f"{row}\n" for row in itertools.islice(itertools.cycle(rows),
+                                                   200_000)))
+        assert peak_bytes(load_problem, ds, 3, 10) < 5 << 20
+        assert len(load_problem(ds, 3, candidate_cap=10).candidates) == 10
+        with pytest.raises(ValidationError,
+                           match=f"^200000 candidates, above the limit of "
+                                 f"{MAX_CANDIDATES} per solve; cap the list "
+                                 f"with --candidates$"):
             load_problem(ds, 3)
 
     def test_require_ground_truth_without_full_coverage(self, tmp_path):
