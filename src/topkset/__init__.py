@@ -16,8 +16,8 @@ from .harness import (ExperimentConfig, generate_synthetic, load_problem,
 from .model import (Candidate, Construct, KnownStore, Problem, Question,
                     ScoringSpec, ValidationError, question_universe,
                     questions_of, unknown_questions)
-from .oracle import (LlmOracle, LlmOracleConfig, OracleError, OracleResponse,
-                     ResponsePdf, TableOracle, process_responses, snap_to_grid)
+from .oracle import (LlmOracle, LlmOracleConfig, OracleError, ResponsePdf,
+                     TableOracle, process_responses, snap_to_grid)
 from .selection import entropy, qef_score, select_entrred, select_random
 from .winner import (CapExceededError, WinnerDistribution, brute_force_dist,
                      normalize, prob_dep, prob_ind)
@@ -27,7 +27,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Candidate", "CapExceededError", "Construct", "DiscretePdf",
     "ExperimentConfig", "Interval", "KnownStore",
-    "LlmOracle", "LlmOracleConfig", "OracleError", "OracleResponse",
+    "LlmOracle", "LlmOracleConfig", "OracleError",
     "Policy", "Problem", "Question", "ResponsePdf", "ScoringSpec",
     "SolveLimitError", "SolveResult", "TableOracle", "TraceStep",
     "ValidationError", "WinnerDistribution", "brute_force_dist", "dominates",

@@ -31,7 +31,7 @@ from .bounds import (Incidence, elimination_cut, prune_and_prove,
 from .model import (Candidate, KnownStore, Problem, Question,
                     ValidationError, lattice_floats, question_universe,
                     questions_of, unknown_questions)
-from .oracle import OracleError, OracleResponse, ResponseKind
+from .oracle import OracleError
 from .selection import entropy, select_entrred, select_random
 from .winner import prob_dep, prob_ind
 
@@ -61,7 +61,7 @@ class Policy(Enum):
 
 
 class Oracle(Protocol):
-    def ask(self, q: Question) -> OracleResponse: ...
+    def ask(self, q: Question) -> float: ...
 
 
 @dataclass(frozen=True)
@@ -129,14 +129,6 @@ def check_candidate_count(count: int) -> None:
         raise ValidationError(
             f"{count} candidates, above the limit of {MAX_CANDIDATES} per "
             f"solve; cap the list with --candidates")
-
-
-def _response_value(resp: OracleResponse) -> float:
-    if resp.kind is not ResponseKind.POINT:
-        raise ValidationError(
-            "solve consumes point responses; fold ranges through "
-            "process_responses instead")
-    return resp.value
 
 
 def solve(problem: Problem, policy: Policy, oracle: Oracle, *,
@@ -257,7 +249,7 @@ def solve(problem: Problem, policy: Policy, oracle: Oracle, *,
                 nanos["oracle"] += clock() - t0
             calls += 1
             stage = "record"
-            knowns = knowns.record(spec, question, _response_value(response))
+            knowns = knowns.record(spec, question, response)
             stage = None
             index = knowns.get(question)
             answered.append((question, spec.grid_values()[index]))

@@ -207,10 +207,10 @@ def _load_candidates(path: Path, k: int, entity_pool: Container[str],
         # The nonempty rows up to the cap, and of those past the limit
         # only a count: millions of rows, or their Candidates, exhaust
         # memory before `solve` could refuse them.
-        rows = itertools.islice(
-            filter(None, (tuple(x.strip() for x in row if x.strip())
-                          for row in csv.reader(fh))), cap)
-        head = list(itertools.islice(rows, MAX_CANDIDATES))
+        rows = itertools.islice((row for row in csv.reader(fh)
+                                 if any(map(str.strip, row))), cap)
+        head = [tuple(x.strip() for x in row if x.strip())
+                for row in itertools.islice(rows, MAX_CANDIDATES)]
         return head, len(head) + sum(1 for _ in rows)
 
     rows, count = _read(path, parse, newline="")

@@ -25,6 +25,10 @@ GRID_TOL = 1e-9
 MAX_DENOMINATOR = 10**6
 # Largest lattice numerator whose float conversion is still exact.
 MAX_QUANTA = 2**53
+# Most grid steps a spec may have: the finest grid MAX_DENOMINATOR admits
+# on [0, 1]. The grid is built whole: 10**8 steps took 55 s and then ran
+# out of memory.
+MAX_GRID_STEPS = 10**6
 
 
 class ValidationError(ValueError):
@@ -166,14 +170,25 @@ class ScoringSpec:
         step = _exact_fraction(self.grid_step, "grid_step")
         if ((hi - lo) / step).denominator != 1:
             raise ValidationError("grid_step must divide the score range exactly")
+        steps = int((hi - lo) / step)
+        if steps > MAX_GRID_STEPS:
+            raise ValidationError(
+                f"range [{self.min_score}, {self.max_score}] at grid step "
+                f"{self.grid_step} has {steps} steps, above the limit of "
+                f"{MAX_GRID_STEPS}; use a coarser step")
         weights = [_exact_fraction(c.weight, f"construct {c.name}: weight")
                    for c in self.constructs]
         parts = [w * v for w in weights for v in (step, lo)]
         # All weights zero: every score is 0 and any quantum serves.
         quantum = Fraction(math.gcd(*(f.numerator for f in parts)) or 1,
                            math.lcm(*(f.denominator for f in parts)))
-        grid = tuple(float(lo + i * step)
-                     for i in range(int((hi - lo) / step) + 1))
+        # lo + i * step over one common denominator: int / int division
+        # rounds correctly, as float(Fraction) does, with no Fraction per
+        # value (a 10**6-step grid in 0.2 s, not 5 s).
+        den = lo.denominator * step.denominator
+        first, rise = (lo.numerator * step.denominator,
+                       step.numerator * lo.denominator)
+        grid = tuple((first + i * rise) / den for i in range(steps + 1))
         for name, value in (
                 ("quantum", quantum),
                 ("low", {c.name: int(w * lo / quantum)

@@ -1,11 +1,13 @@
 """Oracle backends and response handling.
 
-The engine asks one question at a time and accepts either a single score
-or a score range per expert. A free-form reply scores the number in its
-`<score>` tag, or else its last number, clamped into the response range
-and snapped onto the score grid. A ground-truth table stands in for a
-live model during offline runs; the HTTP client speaks the common
-chat-completion JSON shape.
+An oracle is any object whose `ask(question)` returns a score; the engine
+asks one question at a time and records that score on the spec's grid. A
+free-form reply scores the number in its `<score>` tag, or else its last
+number, clamped into the response range and snapped onto the score grid.
+A ground-truth table stands in for a live model during offline runs; the
+HTTP client speaks the common chat-completion JSON shape. Several experts'
+closed `(lo, hi)` score ranges fold into one pdf over the grid with
+`process_responses`.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ import re
 import threading
 import time
 from dataclasses import dataclass
-from enum import Enum
 from pathlib import Path
 from typing import TYPE_CHECKING, Mapping, Optional, Sequence
 
@@ -56,34 +57,6 @@ class OracleError(RuntimeError):
         self.raw_reply = raw_reply
 
 
-class ResponseKind(Enum):
-    POINT = "point"
-    RANGE = "range"
-
-
-@dataclass(frozen=True)
-class OracleResponse:
-    kind: ResponseKind
-    value: Optional[float] = None
-    lo: Optional[float] = None
-    hi: Optional[float] = None
-
-    @classmethod
-    def point(cls, value: float) -> "OracleResponse":
-        return cls(ResponseKind.POINT, value=value)
-
-    @classmethod
-    def score_range(cls, lo: float, hi: float) -> "OracleResponse":
-        if not lo < hi:
-            raise ValidationError(f"range response needs lo < hi, got ({lo}, {hi})")
-        return cls(ResponseKind.RANGE, lo=lo, hi=hi)
-
-    def bounds(self) -> tuple[float, float]:
-        if self.kind is ResponseKind.POINT:
-            return self.value, self.value
-        return self.lo, self.hi
-
-
 @dataclass(frozen=True)
 class ResponsePdf:
     """Frequency distribution over the desired response grid."""
@@ -98,20 +71,23 @@ class ResponsePdf:
             raise ValidationError("masses must sum to 1")
 
 
-def process_responses(responses: Sequence[OracleResponse],
+def process_responses(responses: Sequence[tuple[float, float]],
                       grid: Sequence[float]) -> ResponsePdf:
-    """Fold one or more expert responses into a pdf over the grid.
+    """Fold one or more experts' closed `(lo, hi)` ranges into a pdf over
+    the grid.
 
-    A point response counts as the degenerate range (r, r). Each response
-    contributes every grid value inside its closed range; the pooled
-    multiset's relative frequencies become the masses.
+    A point response r is the degenerate range (r, r). Each range
+    contributes every grid value inside it; the pooled multiset's relative
+    frequencies become the masses.
     """
     if not responses:
         raise ValidationError("at least one response required")
     counts = {v: 0 for v in grid}
     total = 0
-    for r in responses:
-        lo, hi = r.bounds()
+    for lo, hi in responses:
+        if not lo <= hi:
+            raise ValidationError(f"response range needs lo <= hi, got "
+                                  f"({lo}, {hi})")
         hit = [v for v in grid if lo - GRID_TOL <= v <= hi + GRID_TOL]
         if not hit:
             raise OracleError(f"response range ({lo}, {hi}) contains no grid value")
@@ -143,10 +119,10 @@ class TableOracle:
     def __init__(self, table: Mapping[Question, float]):
         self._table = dict(table)
 
-    def ask(self, q: Question) -> OracleResponse:
+    def ask(self, q: Question) -> float:
         if q not in self._table:
             raise OracleError(f"ground truth incomplete: no entry for {q}")
-        return OracleResponse.point(self._table[q])
+        return self._table[q]
 
 
 # A timeout ceiling in seconds within what the socket layer accepts; a
@@ -256,7 +232,7 @@ class LlmOracle:
             minScore=self.spec.min_score,
             maxScore=self.spec.max_score)
 
-    def ask(self, q: Question) -> OracleResponse:
+    def ask(self, q: Question) -> float:
         prompt = self._render(q)
         payload = {
             "model": self.cfg.model,
@@ -297,7 +273,7 @@ class LlmOracle:
             if not math.isfinite(value):
                 last_error = "no finite number in reply"
                 continue
-            return OracleResponse.point(snap_to_grid(value, self.spec))
+            return snap_to_grid(value, self.spec)
         raise OracleError(
             f"oracle gave no usable answer for {q} after "
             f"{self.cfg.max_retries + 1} attempts: {last_error}", raw_reply=raw)

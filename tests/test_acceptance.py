@@ -13,12 +13,11 @@ import time
 
 import pytest
 
-from topkset import (Candidate, KnownStore, OracleResponse, Policy,
-                     Question, TableOracle, brute_force_dist,
-                     eliminated_bounds, entropy, generate_synthetic,
-                     geq_probability, prob_dep, prob_ind, process_responses,
-                     qef_score, question_universe, score_bounds,
-                     select_entrred, solve, uniform_pdf)
+from topkset import (Candidate, KnownStore, Policy, Question, TableOracle,
+                     brute_force_dist, eliminated_bounds, entropy,
+                     generate_synthetic, geq_probability, prob_dep, prob_ind,
+                     process_responses, qef_score, question_universe,
+                     score_bounds, select_entrred, solve, uniform_pdf)
 from topkset.harness import default_spec, exact_scores
 from topkset.winner import most_probable
 
@@ -317,10 +316,9 @@ def test_criterion_09_complexity_trends():
 
 def test_criterion_10_response_folding():
     grid = (0.0, 0.5, 1.0)
-    pdf = process_responses((OracleResponse.score_range(0.4, 1.0),
-                             OracleResponse.score_range(0.3, 0.6)), grid)
+    pdf = process_responses(((0.4, 1.0), (0.3, 0.6)), grid)
     range_ok = pdf.over == grid and pdf.masses == (0.0, 2 / 3, 1 / 3)
-    point = process_responses((OracleResponse.point(0.5),), grid)
+    point = process_responses(((0.5, 0.5),), grid)
     point_ok = point.masses == (0.0, 1.0, 0.0)
     _report(10, "response folding onto the grid", range_ok and point_ok)
     assert range_ok, pdf

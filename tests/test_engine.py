@@ -8,9 +8,9 @@ import random
 import numpy as np
 import pytest
 
-from topkset import (Candidate, Construct, KnownStore, OracleResponse,
-                     Policy, Problem, Question, ScoringSpec, SolveLimitError,
-                     TableOracle, ValidationError, enumerate_candidates,
+from topkset import (Candidate, Construct, KnownStore, Policy, Problem,
+                     Question, ScoringSpec, SolveLimitError, TableOracle,
+                     ValidationError, enumerate_candidates,
                      generate_synthetic, solve)
 from topkset import bounds, engine, selection, winner
 from topkset.bounds import prune_and_prove, score_bounds
@@ -382,22 +382,15 @@ def test_budget_allows_exactly_enough_calls(f1):
     assert result.oracle_calls == 1
 
 
-def test_range_responses_are_rejected_by_solve(f1):
-    oracle = ScriptedOracle(OracleResponse.score_range(0.0, 1.0))
-    with pytest.raises(ValidationError, match="process_responses"):
-        solve(f1, Policy.ENTRRED_DEP, oracle)
-
-
 @pytest.mark.parametrize("second, message", [
-    (OracleResponse.point(0.3), "off-grid"),
-    (OracleResponse.score_range(0.0, 1.0), "process_responses"),
-], ids=["off-grid", "range"])
+    (0.3, "off-grid"),
+], ids=["off-grid"])
 def test_invalid_response_trace_keeps_the_paid_answers(f1, tmp_path, second,
                                                        message):
     """Baseline asks rel(HNY) and then div(HYN, MLN); the second answer
     fails validation after the first was paid for."""
     trace = tmp_path / "run.jsonl"
-    oracle = ScriptedOracle(OracleResponse.point(1.0), second)
+    oracle = ScriptedOracle(1.0, second)
     with pytest.raises(ValidationError, match=message):
         solve(f1, Policy.BASELINE, oracle, trace_path=str(trace))
     *steps, summary = [json.loads(x) for x in trace.read_text().splitlines()]
@@ -419,7 +412,7 @@ def test_any_oracle_exception_trace_keeps_the_paid_answers(f1, tmp_path,
     OracleError; the exception propagates unchanged and the trace still
     lists the first answer."""
     trace = tmp_path / "run.jsonl"
-    oracle = ScriptedOracle(OracleResponse.point(1.0), failure)
+    oracle = ScriptedOracle(1.0, failure)
     with pytest.raises(type(failure)) as err:
         solve(f1, Policy.BASELINE, oracle, trace_path=str(trace))
     assert err.value is failure

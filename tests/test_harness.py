@@ -5,6 +5,7 @@ import csv
 import itertools
 import json
 import shutil
+import time
 from pathlib import Path
 
 import pytest
@@ -181,12 +182,13 @@ class TestLoaderValidation:
     def test_a_long_candidate_list_is_read_in_little_memory(self, tmp_path):
         """200 000 rows: a cap of 10 reads ten of them, not the whole
         file; without a cap the rows past the limit are counted, not kept,
-        for solve's own error."""
+        for solve's own error. Blank rows past the limit do not count."""
         ds = _broken_copy(tmp_path)
         rows = (ds / "candidates.csv").read_text().splitlines()
         (ds / "candidates.csv").write_text("".join(
             f"{row}\n" for row in itertools.islice(itertools.cycle(rows),
-                                                   200_000)))
+                                                   200_000))
+            + " , ,\n\t\n\n" * 100)
         assert peak_bytes(load_problem, ds, 3, 10) < 5 << 20
         assert len(load_problem(ds, 3, candidate_cap=10).candidates) == 10
         with pytest.raises(ValidationError,
@@ -194,6 +196,21 @@ class TestLoaderValidation:
                                  f"{MAX_CANDIDATES} per solve; cap the list "
                                  f"with --candidates$"):
             load_problem(ds, 3)
+
+    def test_a_huge_grid_is_refused_before_it_is_built(self, tmp_path):
+        """10**8 grid values took 55 s to build and then ran out of
+        memory; the spec is refused at once instead."""
+        ds = _broken_copy(tmp_path)
+        spec = json.loads((ds / "spec.json").read_text())
+        (ds / "spec.json").write_text(json.dumps(
+            dict(spec, range=[0, 100000], step=0.001)))
+        t0 = time.perf_counter()
+        with pytest.raises(ValidationError,
+                           match=r"range \[0.0, 100000.0\] at grid step "
+                                 r"0.001 has 100000000 steps, above the "
+                                 r"limit of 1000000"):
+            load_problem(ds, 3)
+        assert time.perf_counter() - t0 < 1
 
     def test_require_ground_truth_without_full_coverage(self, tmp_path):
         ds = _broken_copy(tmp_path)

@@ -102,6 +102,19 @@ class TestConstructAndSpec:
         with pytest.raises(ValidationError, match=f"{field} .* not finite"):
             ScoringSpec((Construct("rel", 1, weight=weight),), lo, hi, step)
 
+    def test_grid_of_at_most_a_million_steps(self):
+        """The finest grid MAX_DENOMINATOR admits on [0, 1] builds; one
+        step more is refused before its grid is built."""
+        rel = Construct("rel", 1)
+        spec = ScoringSpec((rel,), grid_step=1e-6)
+        assert spec.n_grid_values == 1_000_001
+        assert spec.grid_values()[-2:] == (0.999999, 1.0)
+        with pytest.raises(ValidationError,
+                           match=r"^range \[0.0, 1.000001\] at grid step "
+                                 r"1e-06 has 1000001 steps, above the limit "
+                                 r"of 1000000; use a coarser step$"):
+            ScoringSpec((rel,), 0.0, 1.000001, 1e-6)
+
     def test_spec_rejects_bad_shapes(self):
         rel = Construct("rel", 1)
         with pytest.raises(ValidationError):

@@ -12,51 +12,38 @@ import pytest
 import topkset
 import topkset.oracle as oracle_mod
 from topkset import (Construct, LlmOracle, LlmOracleConfig, OracleError,
-                     OracleResponse, Question, ScoringSpec, TableOracle,
-                     ValidationError, process_responses, snap_to_grid)
-from topkset.oracle import ResponseKind
+                     Question, ScoringSpec, TableOracle, ValidationError,
+                     process_responses, snap_to_grid)
 
 from .conftest import HIDDEN_TRUTH, hotel_spec
 
 GRID = (0.0, 0.5, 1.0)
 
 
-class TestOracleResponse:
-    def test_point(self):
-        r = OracleResponse.point(0.5)
-        assert r.kind is ResponseKind.POINT
-        assert r.bounds() == (0.5, 0.5)
-
-    def test_range(self):
-        r = OracleResponse.score_range(0.3, 0.6)
-        assert r.kind is ResponseKind.RANGE
-        assert r.bounds() == (0.3, 0.6)
-
-    def test_range_needs_lo_below_hi(self):
-        with pytest.raises(ValidationError):
-            OracleResponse.score_range(0.6, 0.6)
-
-
 class TestProcessResponses:
     def test_two_overlapping_ranges(self):
         """(0.4, 1.0) hits {0.5, 1} and (0.3, 0.6) hits {0.5}."""
-        pdf = process_responses(
-            [OracleResponse.score_range(0.4, 1.0),
-             OracleResponse.score_range(0.3, 0.6)], GRID)
+        pdf = process_responses([(0.4, 1.0), (0.3, 0.6)], GRID)
         assert pdf.over == GRID
         assert pdf.masses == pytest.approx((0.0, 2 / 3, 1 / 3))
 
     def test_single_point_becomes_point_mass(self):
-        pdf = process_responses([OracleResponse.point(1.0)], GRID)
+        pdf = process_responses([(1.0, 1.0)], GRID)
         assert pdf.masses == (0.0, 0.0, 1.0)
 
     def test_point_on_grid_boundary(self):
-        pdf = process_responses([OracleResponse.point(0.0)], GRID)
+        pdf = process_responses([(0.0, 0.0)], GRID)
         assert pdf.masses == (1.0, 0.0, 0.0)
 
     def test_range_missing_the_grid_rejected(self):
         with pytest.raises(OracleError):
-            process_responses([OracleResponse.score_range(0.1, 0.4)], GRID)
+            process_responses([(0.1, 0.4)], GRID)
+
+    @pytest.mark.parametrize("bad", [(0.6, 0.5), (float("nan"), 0.5)],
+                             ids=["reversed", "nan"])
+    def test_range_needs_lo_at_most_hi(self, bad):
+        with pytest.raises(ValidationError, match="lo <= hi"):
+            process_responses([(0.0, 1.0), bad], GRID)
 
     def test_no_responses_rejected(self):
         with pytest.raises(ValidationError):
@@ -88,8 +75,7 @@ class TestTableOracle:
     def test_lookup(self):
         oracle = TableOracle(HIDDEN_TRUTH)
         got = oracle.ask(Question("div", ("MLN", "HYN")))
-        assert got.kind is ResponseKind.POINT
-        assert got.value == 1.0
+        assert type(got) is float and got == 1.0
 
     def test_missing_entry(self):
         oracle = TableOracle({})
@@ -113,12 +99,12 @@ class TestLlmOracle:
     def test_plain_numeric_reply(self, chat_server):
         chat_server.default_reply = "0.5"
         got = make_llm(chat_server).ask(Question("rel", ("HNY",)))
-        assert got == OracleResponse.point(0.5)
+        assert type(got) is float and got == 0.5
 
     def test_number_in_prose_is_used(self, chat_server):
         chat_server.default_reply = "Score: 1 (the hotels differ a lot)"
         got = make_llm(chat_server).ask(Question("div", ("MLN", "HYN")))
-        assert got.value == 1.0
+        assert got == 1.0
 
     @pytest.mark.parametrize("reply, value", [
         ("On a 0-1 scale: 0.8", 1.0),
@@ -132,7 +118,7 @@ class TestLlmOracle:
                                                    value):
         chat_server.default_reply = reply
         got = make_llm(chat_server).ask(Question("rel", ("HNY",)))
-        assert got.value == value
+        assert got == value
 
     @pytest.mark.parametrize("reply, value", [
         ("<score>0.5</score> (confidence 0.9)", 0.5),
@@ -143,7 +129,7 @@ class TestLlmOracle:
     def test_score_tag_beats_the_last_number(self, chat_server, reply, value):
         chat_server.default_reply = reply
         got = make_llm(chat_server).ask(Question("rel", ("HNY",)))
-        assert got.value == value
+        assert got == value
 
     @pytest.mark.parametrize("tag", ["<score>high</score>",
                                      "<score></score> 0.5",
@@ -154,14 +140,14 @@ class TestLlmOracle:
             (200, {"choices": [{"message": {"content": tag}}]})]
         chat_server.default_reply = "<score>1</score>"
         llm = make_llm(chat_server, max_retries=1)
-        assert llm.ask(Question("rel", ("HNY",))).value == 1.0
+        assert llm.ask(Question("rel", ("HNY",))) == 1.0
         assert llm.last_retries == 1
         assert len(chat_server.requests) == 2
 
     def test_off_grid_reply_is_snapped(self, chat_server):
         chat_server.default_reply = "I would say roughly 0.68."
         got = make_llm(chat_server).ask(Question("rel", ("HNY",)))
-        assert got.value == 0.5
+        assert got == 0.5
 
     def test_prompt_carries_query_and_context(self, chat_server):
         make_llm(chat_server).ask(Question("rel", ("HNY",)))
@@ -186,7 +172,7 @@ class TestLlmOracle:
         chat_server.script = [(500, "boom"), (500, "boom")]
         llm = make_llm(chat_server)
         got = llm.ask(Question("rel", ("HNY",)))
-        assert got.value == 0.5
+        assert got == 0.5
         assert llm.last_retries == 2
         assert len(chat_server.requests) == 3
 
@@ -209,7 +195,7 @@ class TestLlmOracle:
         chat_server.script = [
             (200, {"choices": [{"message": {"content": "1e999"}}]})]
         llm = make_llm(chat_server, max_retries=1)
-        assert llm.ask(Question("rel", ("HNY",))).value == 0.5
+        assert llm.ask(Question("rel", ("HNY",))) == 0.5
         assert len(chat_server.requests) == 2
 
     def test_malformed_json_is_retried_then_fails(self, chat_server,
@@ -226,7 +212,7 @@ class TestLlmOracle:
                                            payload):
         chat_server.script = [(200, payload)]
         llm = make_llm(chat_server, max_retries=1)
-        assert llm.ask(Question("rel", ("HNY",))).value == 0.5
+        assert llm.ask(Question("rel", ("HNY",))) == 0.5
         assert len(chat_server.requests) == 2
 
     @pytest.mark.parametrize("payload", [
@@ -350,5 +336,5 @@ def test_llm_oracle_loads_the_http_stack_when_built(chat_server):
         llm = LlmOracle(LlmOracleConfig(endpoint_url={chat_server.url!r}),
                         default_spec())
         print(before, "requests" in sys.modules,
-              llm.ask(Question("rel", ("A",))).value)""") == "False True 0.5"
+              llm.ask(Question("rel", ("A",))))""") == "False True 0.5"
     assert len(chat_server.requests) == 1
