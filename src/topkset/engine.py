@@ -152,7 +152,9 @@ def solve(problem: Problem, policy: Policy, oracle: Oracle, *,
     spec = problem.spec
     all_candidates = problem.candidates
     knowns = problem.knowns
-    nanos = {"bounds": 0, "probability": 0, "selection": 0, "oracle": 0}
+    # "trace" times the step lines, and stays 0 when the solve is untraced.
+    nanos = {"bounds": 0, "probability": 0, "selection": 0, "oracle": 0,
+             "trace": 0}
     rng = random.Random(seed)
     steps: list[TraceStep] = []
     # Validated answers in the order asked: the last one makes a step.
@@ -217,8 +219,10 @@ def solve(problem: Problem, policy: Policy, oracle: Oracle, *,
                     len(steps), *answered[-1], probs_padded, step_entropy,
                     tuple(np.flatnonzero(~keep).tolist())))
                 if trace:
+                    t0 = clock()
                     print(_step_line(steps[-1], core, spec.quantum),
                           file=trace, flush=True)
+                    nanos["trace"] += clock() - t0
 
             t0 = clock()
             # Open questions of the live candidates, in universe order.

@@ -64,6 +64,18 @@ def _read_rows(path: Path) -> list:
     return _read(path, lambda fh: list(csv.DictReader(fh)), newline="")
 
 
+def _write_rows(path: Path, rows) -> Path:
+    """Write `rows`, a header first where the file has one, as UTF-8 CSV."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows(rows)
+    return path
+
+
+def _entity_columns(con: Construct) -> tuple[str, ...]:
+    """The entity columns of a construct's score file."""
+    return ("entity",) if con.arity == 1 else ("entityA", "entityB")
+
+
 # The keys a spec.json and each of its constructs may hold.
 _SPEC_KEYS = ("constructs", "range", "step", "aggregation")
 _CONSTRUCT_KEYS = ("name", "arity", "weight", "definition")
@@ -149,7 +161,9 @@ def load_problem(dataset_dir: str | Path, k: int,
             raise ValidationError(f"missing score file {path.name} "
                                   f"for construct {con.name!r}")
         rows = _read_rows(path)
-        if not rows:
+        # A construct over more than k entities asks no question of a
+        # k-set, so its file may hold only a header (gen --k 1 writes one).
+        if not rows and con.arity <= k:
             raise ValidationError(f"score file {path.name} has no rows")
         for line, r in enumerate(rows, start=2):
             q = _row_question(con, r, context, path.name)
@@ -231,7 +245,7 @@ def _load_candidates(path: Path, k: int, entity_pool: Container[str],
 def _row_question(con: Construct, row: dict, entity_pool: Container[str],
                   fname: str) -> Question:
     args = []
-    for col in ("entity",) if con.arity == 1 else ("entityA", "entityB"):
+    for col in _entity_columns(con):
         e = (row.get(col) or "").strip()
         if not e:
             raise ValidationError(f"{fname}: row missing column {col!r}")
@@ -294,32 +308,24 @@ def write_bundle(problem: Problem, out_dir: str | Path) -> Path:
         "aggregation": "sum",
     }, indent=2) + "\n", encoding="utf-8")
 
-    with open(root / "entities.csv", "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(ENTITY_COLUMNS)
-        for e in problem.entities:
-            w.writerow([e, e, problem.entity_context.get(e, "")])
+    _write_rows(root / "entities.csv", [ENTITY_COLUMNS, *(
+        [e, e, problem.entity_context.get(e, "")] for e in problem.entities)])
 
     universe = question_universe(spec, problem.candidates)
     gt = problem.ground_truth or {}
     for con in spec.constructs:
-        with open(root / f"{con.name}.csv", "w", newline="",
-                  encoding="utf-8") as fh:
-            w = csv.writer(fh)
-            w.writerow(["entity", "score", "known"] if con.arity == 1
-                       else ["entityA", "entityB", "score", "known"])
-            for q in universe:
-                if q.construct != con.name:
-                    continue
-                i = problem.knowns.get(q)
-                known = i is not None
-                v = spec.grid_values()[i] if known else gt.get(q)
-                w.writerow([*q.args, "" if v is None else v, int(known)])
+        rows = [(*_entity_columns(con), "score", "known")]
+        for q in universe:
+            if q.construct != con.name:
+                continue
+            i = problem.knowns.get(q)
+            known = i is not None
+            v = spec.grid_values()[i] if known else gt.get(q)
+            rows.append([*q.args, "" if v is None else v, int(known)])
+        _write_rows(root / f"{con.name}.csv", rows)
 
-    with open(root / "candidates.csv", "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        for c in problem.candidates:
-            w.writerow(c.members)
+    _write_rows(root / "candidates.csv",
+                (c.members for c in problem.candidates))
 
     (root / "query.txt").write_text(problem.query_text + "\n", encoding="utf-8")
     return root
@@ -504,43 +510,33 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path,
     rows = [r for cell_rows in results for r in cell_rows]
     rows.sort(key=lambda r: (r["k"], r["M"], r["policy"], r["trial"]))
 
-    runs_path = root / "runs.csv"
-    with open(runs_path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.DictWriter(fh, fieldnames=RUN_COLUMNS)
-        w.writeheader()
-        w.writerows(rows)
-
-    summary_path = root / "summary.csv"
+    # Mean calls, wall time and recall per (k, M, policy): summary.csv
+    # lists them and ratios.csv divides them, empty where a mean is
+    # missing or 0.
     groups: dict[tuple, list[dict]] = {}
     for r in rows:
         groups.setdefault((r["k"], r["M"], r["policy"]), []).append(r)
-    with open(summary_path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["k", "M", "policy", "meanCalls", "meanWallNanos",
-                    "recallRate"])
-        for (k, m_cand, policy), rs in sorted(groups.items()):
-            w.writerow([k, m_cand, policy,
-                        statistics.mean(r["oracleCalls"] for r in rs),
-                        statistics.mean(r["wallNanos"] for r in rs),
-                        statistics.mean(r["recallBit"] for r in rs)])
+    means = {key: {col: statistics.mean(r[col] for r in rs)
+                   for col in ("oracleCalls", "wallNanos", "recallBit")}
+             for key, rs in sorted(groups.items())}
+    summary = [("k", "M", "policy", "meanCalls", "meanWallNanos",
+                "recallRate")]
+    for key, m in means.items():
+        summary.append([*key, *m.values()])
+    ratios = [("k", "M", "callsRandomOverEntrredInd", "timeDepOverInd")]
+    for k in cfg.k_list:
+        for m_cand in cfg.candidate_count_list:
+            rand, ind, dep = (means.get((k, m_cand, p.value), {}) for p in (
+                Policy.RANDOM, Policy.ENTRRED_IND, Policy.ENTRRED_DEP))
+            row = [k, m_cand]
+            for a, b in ((rand.get("oracleCalls"), ind.get("oracleCalls")),
+                         (dep.get("wallNanos"), ind.get("wallNanos"))):
+                row.append(a / b if a and b else "")
+            ratios.append(row)
 
-    ratios_path = root / "ratios.csv"
-    with open(ratios_path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["k", "M", "callsRandomOverEntrredInd", "timeDepOverInd"])
-        for k in cfg.k_list:
-            for m_cand in cfg.candidate_count_list:
-                def mean_of(policy, col):
-                    rs = groups.get((k, m_cand, policy.value))
-                    return statistics.mean(r[col] for r in rs) if rs else None
-                rand_calls = mean_of(Policy.RANDOM, "oracleCalls")
-                ind_calls = mean_of(Policy.ENTRRED_IND, "oracleCalls")
-                dep_time = mean_of(Policy.ENTRRED_DEP, "wallNanos")
-                ind_time = mean_of(Policy.ENTRRED_IND, "wallNanos")
-                call_ratio = (rand_calls / ind_calls
-                              if rand_calls and ind_calls else "")
-                time_ratio = (dep_time / ind_time
-                              if dep_time and ind_time else "")
-                w.writerow([k, m_cand, call_ratio, time_ratio])
-
-    return {"runs": runs_path, "summary": summary_path, "ratios": ratios_path}
+    return {
+        "runs": _write_rows(root / "runs.csv", [RUN_COLUMNS, *(
+            [r[col] for col in RUN_COLUMNS] for r in rows)]),
+        "summary": _write_rows(root / "summary.csv", summary),
+        "ratios": _write_rows(root / "ratios.csv", ratios),
+    }

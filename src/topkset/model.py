@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -207,11 +208,14 @@ class ScoringSpec:
         return self._grid
 
     def grid_index(self, v: float) -> Optional[int]:
-        """Index of the grid value v reads as, or None when v is off the grid.
+        """Index of the grid value v reads as, or None when v is off the grid,
+        is a bool or is no real number (a string, None, a Decimal).
 
         This is where scores from outside (responses, CSV scores, ground
         truth) enter the lattice; v may miss a grid value by GRID_TOL.
         """
+        if not isinstance(v, numbers.Real) or isinstance(v, bool):
+            return None
         if not (self.min_score - GRID_TOL <= v <= self.max_score + GRID_TOL):
             return None
         k = (v - self.min_score) / self.grid_step
@@ -269,9 +273,10 @@ class KnownStore:
         """
         i = spec.grid_index(v)
         if i is None:
+            shown = repr(v) if isinstance(v, str) else v
             raise ValidationError(
-                f"response {v} for {q} is off-grid for step {spec.grid_step} "
-                f"in [{spec.min_score}, {spec.max_score}]")
+                f"response {shown} for {q} is off-grid for step "
+                f"{spec.grid_step} in [{spec.min_score}, {spec.max_score}]")
         if q in self._answers:
             if self._answers[q] != i:
                 raise ValidationError(

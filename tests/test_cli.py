@@ -149,7 +149,7 @@ def test_oracle_failure_trace_keeps_the_paid_answers(tmp_path, capsys,
     assert summary["answered"] == [
         {"construct": "rel", "args": ["HNY"], "response": 1.0}]
     assert set(summary["perTaskNanos"]) == \
-        {"bounds", "probability", "selection", "oracle"}
+        {"bounds", "probability", "selection", "oracle", "trace"}
 
 
 def test_call_limit_trace_ends_with_a_status_line(tmp_path, capsys,
@@ -462,6 +462,25 @@ def test_gen_then_solve(tmp_path, capsys):
                        capsys)
     assert code == 0
     assert "winner: {" in out
+
+
+def test_gen_then_solve_at_k_1(tmp_path, capsys):
+    """At k = 1 the binary construct asks nothing, so gen writes div.csv
+    with only its header; the dataset loads with its full ground truth
+    and every policy solves it to the best entity."""
+    out_dir = tmp_path / "k1"
+    assert run(["gen", "--n", "5", "--k", "1", "--out", str(out_dir)],
+               capsys)[0] == 0
+    assert (out_dir / "div.csv").read_text() == "entityA,entityB,score,known\n"
+    problem = topkset.load_problem(out_dir, 1, require_ground_truth=True)
+    best = max(problem.ground_truth.values())
+    for policy in topkset.Policy:
+        code, out, _ = run(["solve", "--dataset", str(out_dir), "--k", "1",
+                            "--policy", policy.value], capsys)
+        assert code == 0
+        winner = re.search(r"^winner: \{(\w+)\}$", out, re.M).group(1)
+        assert problem.ground_truth[topkset.Question("rel", (winner,))] \
+            == best
 
 
 def test_dep_support_over_the_limit_asks_nothing(tmp_path, capsys,

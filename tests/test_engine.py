@@ -4,6 +4,8 @@ import collections
 import itertools
 import json
 import random
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -350,7 +352,7 @@ def test_trace_layout(f1, make_clock, tmp_path):
     assert summary["answered"] == [
         {"construct": "div", "args": ["HYN", "MLN"], "response": 1.0}]
     assert set(summary["perTaskNanos"]) == \
-        {"bounds", "probability", "selection", "oracle"}
+        {"bounds", "probability", "selection", "oracle", "trace"}
 
     # `baseline` reads no estimate: none before its winner is provable
     # after the second answer, then the one-hot one.
@@ -384,11 +386,17 @@ def test_budget_allows_exactly_enough_calls(f1):
 
 @pytest.mark.parametrize("second, message", [
     (0.3, "off-grid"),
-], ids=["off-grid"])
+    ("1.0", "response '1.0' for"),
+    (None, "response None for"),
+    (Decimal("1"), "response 1 for"),
+    (np.bool_(True), "response True for"),
+    (True, "response True for"),
+], ids=["off-grid", "str", "None", "Decimal", "np.bool_", "bool"])
 def test_invalid_response_trace_keeps_the_paid_answers(f1, tmp_path, second,
                                                        message):
     """Baseline asks rel(HNY) and then div(HYN, MLN); the second answer
-    fails validation after the first was paid for."""
+    fails validation after the first was paid for. An answer that is not
+    a real number, or is a bool, is refused as one off the grid."""
     trace = tmp_path / "run.jsonl"
     oracle = ScriptedOracle(1.0, second)
     with pytest.raises(ValidationError, match=message):
@@ -402,6 +410,29 @@ def test_invalid_response_trace_keeps_the_paid_answers(f1, tmp_path, second,
     assert summary["answered"] == [
         {"construct": "rel", "args": ["HNY"], "response": 1.0}]
 
+
+@pytest.mark.parametrize("kind", [int, float, np.float64, np.int64, Fraction])
+def test_an_answer_of_any_real_type_is_recorded_as_a_float(tmp_path,
+                                                          make_clock, kind):
+    """A whole-number grid, so that every type holds each answer exactly:
+    the solve and its trace equal those of the float answers."""
+    problem = generate_synthetic(5, 2, seed=3, spec=default_spec(1.0),
+                                 unknown_count=6)
+
+    class Typed:
+        def ask(self, q):
+            return kind(problem.ground_truth[q])
+
+    runs = []
+    for name, oracle in (("float", TableOracle(problem.ground_truth)),
+                         ("typed", Typed())):
+        trace = tmp_path / f"{name}.jsonl"
+        result = solve(problem, Policy.BASELINE, oracle,
+                       trace_path=str(trace), clock=make_clock())
+        assert all(type(s.response) is float for s in result.steps)
+        runs.append((result.winner, result.oracle_calls,
+                     dict(result.knowns.items()), trace.read_bytes()))
+    assert runs[0] == runs[1]
 
 
 @pytest.mark.parametrize("failure", [KeyError("HYN"), KeyboardInterrupt()],
@@ -546,9 +577,22 @@ def test_per_task_nanos_with_injected_clock(f1, make_clock):
     result = solve(f1, Policy.ENTRRED_DEP, TableOracle(f1.ground_truth),
                    clock=make_clock())
     assert set(result.per_task_nanos) == \
-        {"bounds", "probability", "selection", "oracle"}
+        {"bounds", "probability", "selection", "oracle", "trace"}
     assert all(v >= 0 for v in result.per_task_nanos.values())
     assert result.per_task_nanos["oracle"] > 0
+    assert result.per_task_nanos["trace"] == 0
+
+
+def test_the_trace_bucket_times_each_step_line(f1, make_clock, tmp_path):
+    """One timed span per step line, each of one tick of the fake clock;
+    the status line reports the same bucket."""
+    clock = make_clock()
+    trace = tmp_path / "trace.jsonl"
+    result = solve(f1, Policy.BASELINE, TableOracle(f1.ground_truth),
+                   trace_path=str(trace), clock=clock)
+    assert result.per_task_nanos["trace"] == clock.tick * len(result.steps)
+    summary = json.loads(trace.read_text().splitlines()[-1])
+    assert summary["perTaskNanos"] == result.per_task_nanos
 
 
 def test_more_candidates_than_the_limit_ask_nothing(tmp_path):

@@ -73,6 +73,12 @@ class TestLoaderValidation:
         with pytest.raises(ValidationError, match="duplicate entity id"):
             load_problem(ds, 3)
 
+    def test_entity_without_id(self, tmp_path):
+        ds = _broken_copy(tmp_path)
+        _append(ds / "entities.csv", " ,Nameless,")
+        with pytest.raises(ValidationError, match="entity row without id"):
+            load_problem(ds, 3)
+
     def test_empty_entities(self, tmp_path):
         ds = _broken_copy(tmp_path)
         (ds / "entities.csv").write_text("id,displayName,contextText\n")
@@ -171,6 +177,13 @@ class TestLoaderValidation:
         ds = _broken_copy(tmp_path)
         _append(ds / "candidates.csv", "HNY,MLN")
         with pytest.raises(ValidationError, match="not a 3-set"):
+            load_problem(ds, 3)
+
+    def test_candidates_of_only_blank_rows(self, tmp_path):
+        ds = _broken_copy(tmp_path)
+        (ds / "candidates.csv").write_text("\n , ,\n\n")
+        with pytest.raises(ValidationError,
+                           match="candidates.csv has no rows"):
             load_problem(ds, 3)
 
     def test_candidate_row_with_unknown_entity(self, tmp_path):

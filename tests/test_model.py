@@ -2,8 +2,10 @@
 
 import dataclasses
 import math
+from decimal import Decimal
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -67,6 +69,13 @@ class TestConstructAndSpec:
         assert spec.grid_index(1.5) is None
         assert spec.grid_index(-0.5) is None
         assert spec.grid_index(float("nan")) is None
+
+    def test_only_real_numbers_other_than_bools_are_on_grid(self):
+        spec = hotel_spec()
+        for v in (1, 1.0, np.float64(1), np.int64(1), Fraction(1)):
+            assert spec.grid_index(v) == 2
+        for v in (True, np.bool_(True), Decimal(1), "1.0", None):
+            assert spec.grid_index(v) is None
 
     def test_quantum_is_the_gcd_of_weighted_steps_and_minimum(self):
         def quantum(step, rel_weight=1.0, lo=0.0, hi=1.0):
