@@ -30,29 +30,23 @@ def main():
               help="Cap the candidate list at this many entries.")
 @click.option("--policy", type=click.Choice(sorted(p.value for p in Policy)),
               default=Policy.ENTRRED_DEP.value)
-@click.option("--oracle", "oracle_kind", type=click.Choice(["table", "llm"]),
-              default="table")
 @click.option("--llm-config", type=click.Path(exists=True, dir_okay=False),
-              default=None, help="JSON file with the LLM client settings.")
+              default=None, help="JSON file with the LLM client settings; "
+                                 "without it the ground truth answers.")
 @click.option("--seed", type=int, default=0)
 @click.option("--trace", "trace_path", type=click.Path(dir_okay=False),
               default=None)
 @click.option("--max-calls", type=int, default=None)
-def solve_cmd(dataset_dir, k, candidate_cap, policy, oracle_kind, llm_config,
-              seed, trace_path, max_calls):
+def solve_cmd(dataset_dir, k, candidate_cap, policy, llm_config, seed,
+              trace_path, max_calls):
     """Answer the query for one dataset and print the exact winner."""
-    if llm_config and oracle_kind != "llm":
-        raise ValidationError("--llm-config needs --oracle llm")
     problem = load_problem(dataset_dir, k, candidate_cap,
-                           require_ground_truth=(oracle_kind == "table"))
-    if oracle_kind == "table":
-        oracle = TableOracle(problem.ground_truth or {})
+                           require_ground_truth=not llm_config)
+    if llm_config:
+        oracle = LlmOracle(LlmOracleConfig.from_json(llm_config), problem.spec,
+                           problem.query_text, problem.entity_context)
     else:
-        if not llm_config:
-            raise ValidationError("--oracle llm needs --llm-config")
-        cfg = LlmOracleConfig.from_json(llm_config)
-        oracle = LlmOracle(cfg, problem.spec, problem.query_text,
-                           problem.entity_context)
+        oracle = TableOracle(problem.ground_truth)
     result = solve(problem, Policy(policy), oracle, seed=seed,
                    max_calls=max_calls, trace_path=trace_path)
     click.echo(f"winner: {{{', '.join(result.winner.members)}}}")
@@ -99,10 +93,7 @@ def gen_cmd(n, k, seed, out_dir, step, candidate_cap, unknown_count):
 
 def entrypoint(argv=None) -> int:
     try:
-        main.main(args=argv, standalone_mode=False)
-        return 0
-    except click.exceptions.Exit as exc:
-        return exc.exit_code
+        return main.main(args=argv, standalone_mode=False) or 0
     except click.UsageError as exc:
         click.echo(f"error: {exc.format_message()}", err=True)
         return 2

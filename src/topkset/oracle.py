@@ -259,7 +259,12 @@ class LlmOracle:
                 continue
             if resp.status_code < 200 or resp.status_code >= 300:
                 last_error = f"HTTP {resp.status_code}"
-                continue
+                # Another try may change a timeout (408), a rate limit
+                # (429) or a server error (5xx); any other status, such as
+                # a bad key (401) or a wrong URL (404), comes back the same.
+                if resp.status_code in (408, 429) or resp.status_code >= 500:
+                    continue
+                break
             try:
                 content = resp.json()["choices"][0]["message"]["content"]
             except (ValueError, KeyError, IndexError, TypeError) as exc:
@@ -274,6 +279,8 @@ class LlmOracle:
                 last_error = "no finite number in reply"
                 continue
             return snap_to_grid(value, self.spec)
+        attempts = self.last_retries + 1
         raise OracleError(
-            f"oracle gave no usable answer for {q} after "
-            f"{self.cfg.max_retries + 1} attempts: {last_error}", raw_reply=raw)
+            f"oracle gave no usable answer for {q} after {attempts} "
+            f"attempt{'s' if attempts > 1 else ''}: {last_error}",
+            raw_reply=raw)

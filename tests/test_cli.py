@@ -79,22 +79,37 @@ def test_exhausted_call_budget(capsys):
     assert "no provable winner within 0 oracle calls" in err
 
 
-def test_llm_oracle_needs_a_config(capsys):
-    code, _, err = run(["solve", "--dataset", F1_DIR, "--k", "3",
-                        "--oracle", "llm"], capsys)
+def test_llm_config_alone_picks_the_llm_oracle(tmp_path, capsys,
+                                               chat_server):
+    """Without `--llm-config` the ground truth must cover every question;
+    with it alone, and no `--oracle` flag, the LLM answers the open ones
+    and finds the table run's winner."""
+    ds = tmp_path / "f1-open"
+    shutil.copytree(F1_DIR, ds)
+    for name in ("rel.csv", "div.csv"):
+        with open(ds / name, encoding="utf-8", newline="") as fh:
+            rows = list(csv.reader(fh))
+        with open(ds / name, "w", encoding="utf-8", newline="") as fh:
+            csv.writer(fh).writerows(
+                [*r[:-2], "" if r[-1] == "0" else r[-2], r[-1]] for r in rows)
+    code, _, err = run(["solve", "--dataset", str(ds), "--k", "3"], capsys)
     assert code == 2
-    assert "--llm-config" in err
-
-
-def test_llm_config_needs_the_llm_oracle(tmp_path, capsys, chat_server):
+    assert "table oracle needs a score" in err
+    table = run(["solve", "--dataset", F1_DIR, "--k", "3"], capsys)[1]
+    chat_server.default_reply = "1.0"
     cfg = tmp_path / "llm.json"
     cfg.write_text(json.dumps({"endpointUrl": chat_server.url}))
-    code, out, err = run(["solve", "--dataset", F1_DIR, "--k", "3",
-                          "--llm-config", str(cfg)], capsys)
+    code, out, _ = run(["solve", "--dataset", str(ds), "--k", "3",
+                        "--llm-config", str(cfg)], capsys)
+    assert code == 0
+    winner = [x for x in out.splitlines() if x.startswith("winner: ")]
+    assert winner == [x for x in table.splitlines()
+                      if x.startswith("winner: ")]
+    assert len(chat_server.requests) == 1
+    code, _, err = run(["solve", "--dataset", str(ds), "--k", "3",
+                        "--oracle", "llm", "--llm-config", str(cfg)], capsys)
     assert code == 2
-    assert err == "error: --llm-config needs --oracle llm\n"
-    assert "winner" not in out
-    assert chat_server.requests == []
+    assert err.startswith("error: No such option '--oracle'")
 
 
 def test_llm_oracle_round_trip(tmp_path, capsys, chat_server):
@@ -102,7 +117,7 @@ def test_llm_oracle_round_trip(tmp_path, capsys, chat_server):
     cfg = tmp_path / "llm.json"
     cfg.write_text(json.dumps({"endpointUrl": chat_server.url}))
     code, out, _ = run(["solve", "--dataset", F1_DIR, "--k", "3",
-                        "--oracle", "llm", "--llm-config", str(cfg)], capsys)
+                        "--llm-config", str(cfg)], capsys)
     assert code == 0
     assert "winner: {HNY, HYN, MLN}" in out
     assert len(chat_server.requests) == 1
@@ -125,7 +140,7 @@ def _llm_baseline_run(tmp_path, capsys, chat_server, *extra):
                                "maxRetries": 0}))
     trace = tmp_path / "run.jsonl"
     code, _, err = run(["solve", "--dataset", F1_DIR, "--k", "3",
-                        "--policy", "baseline", "--oracle", "llm",
+                        "--policy", "baseline",
                         "--llm-config", str(cfg), "--trace", str(trace),
                         *extra], capsys)
     return code, err, [json.loads(x) for x in trace.read_text().splitlines()]
@@ -243,7 +258,7 @@ def test_bad_llm_config_is_a_validation_error(tmp_path, capsys, text,
     cfg = tmp_path / "llm.json"
     cfg.write_text(text)
     code, _, err = run(["solve", "--dataset", F1_DIR, "--k", "3",
-                        "--oracle", "llm", "--llm-config", str(cfg)], capsys)
+                        "--llm-config", str(cfg)], capsys)
     assert code == 2
     assert message in err
     try:
@@ -268,7 +283,7 @@ def test_llm_timeout_at_the_ceiling_reaches_the_oracle(tmp_path, capsys,
     cfg.write_text(json.dumps({"endpointUrl": chat_server.url,
                                "timeout": threading.TIMEOUT_MAX}))
     code, out, err = run(["solve", "--dataset", F1_DIR, "--k", "3",
-                          "--oracle", "llm", "--llm-config", str(cfg)],
+                          "--llm-config", str(cfg)],
                          capsys)
     assert (code, err) == (0, "")
     assert "oracleCalls: 1" in out.splitlines()
@@ -329,7 +344,7 @@ def test_spec_beyond_the_exact_lattice_asks_nothing(tmp_path, capsys,
     cfg = tmp_path / "llm.json"
     cfg.write_text(json.dumps({"endpointUrl": chat_server.url}))
     code, _, err = run(["solve", "--dataset", str(ds), "--k", "3",
-                        "--oracle", "llm", "--llm-config", str(cfg)], capsys)
+                        "--llm-config", str(cfg)], capsys)
     assert code == 2
     assert "2**53" in err
     assert chat_server.requests == []
@@ -344,7 +359,7 @@ def test_arity_three_construct_asks_nothing(tmp_path, capsys, chat_server):
     cfg = tmp_path / "llm.json"
     cfg.write_text(json.dumps({"endpointUrl": chat_server.url}))
     code, _, err = run(["solve", "--dataset", str(ds), "--k", "3",
-                        "--oracle", "llm", "--llm-config", str(cfg)], capsys)
+                        "--llm-config", str(cfg)], capsys)
     assert code == 2
     assert "constructs of arity 3 are not supported" in err
     assert chat_server.requests == []
@@ -360,7 +375,7 @@ def test_bad_prompt_template_asks_nothing(tmp_path, capsys, chat_server,
     cfg.write_text(json.dumps({"endpointUrl": chat_server.url,
                                "promptTemplate": template}))
     code, _, err = run(["solve", "--dataset", F1_DIR, "--k", "3",
-                        "--oracle", "llm", "--llm-config", str(cfg)], capsys)
+                        "--llm-config", str(cfg)], capsys)
     assert code == 2
     assert message in err
     assert chat_server.requests == []
@@ -415,7 +430,7 @@ def test_unwritable_trace_path_asks_nothing(tmp_path, capsys, chat_server):
     cfg.write_text(json.dumps({"endpointUrl": chat_server.url}))
     trace = tmp_path / "missing" / "t.jsonl"
     code, out, err = run(["solve", "--dataset", F1_DIR, "--k", "3",
-                          "--oracle", "llm", "--llm-config", str(cfg),
+                          "--llm-config", str(cfg),
                           "--trace", str(trace)], capsys)
     assert code == 2
     assert err.startswith(f"error: cannot write trace {trace}: ")
@@ -444,7 +459,7 @@ def test_bad_cap_or_budget_asks_nothing(tmp_path, capsys, chat_server,
     cfg = tmp_path / "llm.json"
     cfg.write_text(json.dumps({"endpointUrl": chat_server.url}))
     code, out, err = run(["solve", "--dataset", str(ds), *argv,
-                          "--oracle", "llm", "--llm-config", str(cfg)],
+                          "--llm-config", str(cfg)],
                          capsys)
     assert code == 2
     assert message in err
@@ -495,7 +510,7 @@ def test_dep_support_over_the_limit_asks_nothing(tmp_path, capsys,
     cfg.write_text(json.dumps({"endpointUrl": chat_server.url}))
     trace = tmp_path / "t.jsonl"
     code, out, err = run(["solve", "--dataset", str(ds), "--k", "2",
-                          "--oracle", "llm", "--llm-config", str(cfg),
+                          "--llm-config", str(cfg),
                           "--trace", str(trace)], capsys)
     assert code == 2
     assert err.startswith("error: entrred-dep ")

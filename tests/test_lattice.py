@@ -1,10 +1,15 @@
 """Exact scores on the integer lattice: winners are true argmaxes on any
 step and weight the validator accepts."""
 
-from hypothesis import given, settings
+import contextlib
+import dataclasses
+import random
+
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from topkset import (Construct, Policy, ScoringSpec, TableOracle,
+from topkset import (Candidate, CapExceededError, Construct, Policy,
+                     ScoringSpec, TableOracle, ValidationError,
                      brute_force_dist, generate_synthetic, prob_dep, prob_ind,
                      solve)
 from topkset.harness import default_spec
@@ -26,27 +31,52 @@ def test_step_tenth_tie_returns_the_exact_argmax():
     assert totals[result.winner.index] == max(totals)
 
 
-@settings(deadline=None, max_examples=80)
-@given(st.integers(3, 5), st.integers(1, 3), st.integers(2, 6),
-       st.sampled_from([1 / 2, 1 / 3, 1 / 4, 1 / 5, 1 / 10]),
-       st.tuples(*[st.sampled_from([0.3, 0.5, 1.0, 1.5, 2.0])] * 2),
-       st.integers(1, 4), st.integers(0, 10_000))
-def test_every_policy_returns_an_exact_argmax(n, k, cap, step, weights,
-                                              unknown, seed):
-    spec = ScoringSpec((Construct("rel", 1, weight=weights[0]),
-                        Construct("div", 2, weight=weights[1])),
-                       0.0, 1.0, step)
-    problem = generate_synthetic(n, min(k, n - 1), candidate_cap=cap,
+WEIGHTS = (0, 0.3, 1 / 3, 1, 2, 7)
+RANGES = ((-3, 1), (-1, 1), (0, 1), (0.5, 2), (-2, -1), (0, 3))
+STEPS = (1 / 2, 1 / 3, 1 / 4, 1 / 10, 1)
+# The most assignments `brute_force_dist` may enumerate here: its own cap
+# of 10**7 would take seconds per draw.
+BRUTE_FORCE_CAP = 20_000
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.lists(st.tuples(st.integers(1, 2), st.sampled_from(WEIGHTS)),
+                min_size=1, max_size=3),
+       st.sampled_from(RANGES), st.sampled_from(STEPS), st.integers(3, 6),
+       st.integers(1, 3), st.integers(1, 24), st.booleans(),
+       st.integers(0, 12), st.integers(0, 10_000))
+def test_every_policy_returns_an_exact_argmax(constructs, score_range, step,
+                                              n, k, cap, shuffle, unknown,
+                                              seed):
+    """1-3 constructs of any weight, on ranges that may be negative; the
+    candidates are a prefix of the k-sets or, with `shuffle`, a shuffled
+    subset of them."""
+    try:
+        spec = ScoringSpec(tuple(Construct(f"c{i}", arity, weight) for i,
+                                 (arity, weight) in enumerate(constructs)),
+                           *score_range, step)
+    except ValidationError:
+        spec = None
+    assume(spec is not None)
+    problem = generate_synthetic(n, min(k, n - 1),
+                                 candidate_cap=None if shuffle else cap,
                                  seed=seed, spec=spec, unknown_count=unknown)
+    if shuffle:
+        sets = [c.members for c in problem.candidates]
+        random.Random(seed).shuffle(sets)
+        problem = dataclasses.replace(problem, candidates=tuple(
+            Candidate(i, m) for i, m in enumerate(sets[:cap])))
     totals = fraction_totals(problem)
     oracle = TableOracle(problem.ground_truth)
     for policy in Policy:
         result = solve(problem, policy, oracle, seed=seed)
         assert totals[result.winner.index] == max(totals), policy
     a = core_arrays(problem.candidates, spec, problem.knowns)
-    for name, dist in (
-            ("prob_ind", prob_ind(a.lo, a.hi)),
-            ("prob_dep", prob_dep(a.lo, a.hi, a.cut)),
-            ("brute_force_dist",
-             brute_force_dist(problem.candidates, spec, problem.knowns))):
+    dists = [("prob_ind", prob_ind(a.lo, a.hi)),
+             ("prob_dep", prob_dep(a.lo, a.hi, a.cut))]
+    with contextlib.suppress(CapExceededError):
+        dists.append(("brute_force_dist",
+                      brute_force_dist(problem.candidates, spec,
+                                       problem.knowns, cap=BRUTE_FORCE_CAP)))
+    for name, dist in dists:
         assert abs(sum(dist.probs) - 1.0) <= 1e-9, name

@@ -176,6 +176,27 @@ class TestLlmOracle:
         assert llm.last_retries == 2
         assert len(chat_server.requests) == 3
 
+    @pytest.mark.parametrize("status", [429, 500])
+    def test_rate_limit_and_server_error_take_one_retry(
+            self, chat_server, fast_retries, status):
+        chat_server.script = [(status, "busy")]
+        chat_server.default_reply = "1"
+        llm = make_llm(chat_server)
+        assert llm.ask(Question("rel", ("HNY",))) == 1.0
+        assert llm.last_retries == 1
+        assert len(chat_server.requests) == 2
+
+    @pytest.mark.parametrize("status", [401, 404])
+    def test_status_no_retry_can_change_ends_at_once(
+            self, chat_server, fast_retries, status):
+        chat_server.script = [(status, "no")] * 5
+        llm = make_llm(chat_server, max_retries=6)
+        with pytest.raises(OracleError,
+                           match=f"after 1 attempt: HTTP {status}$"):
+            llm.ask(Question("rel", ("HNY",)))
+        assert llm.last_retries == 0
+        assert len(chat_server.requests) == 1
+
     def test_gives_up_after_budget(self, chat_server, fast_retries):
         chat_server.script = [(500, "boom")] * 10
         llm = make_llm(chat_server, max_retries=2)
@@ -323,7 +344,7 @@ def test_table_oracle_solve_never_loads_the_http_stack():
         from topkset.cli import entrypoint
         with contextlib.redirect_stdout(io.StringIO()):
             code = entrypoint(["solve", "--dataset", {str(DATASET_F1)!r},
-                               "--k", "3", "--oracle", "table"])
+                               "--k", "3"])
         print(code, "requests" in sys.modules)""") == "0 False"
 
 
