@@ -205,6 +205,7 @@ class LlmOracle:
         self._request_error = requests.RequestException
         self.session = session or requests.Session()
         self.last_retries = 0
+        self._request, self._send_settings = self._prepare()
         # Render one question per construct before any request is paid for.
         for con in spec.constructs:
             for ph in ("{entityA}", "{entityB}")[:con.arity]:
@@ -216,6 +217,40 @@ class LlmOracle:
             except (AttributeError, LookupError, ValueError) as exc:
                 raise ValidationError("prompt template does not format: "
                                       f"{type(exc).__name__} {exc}") from None
+
+    def _prepare(self) -> tuple:
+        """The part of every request that no question changes, prepared
+        once: the URL, the headers with the API key and the session's own,
+        and the send settings with the environment's proxies and CA bundle.
+
+        `ask` sends a copy of it with the jar's cookies and the question's
+        body, as `session.post` would; a URL no request can go to is a
+        ValidationError here, before any is sent.
+        """
+        import requests
+        from requests.structures import CaseInsensitiveDict
+        headers = {"Content-Type": "application/json"}
+        key = os.environ.get(self.cfg.api_key_env, "") if self.cfg.api_key_env else ""
+        if key:
+            headers["Authorization"] = f"Bearer {key}"
+        url = self.cfg.endpoint_url
+        try:
+            request = self.session.prepare_request(
+                requests.Request("POST", url, headers=headers))
+            self.session.get_adapter(request.url)
+            settings = self.session.merge_environment_settings(
+                request.url, {}, None, None, None)
+        except requests.RequestException as exc:
+            raise ValidationError(
+                f"endpointUrl {url!r} cannot be requested: {exc}") from None
+        # Each ask sets these from its body and from the jar as it is then,
+        # in the order `session.post` does; a Cookie header the session's
+        # headers set themselves stays, as it would there.
+        request.headers.pop("Content-Length", None)
+        if CaseInsensitiveDict(self.session.headers).get("Cookie") is None:
+            request.headers.pop("Cookie", None)
+        settings["timeout"] = self.cfg.timeout_s
+        return request, settings
 
     def _render(self, q: Question) -> str:
         con = self.spec.construct_named(q.construct)
@@ -239,11 +274,6 @@ class LlmOracle:
             "messages": [{"role": "user", "content": prompt}],
             "temperature": self.cfg.temperature,
         }
-        headers = {"Content-Type": "application/json"}
-        key = os.environ.get(self.cfg.api_key_env, "") if self.cfg.api_key_env else ""
-        if key:
-            headers["Authorization"] = f"Bearer {key}"
-
         last_error: Optional[str] = None
         raw: Optional[str] = None
         for attempt in range(self.cfg.max_retries + 1):
@@ -251,9 +281,10 @@ class LlmOracle:
             if attempt:
                 time.sleep(RETRY_BACKOFF_S * (2 ** (attempt - 1)))
             try:
-                resp = self.session.post(self.cfg.endpoint_url, json=payload,
-                                         headers=headers,
-                                         timeout=self.cfg.timeout_s)
+                request = self._request.copy()
+                request.prepare_cookies(self.session.cookies)
+                request.prepare_body(None, None, json=payload)
+                resp = self.session.send(request, **self._send_settings)
             except self._request_error as exc:
                 last_error = f"request failed: {exc}"
                 continue

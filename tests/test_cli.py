@@ -274,6 +274,17 @@ def test_bad_llm_config_is_a_validation_error(tmp_path, capsys, text,
 
 
 
+@pytest.mark.parametrize("url", ["http://", "localhost:9/v1", "ftp://x/y"])
+def test_url_no_request_can_go_to_exits_2(tmp_path, capsys, url):
+    """Caught when the oracle is built: no retry and no backoff."""
+    cfg = tmp_path / "llm.json"
+    cfg.write_text(json.dumps({"endpointUrl": url, "maxRetries": 1}))
+    code, _, err = run(["solve", "--dataset", F1_DIR, "--k", "3",
+                        "--llm-config", str(cfg)], capsys)
+    assert code == 2
+    assert err.startswith(f"error: endpointUrl {url!r} ")
+
+
 def test_llm_timeout_at_the_ceiling_reaches_the_oracle(tmp_path, capsys,
                                                       chat_server):
     """The longest timeout the config accepts still reaches the socket

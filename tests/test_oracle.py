@@ -1,6 +1,7 @@
 """Response processing, grid snapping and the oracle backends."""
 
 import os
+import re
 import socket
 import subprocess
 import sys
@@ -175,6 +176,51 @@ class TestLlmOracle:
         assert got == 0.5
         assert llm.last_retries == 2
         assert len(chat_server.requests) == 3
+        # Each retry sends the whole request again, headers and body.
+        first = chat_server.requests[0]
+        assert first["body"]["messages"][0]["content"]
+        assert all(r == first for r in chat_server.requests[1:])
+
+    @pytest.mark.parametrize("jar", [{}, {"seen": "1"}],
+                             ids=["empty-jar", "cookie-before"])
+    def test_requests_on_the_wire_match_session_post(
+            self, chat_server, monkeypatch, jar):
+        """A session's headers, the API key and the jar as it is at each
+        ask reach the wire as `session.post` sends them: same headers in
+        the same order, same body, and a cookie set between two asks."""
+        import requests
+        monkeypatch.setenv("STUB_KEY", "sekrit")
+
+        def session():
+            s = requests.Session()
+            s.headers["X-Extra"] = "kept"
+            s.cookies.update(jar)
+            return s
+
+        theirs = session()
+        llm = LlmOracle(
+            LlmOracleConfig(endpoint_url=chat_server.url,
+                            api_key_env="STUB_KEY"),
+            hotel_spec(), query_text="affordable hotels",
+            entity_context={"HNY": "midtown high-rise"}, session=session())
+        llm.ask(Question("rel", ("HNY",)))
+        llm.session.cookies.set("late", "2")
+        llm.ask(Question("div", ("MLN", "HYN")))
+        ours = chat_server.requests[:]
+        assert len(ours) == 2
+        assert ours[0]["body"] != ours[1]["body"]
+        headers = {"Content-Type": "application/json",
+                   "Authorization": "Bearer sekrit"}
+        theirs.post(chat_server.url, json=ours[0]["body"], headers=headers)
+        theirs.cookies.set("late", "2")
+        theirs.post(chat_server.url, json=ours[1]["body"], headers=headers)
+        for got, want in zip(ours, chat_server.requests[2:]):
+            assert got["body"] == want["body"]
+            assert list(got["headers"].items()) == \
+                list(want["headers"].items())
+        first, second = (r["headers"] for r in ours)
+        assert "late=2" in second["Cookie"]
+        assert first["Content-Length"] != second["Content-Length"]
 
     @pytest.mark.parametrize("status", [429, 500])
     def test_rate_limit_and_server_error_take_one_retry(
@@ -259,6 +305,15 @@ class TestLlmOracle:
         with pytest.raises(OracleError, match="2 attempts: request failed"):
             llm.ask(Question("rel", ("HNY",)))
         assert llm.last_retries == 1
+
+    @pytest.mark.parametrize("url", ["http://", "localhost:9/v1",
+                                     "ftp://x/y"])
+    def test_url_no_request_can_go_to_is_rejected_up_front(
+            self, chat_server, url):
+        with pytest.raises(ValidationError,
+                           match=f"^endpointUrl {re.escape(repr(url))} "):
+            LlmOracle(LlmOracleConfig(endpoint_url=url), hotel_spec())
+        assert chat_server.requests == []
 
     def test_template_must_mention_both_slots(self, chat_server):
         # The spec has a binary construct, so the template is rejected
