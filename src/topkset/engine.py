@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import random
 import time
 from dataclasses import dataclass
@@ -110,13 +111,19 @@ class SolveLimitError(RuntimeError):
 
 def enumerate_candidates(entities: Sequence[str], k: int,
                          cap: Optional[int] = None) -> tuple[Candidate, ...]:
-    """All k-subsets of the entities in lexicographic order, `cap`-truncated."""
+    """All k-subsets of the entities in lexicographic order, `cap`-truncated.
+
+    Refuses more than one solve takes before listing any: millions of
+    k-sets exhaust memory first.
+    """
     if k < 1:
         raise ValidationError("k must be >= 1")
     if k > len(entities):
         raise ValidationError(f"k={k} exceeds {len(entities)} entities")
     if cap is not None and cap < 1:
         raise ValidationError(f"candidate cap must be >= 1, got {cap}")
+    check_candidate_count(min(math.comb(len(entities), k),
+                              math.inf if cap is None else cap))
     combos = itertools.combinations(sorted(entities), k)
     if cap is not None:
         combos = itertools.islice(combos, cap)

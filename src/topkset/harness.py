@@ -144,11 +144,6 @@ def load_problem(dataset_dir: str | Path, k: int,
     if cand_file.exists():
         candidates = _load_candidates(cand_file, k, context, candidate_cap)
     else:
-        # Count the k-sets before listing them: millions of them exhaust
-        # memory before `solve` could refuse them. A bad k or cap counts
-        # at most 1 here and gets its own error from the listing.
-        cap = math.inf if candidate_cap is None else candidate_cap
-        check_candidate_count(min(math.comb(len(entities), max(k, 0)), cap))
         candidates = enumerate_candidates(entities, k, cap=candidate_cap)
 
     # Grid index of every known row; rows are checked for the grid and for

@@ -6,11 +6,11 @@ the random policy draws uniformly from the open questions.
 
 A question's separation score (`qef_score`) is the sum of |P(c) - P(c')|
 over the candidates c it touches and the candidates c' it does not.
-`_separation` computes it as the reference, one pair at a time, left to
-right. `select_entrred` returns exactly the question that reference loop
-would pick, but scores the whole pool at once with one matrix product and
-repeats the reference's sums only for the questions whose scores the
-product cannot tell apart (see its docstring for the error bound).
+`_separation` computes it exactly, one pair at a time, left to right.
+`select_entrred` returns the question of highest `_separation`, but scores
+the whole pool at once with one matrix product and calls `_separation`
+only for the questions whose scores the product cannot tell apart (see
+its docstring for the error bound).
 """
 
 from __future__ import annotations
@@ -49,25 +49,13 @@ def qef_score(q: Question, probs: Sequence[float],
 
 
 def _separation(affected: Sequence[bool], probs: Sequence[float]) -> float:
-    inside = [i for i, hit in enumerate(affected) if hit]
-    outside = [i for i, hit in enumerate(affected) if not hit]
-    total = 0.0
-    for i in inside:
-        for j in outside:
-            total += abs(probs[i] - probs[j])
-    return total
-
-
-def _first_best(pool: Sequence[int], rows: np.ndarray,
-                d: np.ndarray) -> int:
-    """The row of `pool` with the highest `_separation`, the first on ties:
-    each adds its terms of `d` = |p_i - p_j| in the reference's row-major
-    order, one after another, so the scores match it bit for bit."""
-    if len(pool) == 1:
-        return pool[0]
-    blocks = (d[rows[r]][:, ~rows[r]].ravel() for r in pool)
-    scores = [np.add.accumulate(b)[-1] if b.size else 0.0 for b in blocks]
-    return pool[scores.index(max(scores))]
+    """Sum of |p_i - p_j| over affected i and unaffected j, added one term
+    after another in row-major order; each term is one correctly rounded
+    subtraction, so this equals the pairwise double loop bit for bit."""
+    p = np.asarray(probs, dtype=np.float64)
+    hit = np.asarray(affected, dtype=bool)
+    block = np.abs(p[hit][:, None] - p[~hit]).ravel()
+    return float(np.add.accumulate(block)[-1]) if block.size else 0.0
 
 
 def select_entrred(unknowns: Sequence[T], probs: Sequence[float],
@@ -106,9 +94,10 @@ def select_entrred(unknowns: Sequence[T], probs: Sequence[float],
     every partial sum is subnormal and so exact, and s = g = S; otherwise
     tol >= 12 * 2**-1075, and its rounding error, at most 2**-1075, stays
     inside the margin. The reference's first maximum therefore always
-    survives, and `_first_best` returns it as the survivors' first exact
-    maximum. When every g is 0 every score is exactly 0 and the first pool
-    question is the answer. A single-question pool needs no score.
+    survives, and scoring each survivor with `_separation` returns it as
+    the survivors' first exact maximum. When every g is 0 every score is
+    exactly 0 and the first pool question is the answer. A single-question
+    pool, or a single survivor, needs no exact score.
     """
     if len(unknowns) == 0:
         raise ValueError("no unknown questions to select from")
@@ -129,7 +118,9 @@ def select_entrred(unknowns: Sequence[T], probs: Sequence[float],
     if floor == 0:
         return unknowns[pool[0]]
     near = [r for r, s in zip(pool, g) if s + s * rel >= floor]
-    return unknowns[_first_best(near, rows, d)]
+    if len(near) == 1:
+        return unknowns[near[0]]
+    return unknowns[max(near, key=lambda r: _separation(rows[r], p))]
 
 
 def select_random(unknowns: Sequence[T], rng: random.Random) -> T:

@@ -1,6 +1,7 @@
 """Exit codes and printed output of the command line interface."""
 
 import csv
+import itertools
 import json
 import math
 import os
@@ -10,6 +11,7 @@ import subprocess
 import sys
 import textwrap
 import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -537,9 +539,9 @@ def test_dep_support_over_the_limit_asks_nothing(tmp_path, capsys,
         assert "winner: {" in out
 
 
-def _solve_in_700_mb(*argv):
-    """`topkset solve` in a child process under a 700 MB address-space cap
-    set on that process only."""
+def _in_700_mb(*argv):
+    """A `topkset` command in a child process under a 700 MB address-space
+    cap set on that process only."""
     code = textwrap.dedent("""
         import resource, sys
         resource.setrlimit(resource.RLIMIT_AS, (700 << 20, 700 << 20))
@@ -547,20 +549,24 @@ def _solve_in_700_mb(*argv):
         sys.exit(entrypoint(sys.argv[1:]))""")
     src = str(Path(topkset.__file__).resolve().parent.parent)
     return subprocess.run(
-        [sys.executable, "-c", code, "solve", *argv],
+        [sys.executable, "-c", code, *argv],
         env={**os.environ, "PYTHONPATH": src}, capture_output=True,
         text=True, timeout=120)
 
 
-def test_candidate_count_over_the_limit_exits_2_in_little_memory(tmp_path,
-                                                                 capsys):
-    """M=9880 loads, but its M x M state would not fit: `solve` exits 2
-    before building it."""
+def test_candidate_count_over_the_limit_exits_2_in_little_memory(tmp_path):
+    """A candidates.csv of all M=9880 3-sets of 40 entities: its M x M
+    state would not fit, and `solve` exits 2 before building it."""
     ds = tmp_path / "big"
-    assert run(["gen", "--n", "40", "--k", "3", "--out", str(ds)],
-               capsys)[0] == 0
+    ds.mkdir()
+    shutil.copy(Path(F1_DIR) / "spec.json", ds)
+    entities = [f"E{i:03d}" for i in range(40)]
+    (ds / "entities.csv").write_text("id\n" + "".join(f"{e}\n"
+                                                      for e in entities))
+    (ds / "candidates.csv").write_text("".join(
+        ",".join(c) + "\n" for c in itertools.combinations(entities, 3)))
     trace = tmp_path / "t.jsonl"
-    out = _solve_in_700_mb("--dataset", str(ds), "--k", "3",
+    out = _in_700_mb("solve", "--dataset", str(ds), "--k", "3",
                            "--trace", str(trace))
     assert out.returncode == 2, out.stderr
     assert re.match(r"error: 9880 candidates, above the limit of \d+ per "
@@ -579,7 +585,7 @@ def test_too_many_k_sets_exit_2_before_any_is_listed(tmp_path):
     (ds / "entities.csv").write_text(
         "id\n" + "".join(f"E{i:03d}\n" for i in range(500)))
     trace = tmp_path / "t.jsonl"
-    out = _solve_in_700_mb("--dataset", str(ds), "--k", "3",
+    out = _in_700_mb("solve", "--dataset", str(ds), "--k", "3",
                            "--trace", str(trace))
     assert out.returncode == 2, out.stderr
     assert re.match(r"error: 20708500 candidates, above the limit of \d+ "
@@ -588,10 +594,31 @@ def test_too_many_k_sets_exit_2_before_any_is_listed(tmp_path):
     assert out.stdout == ""
     assert not trace.exists()
     # A cap lets the listing through to the next check.
-    out = _solve_in_700_mb("--dataset", str(ds), "--k", "3",
+    out = _in_700_mb("solve", "--dataset", str(ds), "--k", "3",
                            "--candidates", "100")
     assert out.returncode == 2, out.stderr
     assert out.stderr.startswith("error: missing score file rel.csv")
+
+
+def test_gen_refuses_more_k_sets_than_one_solve_takes(tmp_path, capsys):
+    """`gen` counts the k-sets before listing any, and refuses what
+    `solve` would refuse: listing the 20 708 500 3-sets of 500 entities
+    ends in a `MemoryError` under 700 MB."""
+    out_dir = tmp_path / "wide"
+    start = time.perf_counter()
+    out = _in_700_mb("gen", "--n", "500", "--k", "3", "--out", str(out_dir))
+    assert time.perf_counter() - start < 5
+    assert out.returncode == 2, out.stderr
+    assert re.match(r"error: 20708500 candidates, above the limit of \d+ "
+                    r"per solve; cap the list with --candidates$", out.stderr)
+    assert "Traceback" not in out.stderr
+    assert out.stdout == ""
+    assert not out_dir.exists()
+    # The largest uncapped 3-set list under the limit is still written.
+    assert run(["gen", "--n", "32", "--k", "3", "--out", str(out_dir)],
+               capsys)[0] == 0
+    rows = (out_dir / "candidates.csv").read_text().splitlines()
+    assert len(rows) == 4960
 
 
 def test_gen_into_a_path_that_cannot_be_created(tmp_path, capsys):

@@ -44,6 +44,16 @@ class TestEnumerateCandidates:
         with pytest.raises(ValidationError):
             enumerate_candidates(("A",), 2)
 
+    def test_more_than_the_limit_are_refused_before_listing(self):
+        entities = [f"E{i:03d}" for i in range(40)]
+        with pytest.raises(ValidationError,
+                           match="^9880 candidates, above the limit"):
+            enumerate_candidates(entities, 3)
+        with pytest.raises(ValidationError,
+                           match=f"^{MAX_CANDIDATES + 1} candidates, above"):
+            enumerate_candidates(entities, 3, cap=MAX_CANDIDATES + 1)
+        assert len(enumerate_candidates(entities, 3, cap=10)) == 10
+
 
 def bounds_and_cuts(cands, spec, knowns):
     """The arrays the solve loop's winner check and pruning read."""
@@ -600,7 +610,11 @@ def test_more_candidates_than_the_limit_ask_nothing(tmp_path):
     asks the oracle."""
     n = next(n for n in itertools.count(2)
              if n * (n - 1) // 2 > MAX_CANDIDATES)
-    problem = generate_synthetic(n, 2, candidate_cap=MAX_CANDIDATES + 1)
+    entities = tuple(f"E{i:03d}" for i in range(n))
+    pairs = itertools.islice(itertools.combinations(entities, 2),
+                             MAX_CANDIDATES + 1)
+    problem = Problem(entities, default_spec(), 2,
+                      tuple(Candidate(i, c) for i, c in enumerate(pairs)))
     trace = tmp_path / "trace.jsonl"
     for policy in ALL_POLICIES:
         oracle = ScriptedOracle()
@@ -615,8 +629,8 @@ def test_more_candidates_than_the_limit_ask_nothing(tmp_path):
 
 @pytest.mark.parametrize("count", [5, 6])
 def test_the_candidate_limit_is_inclusive(monkeypatch, count):
-    monkeypatch.setattr(engine, "MAX_CANDIDATES", 5)
     problem = generate_synthetic(4, 2, seed=2, candidate_cap=count)
+    monkeypatch.setattr(engine, "MAX_CANDIDATES", 5)
     oracle = TableOracle(problem.ground_truth)
     if count <= 5:
         truth = exact_scores(problem)

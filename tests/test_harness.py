@@ -4,6 +4,7 @@ import codecs
 import csv
 import itertools
 import json
+import math
 import shutil
 import time
 from pathlib import Path
@@ -364,6 +365,12 @@ class TestGenerateSynthetic:
     def test_rejects_n_below_k(self):
         with pytest.raises(ValidationError):
             generate_synthetic(2, 3)
+
+    def test_refuses_more_k_sets_than_one_solve_takes(self):
+        assert math.comb(33, 3) == 5456 > MAX_CANDIDATES
+        with pytest.raises(ValidationError, match="^5456 candidates, above"):
+            generate_synthetic(33, 3)
+        assert len(generate_synthetic(32, 3).candidates) == 4960
 
     def test_scores_live_on_the_grid(self):
         p = generate_synthetic(5, 2, seed=9)

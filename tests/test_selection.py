@@ -128,9 +128,12 @@ def _filter_scores(probs, rows):
     return ((a @ np.abs(p[:, None] - p[None, :])) * ~a).sum(axis=1).tolist()
 
 
-def _random_probs(rng, m):
-    kind = rng.choice(("random", "repeated", "ulp", "zeros", "tiny",
-                       "equal", "mixed"))
+PROB_KINDS = ("random", "repeated", "ulp", "zeros", "tiny", "equal",
+              "mixed")
+
+
+def _random_probs(rng, m, kind=None):
+    kind = kind or rng.choice(PROB_KINDS)
     x = rng.random()
     ulps = [x]
     for _ in range(3):
@@ -184,23 +187,49 @@ def test_select_entrred_equals_the_double_loop_on_random_cases(survivors):
             got = select_entrred(np.array(unknowns), tuple(probs),
                                  np.array(rows, dtype=bool))
         assert got == want, (case, m, r)
-        if survivors and len(survivors.pop()) > 1:
+        if len(survivors) > 1:
             tiebreaks["small" if m <= 30 else "large"] += 1
+        survivors.clear()
     assert tiebreaks["small"] >= 300 and tiebreaks["large"] >= 100, tiebreaks
 
 
 @pytest.fixture
 def survivors(monkeypatch):
-    """Each pool the exact tiebreak (`_first_best`) is run on."""
+    """Each row `select_entrred` scores exactly (with `_separation`), in
+    the order scored."""
     seen = []
-    first_best = selection._first_best
+    separation = selection._separation
 
-    def spy(pool, rows, d):
-        seen.append(list(pool))
-        return first_best(pool, rows, d)
+    def spy(affected, probs):
+        seen.append(np.asarray(affected).tolist())
+        return separation(affected, probs)
 
-    monkeypatch.setattr(selection, "_first_best", spy)
+    monkeypatch.setattr(selection, "_separation", spy)
     return seen
+
+
+def test_separation_equals_the_double_loop_bit_for_bit():
+    rng = random.Random(35)
+    for kind in PROB_KINDS:
+        for case in range(100):
+            m = rng.randint(1, 60)
+            probs = _random_probs(rng, m, kind)
+            # Densities 0 and 1 leave the inside or the outside set empty.
+            density = rng.choice((0.0, 0.2, 0.5, 0.8, 1.0))
+            row = [rng.random() < density for _ in range(m)]
+            want = _loop_score(row, probs)
+            for got in (selection._separation(row, probs),
+                        selection._separation(np.array(row),
+                                              np.array(probs))):
+                assert type(got) is float, (kind, case)
+                assert got.hex() == want.hex(), (kind, case, row, probs)
+    # An empty inside or outside set adds no term.
+    assert selection._separation([True, True], [0.1, 0.7]) == 0.0
+    assert selection._separation([False, False], [0.1, 0.7]) == 0.0
+    assert selection._separation([], []) == 0.0
+    # Subnormal terms are added exactly.
+    assert selection._separation([True, False, False],
+                                 [5e-324, 0.0, 1.5e-323]) == 1.5e-323
 
 
 def test_the_filter_alone_decides_clear_scores(survivors):
@@ -211,7 +240,7 @@ def test_the_filter_alone_decides_clear_scores(survivors):
     rows = [[i == 0 for i in range(m)], [i < 2 for i in range(m)]]
     assert select_entrred(["a", "b"], tuple(probs), rows) == "b"
     assert _loop_select(["a", "b"], probs, rows) == "b"
-    assert survivors == [[1]]  # one survivor, no exact score summed
+    assert survivors == []  # one survivor: no row is scored exactly
 
 
 def _last_bit_tie(rng):
@@ -245,7 +274,7 @@ def test_last_bit_ties_go_to_the_exact_tiebreak(survivors):
     want = "a" if loop[0] > loop[1] else "b"
     assert _loop_select(["a", "b"], probs, rows) == want
     assert select_entrred(["a", "b"], tuple(probs), rows) == want
-    assert survivors == [[0, 1]]
+    assert survivors == rows  # both rows are scored exactly, in order
 
 
 def test_the_distance_matrix_is_one_m_by_m_array():
