@@ -263,7 +263,7 @@ def solve(problem: Problem, policy: Policy, oracle: Oracle, *,
             knowns = knowns.record(spec, question, response)
             stage = None
             index = knowns.get(question)
-            answered.append((question, spec.grid_values()[index]))
+            answered.append((question, spec.grid_value(index)))
             t0 = clock()
             core.fold(j, index)
     except BaseException as exc:

@@ -120,10 +120,10 @@ def load_problem(dataset_dir: str | Path, k: int,
                  require_ground_truth: bool = False) -> Problem:
     """Read and validate a dataset directory into a Problem.
 
-    Binary score rows are symmetrized; the same pair listed twice with
-    different scores is a conflict. With `require_ground_truth` every
-    question over the candidate set must carry a score, which is what a
-    table-oracle run needs.
+    Binary score rows are symmetrized; the same pair at two grid indices
+    is a conflict, and a score is kept as the grid value it reads as.
+    With `require_ground_truth` every question over the candidate set
+    must carry a score, which is what a table-oracle run needs.
     """
     root = Path(dataset_dir)
     spec = load_spec(root / "spec.json")
@@ -146,10 +146,10 @@ def load_problem(dataset_dir: str | Path, k: int,
     else:
         candidates = enumerate_candidates(entities, k, cap=candidate_cap)
 
-    # Grid index of every known row; rows are checked for the grid and for
-    # conflicts as they are read, so the store is built once at the end.
+    # Grid index of every scored row and of the known ones, checked as
+    # read; the store and the ground truth are built once at the end.
+    indices: dict[Question, int] = {}
     revealed: dict[Question, int] = {}
-    ground_truth: dict[Question, float] = {}
     for con in spec.constructs:
         path = root / f"{con.name}.csv"
         if not path.exists():
@@ -184,16 +184,15 @@ def load_problem(dataset_dir: str | Path, k: int,
             if index is None:
                 raise ValidationError(
                     f"{path.name} line {line}: score {v} for {q} is off-grid")
-            if q in ground_truth and ground_truth[q] != v:
+            if indices.setdefault(q, index) != index:
                 raise ValidationError(
                     f"{path.name}: conflicting scores for {q}: "
-                    f"{ground_truth[q]} vs {v}")
-            ground_truth[q] = v
+                    f"{spec.grid_value(indices[q])} vs {v}")
             if known:
                 revealed[q] = index
 
     if require_ground_truth:
-        given = {(q.construct, q.args) for q in ground_truth}
+        given = {(q.construct, q.args) for q in indices}
         for key in universe_keys(spec, candidates):
             if key not in given:
                 raise ValidationError("table oracle needs a score for "
@@ -204,7 +203,8 @@ def load_problem(dataset_dir: str | Path, k: int,
         if query_file.exists() else ""
 
     return Problem(entities, spec, k, candidates, KnownStore(revealed),
-                   ground_truth, query_text, context)
+                   {q: spec.grid_value(i) for q, i in indices.items()},
+                   query_text, context)
 
 
 def _load_candidates(path: Path, k: int, entity_pool: Container[str],
@@ -276,17 +276,16 @@ def generate_synthetic(n: int, k: int, candidate_cap: Optional[int] = None,
     candidates = enumerate_candidates(entities, k, cap=candidate_cap)
     universe = question_universe(spec, candidates)
     rng = random.Random(seed)
-    grid = spec.grid_values()
-    ground_truth = {q: rng.choice(grid) for q in universe}
+    # randrange(n) draws as choice over n grid values: a seed's data stays.
+    truth = {q: rng.randrange(spec.steps + 1) for q in universe}
     revealed = {}
     if unknown_count is not None:
         u = min(unknown_count, len(universe))
         hidden = set(rng.sample(range(len(universe)), u))
-        revealed = {q: spec.grid_index(v)
-                    for i, (q, v) in enumerate(ground_truth.items())
-                    if i not in hidden}
+        revealed = {q: i for pos, (q, i) in enumerate(truth.items())
+                    if pos not in hidden}
     return Problem(entities, spec, k, candidates, KnownStore(revealed),
-                   ground_truth,
+                   {q: spec.grid_value(i) for q, i in truth.items()},
                    query_text=f"synthetic n={n} k={k} seed={seed}")
 
 
@@ -315,7 +314,7 @@ def write_bundle(problem: Problem, out_dir: str | Path) -> Path:
                 continue
             i = problem.knowns.get(q)
             known = i is not None
-            v = spec.grid_values()[i] if known else gt.get(q)
+            v = spec.grid_value(i) if known else gt.get(q)
             rows.append([*q.args, "" if v is None else v, int(known)])
         _write_rows(root / f"{con.name}.csv", rows)
 

@@ -27,8 +27,8 @@ MAX_DENOMINATOR = 10**6
 # Largest lattice numerator whose float conversion is still exact.
 MAX_QUANTA = 2**53
 # Most grid steps a spec may have: the finest grid MAX_DENOMINATOR admits
-# on [0, 1]. The grid is built whole: 10**8 steps took 55 s and then ran
-# out of memory.
+# on [0, 1]. It caps the resolution the validator accepts, and with it the
+# quanta one answer spans, which the estimators' score supports grow with.
 MAX_GRID_STEPS = 10**6
 
 
@@ -150,7 +150,10 @@ class ScoringSpec:
     quantum: Fraction = field(init=False, repr=False, compare=False)
     low: dict[str, int] = field(init=False, repr=False, compare=False)
     rise: dict[str, int] = field(init=False, repr=False, compare=False)
-    _grid: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    steps: int = field(init=False, repr=False, compare=False)
+    _first: int = field(init=False, repr=False, compare=False)
+    _stride: int = field(init=False, repr=False, compare=False)
+    _den: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.constructs:
@@ -183,29 +186,26 @@ class ScoringSpec:
         # All weights zero: every score is 0 and any quantum serves.
         quantum = Fraction(math.gcd(*(f.numerator for f in parts)) or 1,
                            math.lcm(*(f.denominator for f in parts)))
-        # lo + i * step over one common denominator: int / int division
-        # rounds correctly, as float(Fraction) does, with no Fraction per
-        # value (a 10**6-step grid in 0.2 s, not 5 s).
-        den = lo.denominator * step.denominator
-        first, rise = (lo.numerator * step.denominator,
-                       step.numerator * lo.denominator)
-        grid = tuple((first + i * rise) / den for i in range(steps + 1))
         for name, value in (
                 ("quantum", quantum),
                 ("low", {c.name: int(w * lo / quantum)
                          for c, w in zip(self.constructs, weights)}),
                 ("rise", {c.name: int(w * step / quantum)
                           for c, w in zip(self.constructs, weights)}),
-                ("_grid", grid)):
+                ("steps", steps),
+                ("_first", lo.numerator * step.denominator),
+                ("_stride", step.numerator * lo.denominator),
+                ("_den", lo.denominator * step.denominator)):
             object.__setattr__(self, name, value)
 
-    @property
-    def n_grid_values(self) -> int:
-        return len(self._grid)
-
-    def grid_values(self) -> tuple[float, ...]:
-        """The grid as correctly rounded floats."""
-        return self._grid
+    def grid_value(self, i: int) -> float:
+        """Grid value i, `min_score + i * grid_step`, as a correctly rounded
+        float. With both over one common denominator `_den` it is one
+        int / int division, which rounds as float(Fraction) does. Raises
+        IndexError when i is outside 0..steps."""
+        if not 0 <= i <= self.steps:
+            raise IndexError(f"grid index {i} outside 0..{self.steps}")
+        return (self._first + i * self._stride) / self._den
 
     def grid_index(self, v: float) -> Optional[int]:
         """Index of the grid value v reads as, or None when v is off the grid,
@@ -223,7 +223,7 @@ class ScoringSpec:
 
     def span(self, construct: str) -> int:
         """Quanta between a construct answer's lowest and highest value."""
-        return (self.n_grid_values - 1) * self.rise[construct]
+        return self.steps * self.rise[construct]
 
     def construct_named(self, name: str) -> Construct:
         for c in self.constructs:
@@ -281,7 +281,7 @@ class KnownStore:
             if self._answers[q] != i:
                 raise ValidationError(
                     f"conflicting response for {q}: had "
-                    f"{spec.grid_values()[self._answers[q]]}, got {v}")
+                    f"{spec.grid_value(self._answers[q])}, got {v}")
             return self
         merged = dict(self._answers)
         merged[q] = i

@@ -110,7 +110,7 @@ def snap_to_grid(v: float, spec: ScoringSpec) -> float:
     k = (v - spec.min_score) / spec.grid_step
     lower = math.floor(k)
     k = lower if (k - lower) <= 0.5 else lower + 1
-    return spec.grid_values()[min(k, spec.n_grid_values - 1)]
+    return spec.grid_value(min(k, spec.steps))
 
 
 class TableOracle:

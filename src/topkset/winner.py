@@ -207,7 +207,7 @@ def brute_force_dist(candidates: Sequence[Candidate], spec: ScoringSpec,
     exceeds `cap`.
     """
     unknowns = unknown_questions(question_universe(spec, candidates), knowns)
-    g, u, m = spec.n_grid_values, len(unknowns), len(candidates)
+    g, u, m = spec.steps + 1, len(unknowns), len(candidates)
     total = g ** u
     if total > cap:
         raise CapExceededError(f"{g}^{u} assignments exceed cap {cap}")

@@ -106,7 +106,6 @@ def shuffled_states(spec, count):
     candidates, not a lexicographic prefix, and a random half of their
     questions answered."""
     entities = [f"b{i}" for i in range(12)]
-    grid = spec.grid_values()
     for seed in range(count):
         rng = random.Random(seed)
         sets = list(itertools.combinations(
@@ -114,11 +113,9 @@ def shuffled_states(spec, count):
         rng.shuffle(sets)
         cands = tuple(Candidate(i, m) for i, m in
                       enumerate(sets[:rng.randrange(1, 25)]))
-        knowns = KnownStore()
-        for q in question_universe(spec, cands):
-            if rng.random() < 0.5:
-                knowns = knowns.record(spec, q, rng.choice(grid))
-        yield cands, knowns
+        yield cands, KnownStore({q: rng.randrange(spec.steps + 1)
+                                 for q in question_universe(spec, cands)
+                                 if rng.random() < 0.5})
 
 
 class CoreArrays(NamedTuple):

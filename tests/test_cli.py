@@ -1,6 +1,7 @@
 """Exit codes and printed output of the command line interface."""
 
 import csv
+import hashlib
 import itertools
 import json
 import math
@@ -509,6 +510,36 @@ def test_gen_then_solve_at_k_1(tmp_path, capsys):
         winner = re.search(r"^winner: \{(\w+)\}$", out, re.M).group(1)
         assert problem.ground_truth[topkset.Question("rel", (winner,))] \
             == best
+
+
+# The first 16 hex digits of the sha256 of every file `gen` writes.
+GEN_DIGESTS = {
+    "--seed 0 --n 6 --k 3 --step 0.5": {
+        "candidates.csv": "d197ad5d53380f84", "div.csv": "a85a44deafe5ad91",
+        "entities.csv": "29f720ad253df2c8", "query.txt": "fd772ee72b4ae11d",
+        "rel.csv": "fc730a71035afa05", "spec.json": "5ab3ede3bb8c7e73"},
+    "--seed 5 --n 7 --k 3 --step 0.1 --unknown 6": {
+        "candidates.csv": "e5ad142f8842df2c", "div.csv": "2971e3d83eb45a3d",
+        "entities.csv": "d4ef970ec2e8add9", "query.txt": "9827fb78acf81c21",
+        "rel.csv": "057c77cda5445043", "spec.json": "34ccff72e1f8540c"},
+    "--seed 2 --n 6 --k 3 --step 1e-6 --unknown 4": {
+        "candidates.csv": "d197ad5d53380f84", "div.csv": "5fce764a3f92b691",
+        "entities.csv": "29f720ad253df2c8", "query.txt": "251af45fb5b9304b",
+        "rel.csv": "5c6cf78e7906b815", "spec.json": "fae755340e939d2f"},
+    "--seed 9 --n 5 --k 2 --step 0.25 --unknown 0 --candidates 6": {
+        "candidates.csv": "060834735fb8da12", "div.csv": "3d60235dc2a77b75",
+        "entities.csv": "15cfb9788bcedc07", "query.txt": "7d6b8985cb2fd2f3",
+        "rel.csv": "db5468fe183d3819", "spec.json": "ebe3792cabc07e41"},
+}
+
+
+@pytest.mark.parametrize("args", GEN_DIGESTS)
+def test_gen_writes_the_same_bytes(tmp_path, capsys, args):
+    """A seed makes the same dataset, byte for byte, at every step."""
+    assert run(["gen", *args.split(), "--out", str(tmp_path)],
+               capsys)[0] == 0
+    assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest()[:16]
+            for p in tmp_path.iterdir()} == GEN_DIGESTS[args]
 
 
 def test_dep_support_over_the_limit_asks_nothing(tmp_path, capsys,

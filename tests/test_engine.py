@@ -543,9 +543,7 @@ def _renamed_and_shuffled(problem, rng):
     sets = list(itertools.combinations(sorted(rename.values()), problem.k))
     rng.shuffle(sets)
     sets = sets[:rng.randrange(2, 25)]
-    knowns = KnownStore()
-    for q, i in problem.knowns.items():
-        knowns = knowns.record(spec, question(q), spec.grid_values()[i])
+    knowns = KnownStore({question(q): i for q, i in problem.knowns.items()})
     return Problem(tuple(rename.values()), spec, problem.k,
                    tuple(Candidate(i, m) for i, m in enumerate(sets)),
                    knowns,

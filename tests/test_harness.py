@@ -101,11 +101,15 @@ class TestLoaderValidation:
 
     def test_repeated_known_row_with_the_same_score_is_kept_once(
             self, tmp_path):
-        ds = _broken_copy(tmp_path)
-        _append(ds / "div.csv", "MLN,HNY,1.0,1")
-        loaded = load_problem(ds, 3)
-        assert dict(loaded.knowns.items()) == \
-            dict(load_problem(F1_DIR, 3).knowns.items())
+        """A mirrored row that reads as the same grid value, also when it
+        misses it by less than GRID_TOL, is kept once as that value."""
+        f1 = load_problem(F1_DIR, 3)
+        for score in ("1.0", "1.0000000001"):
+            ds = _broken_copy(tmp_path / score)
+            _append(ds / "div.csv", f"MLN,HNY,{score},1")
+            loaded = load_problem(ds, 3)
+            assert dict(loaded.knowns.items()) == dict(f1.knowns.items())
+            assert loaded.ground_truth == f1.ground_truth
 
     def test_missing_ground_truth_names_the_first_open_question(
             self, tmp_path):
@@ -328,7 +332,7 @@ def test_default_spec_shape():
     spec = default_spec()
     assert [c.name for c in spec.constructs] == ["rel", "div"]
     assert spec.grid_step == 0.5
-    assert default_spec(0.25).n_grid_values == 5
+    assert default_spec(0.25).steps == 4
 
 
 class TestGenerateSynthetic:

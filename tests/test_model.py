@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
 
@@ -55,10 +56,30 @@ class TestConstructAndSpec:
         with pytest.raises(ValidationError):
             Construct("rel", 1, weight=-0.1)
 
-    def test_grid_values(self):
+    def test_grid_value(self):
         spec = hotel_spec()
-        assert spec.grid_values() == (0.0, 0.5, 1.0)
-        assert spec.n_grid_values == 3
+        assert [spec.grid_value(i) for i in range(3)] == [0.0, 0.5, 1.0]
+        assert spec.steps == 2
+        for i in (-1, 3):
+            with pytest.raises(IndexError, match=f"grid index {i} outside 0..2"):
+                spec.grid_value(i)
+
+    # The five sweep specs' grids (a construct weight moves no grid value),
+    # one with a negative minimum and one of step 1/3.
+    @pytest.mark.parametrize("lo, hi, step, exact_lo, exact_step", [
+        (0.0, 1.0, 0.5, 0, Fraction(1, 2)),
+        (0.0, 1.0, 0.125, 0, Fraction(1, 8)),
+        (0.0, 1.0, 0.1, 0, Fraction(1, 10)),
+        (0.0, 1.0, 0.25, 0, Fraction(1, 4)),
+        (-1.5, 2.5, 0.1, Fraction(-3, 2), Fraction(1, 10)),
+        (-1.0, 2.0, 1 / 3, -1, Fraction(1, 3)),
+    ])
+    def test_grid_value_is_the_correctly_rounded_lattice_point(
+            self, lo, hi, step, exact_lo, exact_step):
+        spec = ScoringSpec((Construct("rel", 1),), lo, hi, step)
+        assert [spec.grid_value(i) for i in range(spec.steps + 1)] == \
+            [float(exact_lo + i * exact_step) for i in range(spec.steps + 1)]
+        assert spec.grid_value(spec.steps) == hi
 
     def test_is_on_grid(self):
         spec = hotel_spec()
@@ -89,9 +110,9 @@ class TestConstructAndSpec:
         spec = ScoringSpec((Construct("rel", 1, weight=0.3),), 0.0, 1.0, 0.5)
         assert (spec.low["rel"], spec.rise["rel"], spec.span("rel")) == \
             (0, 1, 2)
-        assert spec.grid_values() == (0.0, 0.5, 1.0)
+        assert [spec.grid_value(i) for i in range(3)] == [0.0, 0.5, 1.0]
         assert ScoringSpec((Construct("rel", 1),), 0.0, 1.0,
-                           0.1).grid_values()[3] == 0.3
+                           0.1).grid_value(3) == 0.3
 
     def test_spec_numbers_must_be_small_fractions(self):
         with pytest.raises(ValidationError, match="denominator"):
@@ -112,17 +133,30 @@ class TestConstructAndSpec:
             ScoringSpec((Construct("rel", 1, weight=weight),), lo, hi, step)
 
     def test_grid_of_at_most_a_million_steps(self):
-        """The finest grid MAX_DENOMINATOR admits on [0, 1] builds; one
-        step more is refused before its grid is built."""
+        """The finest grid MAX_DENOMINATOR admits on [0, 1] is accepted;
+        one step more is refused."""
         rel = Construct("rel", 1)
         spec = ScoringSpec((rel,), grid_step=1e-6)
-        assert spec.n_grid_values == 1_000_001
-        assert spec.grid_values()[-2:] == (0.999999, 1.0)
+        assert spec.steps == 1_000_000
+        assert [spec.grid_value(i) for i in (0, 1, 999_999, 1_000_000)] == \
+            [float(i * Fraction(1, 10**6)) for i in (0, 1, 999_999, 1_000_000)]
+        for i in (-1, 1_000_001):
+            with pytest.raises(IndexError):
+                spec.grid_value(i)
         with pytest.raises(ValidationError,
                            match=r"^range \[0.0, 1.000001\] at grid step "
                                  r"1e-06 has 1000001 steps, above the limit "
                                  r"of 1000000; use a coarser step$"):
             ScoringSpec((rel,), 0.0, 1.000001, 1e-6)
+
+    def test_a_million_step_spec_takes_under_a_mebibyte(self):
+        tracemalloc.start()
+        try:
+            ScoringSpec((Construct("rel", 1),), grid_step=1e-6)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_spec_rejects_bad_shapes(self):
         rel = Construct("rel", 1)

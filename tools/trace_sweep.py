@@ -82,9 +82,7 @@ def _reshaped(problem: Problem, rng: random.Random) -> Problem:
     sets = list(itertools.combinations(sorted(rename.values()), problem.k))
     rng.shuffle(sets)
     sets = sets[:rng.randrange(2, min(len(sets), 24) + 1)]
-    knowns = KnownStore()
-    for q, i in problem.knowns.items():
-        knowns = knowns.record(spec, question(q), spec.grid_values()[i])
+    knowns = KnownStore({question(q): i for q, i in problem.knowns.items()})
     return Problem(tuple(rename.values()), spec, problem.k,
                    tuple(Candidate(i, m) for i, m in enumerate(sets)),
                    knowns,
