@@ -20,7 +20,7 @@ import time
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Optional, Protocol, Sequence, TextIO
+from typing import Callable, Optional, Protocol, Sequence
 
 import numpy as np
 
@@ -149,8 +149,10 @@ def solve(problem: Problem, policy: Policy, oracle: Oracle, *,
     questions asked decide which that is.
 
     A trace gets each step's line as the step is made and a status line on
-    every exit (`_end_trace`). `clock` must be a nanosecond counter;
-    injecting a deterministic one makes the trace byte-for-byte reproducible.
+    every exit. A trace write that fails raises ValidationError, unless
+    another exception already ends the solve. `clock` must be a nanosecond
+    counter; injecting a deterministic one makes the trace byte-for-byte
+    reproducible.
     """
     if max_calls is not None and max_calls < 0:
         raise ValidationError(f"max_calls must be >= 0, got {max_calls}")
@@ -164,8 +166,6 @@ def solve(problem: Problem, policy: Policy, oracle: Oracle, *,
              "trace": 0}
     rng = random.Random(seed)
     steps: list[TraceStep] = []
-    # Validated answers in the order asked: the last one makes a step.
-    answered: list[tuple[Question, float]] = []
     calls = 0
     # Every candidate's bounds and pair cuts, kept current by folding in
     # each answer (`Incidence.fold`) in the bounds bucket.
@@ -185,9 +185,9 @@ def solve(problem: Problem, policy: Policy, oracle: Oracle, *,
     try:
         trace = open(trace_path, "w", encoding="utf-8") if trace_path else None
     except OSError as exc:
-        raise ValidationError(
-            f"cannot write trace {trace_path}: {exc.strerror}") from None
-    stage = None  # "ask" or "record" while the oracle or the answer can fail
+        raise _unwritable(trace_path, exc) from None
+    # Each exit sets its status where it happens; the rest are "exception".
+    status, error = "exception", None
     try:
         t0 = clock()
         while True:
@@ -221,14 +221,18 @@ def solve(problem: Problem, policy: Policy, oracle: Oracle, *,
                 step_entropy = None
             nanos["probability"] += clock() - t0
 
-            if len(steps) < len(answered):
+            if len(steps) < calls:  # the last answer makes a step
                 steps.append(TraceStep(
-                    len(steps), *answered[-1], probs_padded, step_entropy,
+                    len(steps), question, spec.grid_value(index),
+                    probs_padded, step_entropy,
                     tuple(np.flatnonzero(~keep).tolist())))
                 if trace:
                     t0 = clock()
-                    print(_step_line(steps[-1], core, spec.quantum),
-                          file=trace, flush=True)
+                    try:
+                        print(_step_line(steps[-1], core, spec.quantum),
+                              file=trace, flush=True)
+                    except OSError as exc:
+                        raise _unwritable(trace_path, exc) from None
                     nanos["trace"] += clock() - t0
 
             t0 = clock()
@@ -250,37 +254,54 @@ def solve(problem: Problem, policy: Policy, oracle: Oracle, *,
             nanos["selection"] += clock() - t0
 
             if max_calls is not None and calls >= max_calls:
+                status = "limit"
                 raise SolveLimitError(max_calls, tuple(steps), nanos)
 
             t0 = clock()
-            stage = "ask"
             try:
                 response = oracle.ask(question)
+            except BaseException as exc:
+                status = ("oracle_error" if isinstance(exc, OracleError)
+                          else "oracle_exception")
+                raise
             finally:
                 nanos["oracle"] += clock() - t0
             calls += 1
-            stage = "record"
-            knowns = knowns.record(spec, question, response)
-            stage = None
+            try:
+                knowns = knowns.record(spec, question, response)
+            except ValidationError:
+                status = "invalid_response"
+                raise
             index = knowns.get(question)
-            answered.append((question, spec.grid_value(index)))
             t0 = clock()
             core.fold(j, index)
+        status = "ok"
     except BaseException as exc:
-        if stage == "ask":
-            status = ("oracle_error" if isinstance(exc, OracleError)
-                      else "oracle_exception")
-        elif stage == "record" and isinstance(exc, ValidationError):
-            status = "invalid_response"
-        elif isinstance(exc, SolveLimitError):
-            status = "limit"
-        else:
-            status = "exception"
-        _end_trace(trace, status, calls, nanos, answered, exception=(
-            type(exc).__name__ if status.endswith("exception") else None))
+        error = exc
         raise
-    _end_trace(trace, "ok", calls, nanos, answered, winner)
+    finally:
+        if trace:
+            summary: dict = {"status": status}
+            if status == "ok":
+                summary["winner"] = list(winner.members)
+            if status.endswith("exception"):
+                summary["exception"] = type(error).__name__
+            summary.update(oracleCalls=calls, perTaskNanos=nanos, answered=[
+                {"construct": q.construct, "args": list(q.args),
+                 "response": spec.grid_value(i)} for q, i in
+                itertools.islice(knowns.items(), len(problem.knowns), None)])
+            try:
+                with trace:
+                    print(json.dumps(summary, separators=(",", ":")),
+                          file=trace)
+            except OSError as exc:
+                if error is None:
+                    raise _unwritable(trace_path, exc) from None
     return SolveResult(winner, calls, tuple(steps), nanos, knowns)
+
+
+def _unwritable(path: str, exc: OSError) -> ValidationError:
+    return ValidationError(f"cannot write trace {path}: {exc.strerror}")
 
 
 def _step_line(s: TraceStep, core: Incidence, quantum: Fraction) -> str:
@@ -297,25 +318,3 @@ def _step_line(s: TraceStep, core: Incidence, quantum: Fraction) -> str:
         "pruned": list(s.pruned),
     }, separators=(",", ":"))
 
-
-def _end_trace(trace: Optional[TextIO], status: str, calls: int,
-               nanos: dict[str, int], answered: list[tuple[Question, float]],
-               winner: Optional[Candidate] = None,
-               exception: Optional[str] = None) -> None:
-    """Close the trace, if any, with its status line: "ok" (with the
-    winner), "limit", "oracle_error", "invalid_response", "oracle_exception"
-    or "exception" (with the type name of what the oracle, or else the solve,
-    raised), the calls and time so far, and every validated answer paid for."""
-    if trace is None:
-        return
-    with trace:
-        summary: dict = {"status": status}
-        if winner is not None:
-            summary["winner"] = list(winner.members)
-        if exception is not None:
-            summary["exception"] = exception
-        summary.update(
-            oracleCalls=calls, perTaskNanos=nanos,
-            answered=[{"construct": q.construct, "args": list(q.args),
-                       "response": v} for q, v in answered])
-        print(json.dumps(summary, separators=(",", ":")), file=trace)

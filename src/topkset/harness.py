@@ -528,9 +528,15 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path,
                 row.append(a / b if a and b else "")
             ratios.append(row)
 
-    return {
-        "runs": _write_rows(root / "runs.csv", [RUN_COLUMNS, *(
-            [r[col] for col in RUN_COLUMNS] for r in rows)]),
-        "summary": _write_rows(root / "summary.csv", summary),
-        "ratios": _write_rows(root / "ratios.csv", ratios),
-    }
+    tables = {"runs": [RUN_COLUMNS, *([r[col] for col in RUN_COLUMNS]
+                                      for r in rows)],
+              "summary": summary, "ratios": ratios}
+    paths = {}
+    for name, table in tables.items():
+        path = root / f"{name}.csv"
+        try:
+            paths[name] = _write_rows(path, table)
+        except OSError as exc:
+            raise ValidationError(
+                f"cannot write {path}: {exc.strerror}") from None
+    return paths

@@ -212,14 +212,18 @@ class ScoringSpec:
         is a bool or is no real number (a string, None, a Decimal).
 
         This is where scores from outside (responses, CSV scores, ground
-        truth) enter the lattice; v may miss a grid value by GRID_TOL.
+        truth) enter the lattice; v may miss a grid value by GRID_TOL in
+        score units, at any step.
         """
         if not isinstance(v, numbers.Real) or isinstance(v, bool):
             return None
+        # Also refuses NaN, ±inf and ints too large for a float.
         if not (self.min_score - GRID_TOL <= v <= self.max_score + GRID_TOL):
             return None
-        k = (v - self.min_score) / self.grid_step
-        return round(k) if abs(k - round(k)) <= GRID_TOL else None
+        i = round((v - self.min_score) / self.grid_step)
+        if 0 <= i <= self.steps and abs(v - self.grid_value(i)) <= GRID_TOL:
+            return i
+        return None
 
     def span(self, construct: str) -> int:
         """Quanta between a construct answer's lowest and highest value."""
@@ -257,7 +261,10 @@ class Question:
 
 
 class KnownStore:
-    """Immutable map from answered questions to the grid index of their score."""
+    """Immutable map from answered questions to the grid index of their score.
+
+    `items()` yields the answers in the order they were recorded.
+    """
 
     __slots__ = ("_answers",)
 

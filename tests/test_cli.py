@@ -10,7 +10,6 @@ import re
 import shutil
 import subprocess
 import sys
-import textwrap
 import threading
 import time
 from pathlib import Path
@@ -453,6 +452,16 @@ def test_unwritable_trace_path_asks_nothing(tmp_path, capsys, chat_server):
     assert chat_server.requests == []
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_trace_write_that_fails_exits_2(capsys):
+    """/dev/full opens, and its first step line fails with ENOSPC."""
+    code, out, err = run(["solve", "--dataset", F1_DIR, "--k", "3",
+                          "--trace", "/dev/full"], capsys)
+    assert code == 2
+    assert err == "error: cannot write trace /dev/full: No space left on device\n"
+    assert out == ""
+
+
 @pytest.mark.parametrize("drop_candidates, argv, message", [
     (True, ["--k", "2", "--candidates", "-1"],
      "candidate cap must be >= 1, got -1"),
@@ -573,11 +582,17 @@ def test_dep_support_over_the_limit_asks_nothing(tmp_path, capsys,
 def _in_700_mb(*argv):
     """A `topkset` command in a child process under a 700 MB address-space
     cap set on that process only."""
-    code = textwrap.dedent("""
-        import resource, sys
-        resource.setrlimit(resource.RLIMIT_AS, (700 << 20, 700 << 20))
-        from topkset.cli import entrypoint
-        sys.exit(entrypoint(sys.argv[1:]))""")
+    return _in_child(
+        "resource.setrlimit(resource.RLIMIT_AS, (700 << 20, 700 << 20))",
+        *argv)
+
+
+def _in_child(setup, *argv):
+    """A `topkset` command in a child process that first runs `setup`, one
+    line that may use `resource` and `signal`."""
+    code = "\n".join(("import resource, signal, sys", setup,
+                      "from topkset.cli import entrypoint",
+                      "sys.exit(entrypoint(sys.argv[1:]))"))
     src = str(Path(topkset.__file__).resolve().parent.parent)
     return subprocess.run(
         [sys.executable, "-c", code, *argv],
@@ -747,6 +762,25 @@ def test_experiment_command(tmp_path, capsys):
     for name in ("runs", "summary", "ratios"):
         assert name in out
         assert (out_dir / f"{name}.csv").exists()
+
+
+def test_experiment_write_that_fails_exits_2(tmp_path):
+    """With no file space (RLIMIT_FSIZE 0, SIGXFSZ ignored) the write probe,
+    an empty file, passes, and then runs.csv cannot be written: exit 2 with
+    an error naming it, and no traceback."""
+    cfg = tmp_path / "exp.json"
+    cfg.write_text(json.dumps({
+        "kList": [2], "candidateCountList": [4], "policies": ["random"],
+        "trials": 1, "unknownCount": 3}))
+    out_dir = tmp_path / "results"
+    out = _in_child(
+        "signal.signal(signal.SIGXFSZ, signal.SIG_IGN); "
+        "resource.setrlimit(resource.RLIMIT_FSIZE, (0, 0))",
+        "experiment", "--config", str(cfg), "--out", str(out_dir))
+    assert out.returncode == 2, out.stderr
+    assert out.stderr.startswith(
+        f"error: cannot write {out_dir / 'runs.csv'}: ")
+    assert "Traceback" not in out.stderr
 
 
 def test_experiment_rejects_bad_config(tmp_path, capsys):

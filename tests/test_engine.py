@@ -3,6 +3,7 @@
 import collections
 import itertools
 import json
+import os
 import random
 from decimal import Decimal
 from fractions import Fraction
@@ -19,6 +20,7 @@ from topkset.bounds import prune_and_prove, score_bounds
 from topkset.engine import DEP_MAX_SUPPORT, MAX_CANDIDATES
 from topkset.harness import default_spec, exact_scores
 from topkset.model import question_universe, questions_of, unknown_questions
+from topkset.oracle import OracleError
 
 from .conftest import core_arrays
 from .test_bounds import REFERENCE_SPECS
@@ -284,7 +286,11 @@ def test_untraced_random_and_baseline_estimate_nothing(monkeypatch, tmp_path):
     solves return the same result, step for step, after the same estimator
     calls. `random` and `baseline`, whose selection never reads an
     estimate, run none and carry none until a winner is provable, then the
-    one-hot one; the `entrred-*` policies carry theirs on every step."""
+    one-hot one; the `entrred-*` policies carry theirs on every step.
+
+    The paid answers have one record: the status line's `answered`, each
+    step's question and response and the answers `SolveResult.knowns`
+    holds after `problem.knowns` agree, in the order asked."""
     estimates = collections.Counter()
 
     def counting(name, estimate):
@@ -312,6 +318,14 @@ def test_untraced_random_and_baseline_estimate_nothing(monkeypatch, tmp_path):
             assert untraced.oracle_calls == traced.oracle_calls
             assert dict(untraced.knowns.items()) == dict(traced.knowns.items())
             assert untraced.steps == traced.steps
+            summary = json.loads(
+                (tmp_path / "trace.jsonl").read_text().splitlines()[-1])
+            recorded = list(traced.knowns.items())[len(problem.knowns):]
+            paid = [(Question(a["construct"], tuple(a["args"])),
+                     a["response"]) for a in summary["answered"]]
+            assert paid == [(st.question, st.response) for st in traced.steps]
+            assert paid == [(q, problem.spec.grid_value(i))
+                            for q, i in recorded]
 
             if policy in unread:
                 assert untraced_estimates == {}
@@ -466,6 +480,33 @@ def test_any_oracle_exception_trace_keeps_the_paid_answers(f1, tmp_path,
     assert summary["oracleCalls"] == 1
     assert summary["answered"] == [
         {"construct": "rel", "args": ["HNY"], "response": 1.0}]
+
+
+needs_dev_full = pytest.mark.skipif(not os.path.exists("/dev/full"),
+                                    reason="needs /dev/full")
+
+
+@needs_dev_full
+def test_a_trace_that_cannot_be_written_ends_the_solve(f1):
+    """The first step line fails with ENOSPC: a ValidationError naming the
+    trace, after the one answer that step records and no other."""
+    oracle = ScriptedOracle(1.0, 1.0)
+    with pytest.raises(ValidationError,
+                       match="^cannot write trace /dev/full: No space"):
+        solve(f1, Policy.BASELINE, oracle, trace_path="/dev/full")
+    assert oracle.calls == 1
+
+
+@needs_dev_full
+def test_a_failed_status_line_leaves_the_oracle_error_as_it_is(f1):
+    """The oracle fails first; the status line then cannot be written, and
+    the OracleError still comes out, unchanged."""
+    failure = OracleError("down")
+    with pytest.raises(OracleError) as err:
+        solve(f1, Policy.BASELINE, ScriptedOracle(failure),
+              trace_path="/dev/full")
+    assert err.value is failure
+    assert err.value.__context__ is None
 
 
 class TraceReadingOracle:

@@ -90,6 +90,19 @@ class TestConstructAndSpec:
         assert spec.grid_index(1.5) is None
         assert spec.grid_index(-0.5) is None
         assert spec.grid_index(float("nan")) is None
+        for v in (float("inf"), float("-inf"), 10**400, -10**400):
+            assert spec.grid_index(v) is None
+        # The tolerance is GRID_TOL in score units at every step: 9e-10 off
+        # a value is on the grid at step 0.5, 5e-9 off is not at step 10,
+        # inside the range as at its ends.
+        assert spec.grid_index(1.0000000009) == 2
+        assert spec.grid_index(0.4999999991) == 1
+        tens = ScoringSpec((Construct("rel", 1),), 0.0, 100.0, 10.0)
+        assert tens.grid_index(50.0) == 5
+        assert tens.grid_index(50.0000000009) == 5
+        assert tens.grid_index(50.000000005) is None
+        assert tens.grid_index(100.000000005) is None
+        assert tens.grid_index(-0.000000005) is None
 
     def test_only_real_numbers_other_than_bools_are_on_grid(self):
         spec = hotel_spec()
@@ -197,6 +210,17 @@ class TestKnownStore:
         full = empty.record(spec, q, 0.5)
         assert q not in empty
         assert q in full
+
+    def test_items_keep_record_order(self):
+        """Not sorted: `solve` reads its answers in the order asked."""
+        spec = hotel_spec()
+        qs = [Question("rel", ("MLN",)), Question("div", ("HNY", "MLN")),
+              Question("rel", ("HNY",)), Question("div", ("HNY", "HYN"))]
+        store = KnownStore({qs[0]: 2})
+        for q, v in zip(qs[1:], (0.0, 1.0, 0.5)):
+            store = store.record(spec, q, v)
+        store = store.record(spec, qs[2], 1.0)  # a repeat moves nothing
+        assert list(store.items()) == list(zip(qs, (2, 0, 2, 1)))
 
     def test_same_value_twice_is_a_noop(self):
         spec = hotel_spec()
