@@ -9,8 +9,8 @@ the most and stops as soon as the winner is provable.
 
 from .bounds import Interval, dominates, eliminated_bounds, score_bounds
 from .distributions import DiscretePdf, geq_probability, uniform_pdf
-from .engine import (Policy, SolveLimitError, SolveResult, TraceStep,
-                     enumerate_candidates, solve)
+from .engine import (Policy, SolveLimitError, SolveResult, Solver,
+                     TraceStep, enumerate_candidates, solve)
 from .harness import (ExperimentConfig, generate_synthetic, load_problem,
                       run_experiment, write_bundle)
 from .model import (Candidate, Construct, KnownStore, Problem, Question,
@@ -29,7 +29,7 @@ __all__ = [
     "ExperimentConfig", "Interval", "KnownStore",
     "LlmOracle", "LlmOracleConfig", "OracleError",
     "Policy", "Problem", "Question", "ResponsePdf", "ScoringSpec",
-    "SolveLimitError", "SolveResult", "TableOracle", "TraceStep",
+    "SolveLimitError", "SolveResult", "Solver", "TableOracle", "TraceStep",
     "ValidationError", "WinnerDistribution", "brute_force_dist", "dominates",
     "eliminated_bounds", "entropy", "enumerate_candidates",
     "generate_synthetic", "geq_probability", "load_problem", "normalize",

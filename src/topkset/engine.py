@@ -1,10 +1,10 @@
 """The solve loop: ask questions until the top-k set is provably exact.
 
-Per iteration the engine checks whether one candidate already dominates
-every other on pairwise eliminated bounds. If not, it estimates the
-winner distribution, picks the next question per policy, asks the
-oracle, records the answer and prunes candidates that can no longer win.
-The returned winner is always exact, never a guess.
+`Solver` is the proof, one answer at a time and without I/O. Each pass
+prunes, checks whether one candidate dominates every other on pairwise
+eliminated bounds and, if none does, estimates the winner distribution
+and picks the next question. `solve` drives it: it asks the oracle, and
+budgets, traces and reports. The winner is always exact, never a guess.
 
 The baseline policy instead asks every open question in universe order
 and reads off the exact argmax; it exists as the cost yardstick.
@@ -138,6 +138,119 @@ def check_candidate_count(count: int) -> None:
             f"solve; cap the list with --candidates")
 
 
+class Solver:
+    """One query's proof, advanced one answer at a time. `knowns` keeps
+    every answer fed in, so an oracle failure loses none; `winner` is set
+    once `next_question` returns None. The "oracle" and "trace" buckets of
+    `per_task_nanos` are the caller's to fill."""
+
+    def __init__(self, problem: Problem, policy: Policy, *, seed: int = 0,
+                 clock: Optional[Clock] = None):
+        check_candidate_count(len(problem.candidates))
+        self._problem, self._policy = problem, policy
+        self._clock = clock = clock or time.perf_counter_ns
+        self._rng = random.Random(seed)
+        # "trace" times the step lines, and stays 0 when the solve is untraced.
+        self.per_task_nanos = {"bounds": 0, "probability": 0, "selection": 0,
+                               "oracle": 0, "trace": 0}
+        # Every candidate's bounds and pair cuts, kept current by folding in
+        # each answer (`Incidence.fold`) in the bounds bucket.
+        t0 = clock()
+        core = self._core = Incidence(problem.candidates, problem.spec,
+                                      problem.knowns)
+        self.per_task_nanos["bounds"] += clock() - t0
+        if policy is Policy.ENTRRED_DEP:
+            support = int((core.hi - core.lo).max()) + 1
+            if support > DEP_MAX_SUPPORT:
+                raise ValidationError(
+                    f"entrred-dep cost grows with score support: the largest "
+                    f"candidate support here is {support} points, above the "
+                    f"limit of {DEP_MAX_SUPPORT}; use a coarser grid step or "
+                    f"another policy")
+        self.knowns, self.steps, self.winner = problem.knowns, [], None
+        # The pending question and its column; then the answer folded since
+        # the last pass: its fold's clock reading, question and grid value.
+        self._question, self._column = None, -1
+        self._folded: Optional[tuple[int, Question, float]] = None
+
+    def next_question(self) -> Optional[Question]:
+        """Pruning and the winner check, the estimate, the step of the
+        answer just folded and selection: the next question, or None once
+        `winner` is proved. Until it is answered, a call returns it again."""
+        if self._question is not None or self.winner is not None:
+            return self._question
+        clock, nanos, core = self._clock, self.per_task_nanos, self._core
+        policy, candidates = self._policy, self._problem.candidates
+        baseline = policy is Policy.BASELINE
+        t0 = self._folded[0] if self._folded else clock()
+        # Over every row: a pruned row stays pruned (prune_and_prove).
+        keep, top = prune_and_prove(core.lo, core.hi, core.cut)
+        if baseline:  # asks every open question, so prunes nothing
+            keep[:] = True
+        rows = np.flatnonzero(keep)
+        lo, hi = core.lo[rows], core.hi[rows]
+        nanos["bounds"] += clock() - t0
+
+        t0 = clock()
+        if top is not None:
+            probs = (rows == top).astype(float).tolist()
+        elif policy is Policy.ENTRRED_DEP:
+            probs = prob_dep(lo.tolist(), hi.tolist(),
+                             core.cut[np.ix_(rows, rows)]).probs
+        elif policy is Policy.ENTRRED_IND:
+            probs = prob_ind(lo.tolist(), hi.tolist()).probs
+        else:
+            probs = ()
+        probs_padded = ()
+        if probs:
+            padded = np.zeros(len(candidates))
+            padded[rows] = probs
+            probs_padded = tuple(padded.tolist())
+        # Called once per iteration: perfbench counts iterations by it.
+        step_entropy = entropy(probs)
+        if not probs_padded:
+            step_entropy = None
+        nanos["probability"] += clock() - t0
+        if self._folded:
+            self.steps.append(TraceStep(
+                len(self.steps), *self._folded[1:], probs_padded,
+                step_entropy, tuple(np.flatnonzero(~keep).tolist())))
+            self._folded = None
+
+        t0 = clock()
+        # Open questions of the live candidates, in universe order.
+        hits = core.members[rows]
+        cols = (core.unknown & hits.any(axis=0)).nonzero()[0]
+        if top is not None and not (baseline and len(cols)):
+            self.winner = candidates[top]
+            nanos["selection"] += clock() - t0
+            return None
+        if not len(cols):
+            raise RuntimeError("no open question and no provable winner")
+        if baseline:
+            j = int(cols[0])
+        elif policy is Policy.RANDOM:
+            j = select_random(cols.tolist(), self._rng)
+        else:
+            j = int(select_entrred(cols, probs, hits[:, cols].T))
+        self._question, self._column = core.question(j), j
+        nanos["selection"] += clock() - t0
+        return self._question
+
+    def answer(self, value: float) -> None:
+        """Record `value` as the pending question's score and fold it in.
+        An invalid value raises ValidationError, and an answer with no
+        question pending RuntimeError; either changes nothing."""
+        question, spec = self._question, self._problem.spec
+        if question is None:
+            raise RuntimeError("no question is pending; call next_question")
+        self.knowns = self.knowns.record(spec, question, value)
+        index = self.knowns.get(question)
+        self._question = None
+        self._folded = self._clock(), question, spec.grid_value(index)
+        self._core.fold(self._column, index)
+
+
 def solve(problem: Problem, policy: Policy, oracle: Oracle, *,
           seed: int = 0, max_calls: Optional[int] = None,
           trace_path: Optional[str] = None,
@@ -156,31 +269,9 @@ def solve(problem: Problem, policy: Policy, oracle: Oracle, *,
     """
     if max_calls is not None and max_calls < 0:
         raise ValidationError(f"max_calls must be >= 0, got {max_calls}")
-    check_candidate_count(len(problem.candidates))
     clock = clock or time.perf_counter_ns
-    spec = problem.spec
-    all_candidates = problem.candidates
-    knowns = problem.knowns
-    # "trace" times the step lines, and stays 0 when the solve is untraced.
-    nanos = {"bounds": 0, "probability": 0, "selection": 0, "oracle": 0,
-             "trace": 0}
-    rng = random.Random(seed)
-    steps: list[TraceStep] = []
-    calls = 0
-    # Every candidate's bounds and pair cuts, kept current by folding in
-    # each answer (`Incidence.fold`) in the bounds bucket.
-    t0 = clock()
-    core = Incidence(all_candidates, spec, knowns)
-    nanos["bounds"] += clock() - t0
-    if policy is Policy.ENTRRED_DEP:
-        support = int((core.hi - core.lo).max()) + 1
-        if support > DEP_MAX_SUPPORT:
-            raise ValidationError(
-                f"entrred-dep cost grows with score support: the largest "
-                f"candidate support here is {support} points, above the "
-                f"limit of {DEP_MAX_SUPPORT}; use a coarser grid step or "
-                f"another policy")
-    baseline = policy is Policy.BASELINE
+    solver = Solver(problem, policy, seed=seed, clock=clock)
+    nanos, spec = solver.per_task_nanos, problem.spec
     # The trace's one open: fail before paying for any answer.
     try:
         trace = open(trace_path, "w", encoding="utf-8") if trace_path else None
@@ -188,75 +279,26 @@ def solve(problem: Problem, policy: Policy, oracle: Oracle, *,
         raise _unwritable(trace_path, exc) from None
     # Each exit sets its status where it happens; the rest are "exception".
     status, error = "exception", None
+    calls = written = 0
     try:
-        t0 = clock()
         while True:
-            # Over every row: a pruned row stays pruned (prune_and_prove).
-            keep, top = prune_and_prove(core.lo, core.hi, core.cut)
-            if baseline:  # asks every open question, so prunes nothing
-                keep[:] = True
-            rows = np.flatnonzero(keep)
-            lo, hi = core.lo[rows], core.hi[rows]
-            winner = None if top is None else all_candidates[top]
-            nanos["bounds"] += clock() - t0
-
-            t0 = clock()
-            if winner is not None:
-                probs = (rows == top).astype(float).tolist()
-            elif policy is Policy.ENTRRED_DEP:
-                probs = prob_dep(lo.tolist(), hi.tolist(),
-                                 core.cut[np.ix_(rows, rows)]).probs
-            elif policy is Policy.ENTRRED_IND:
-                probs = prob_ind(lo.tolist(), hi.tolist()).probs
-            else:
-                probs = ()
-            probs_padded = ()
-            if probs:
-                padded = np.zeros(len(all_candidates))
-                padded[rows] = probs
-                probs_padded = tuple(padded.tolist())
-            # Called once per iteration: perfbench counts iterations by it.
-            step_entropy = entropy(probs)
-            if not probs_padded:
-                step_entropy = None
-            nanos["probability"] += clock() - t0
-
-            if len(steps) < calls:  # the last answer makes a step
-                steps.append(TraceStep(
-                    len(steps), question, spec.grid_value(index),
-                    probs_padded, step_entropy,
-                    tuple(np.flatnonzero(~keep).tolist())))
-                if trace:
+            try:
+                question = solver.next_question()
+            finally:  # a step made before selection fails is traced too
+                for step in solver.steps[written:] if trace else ():
                     t0 = clock()
                     try:
-                        print(_step_line(steps[-1], core, spec.quantum),
+                        print(_step_line(step, solver._core, spec.quantum),
                               file=trace, flush=True)
                     except OSError as exc:
                         raise _unwritable(trace_path, exc) from None
                     nanos["trace"] += clock() - t0
-
-            t0 = clock()
-            # Open questions of the live candidates, in universe order.
-            hits = core.members[rows]
-            cols = (core.unknown & hits.any(axis=0)).nonzero()[0]
-            if winner is not None and not (baseline and len(cols)):
-                nanos["selection"] += clock() - t0
+                    written += 1
+            if question is None:
                 break
-            if not len(cols):
-                raise RuntimeError("no open question and no provable winner")
-            if baseline:
-                j = int(cols[0])
-            elif policy is Policy.RANDOM:
-                j = select_random(cols.tolist(), rng)
-            else:
-                j = int(select_entrred(cols, probs, hits[:, cols].T))
-            question = core.question(j)
-            nanos["selection"] += clock() - t0
-
             if max_calls is not None and calls >= max_calls:
                 status = "limit"
-                raise SolveLimitError(max_calls, tuple(steps), nanos)
-
+                raise SolveLimitError(max_calls, tuple(solver.steps), nanos)
             t0 = clock()
             try:
                 response = oracle.ask(question)
@@ -268,13 +310,10 @@ def solve(problem: Problem, policy: Policy, oracle: Oracle, *,
                 nanos["oracle"] += clock() - t0
             calls += 1
             try:
-                knowns = knowns.record(spec, question, response)
+                solver.answer(response)
             except ValidationError:
                 status = "invalid_response"
                 raise
-            index = knowns.get(question)
-            t0 = clock()
-            core.fold(j, index)
         status = "ok"
     except BaseException as exc:
         error = exc
@@ -283,13 +322,13 @@ def solve(problem: Problem, policy: Policy, oracle: Oracle, *,
         if trace:
             summary: dict = {"status": status}
             if status == "ok":
-                summary["winner"] = list(winner.members)
+                summary["winner"] = list(solver.winner.members)
             if status.endswith("exception"):
                 summary["exception"] = type(error).__name__
             summary.update(oracleCalls=calls, perTaskNanos=nanos, answered=[
                 {"construct": q.construct, "args": list(q.args),
                  "response": spec.grid_value(i)} for q, i in
-                itertools.islice(knowns.items(), len(problem.knowns), None)])
+                list(solver.knowns.items())[len(problem.knowns):]])
             try:
                 with trace:
                     print(json.dumps(summary, separators=(",", ":")),
@@ -297,7 +336,8 @@ def solve(problem: Problem, policy: Policy, oracle: Oracle, *,
             except OSError as exc:
                 if error is None:
                     raise _unwritable(trace_path, exc) from None
-    return SolveResult(winner, calls, tuple(steps), nanos, knowns)
+    return SolveResult(solver.winner, calls, tuple(solver.steps), nanos,
+                       solver.knowns)
 
 
 def _unwritable(path: str, exc: OSError) -> ValidationError:

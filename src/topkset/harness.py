@@ -26,6 +26,7 @@ import csv
 import itertools
 import json
 import math
+import os
 import random
 import statistics
 import time
@@ -410,6 +411,18 @@ class ExperimentConfig:
             raise ValidationError(f"malformed experiment config {path}: {exc}")
 
 
+def _cell_seed(seed_base: int, k: int, m_cand: int, trial: int) -> int:
+    """The seed of one experiment cell, a different one for every
+    (seed_base, k, m_cand, trial): seed_base b folded onto the naturals
+    (2b, or -2b - 1 when b < 0), then paired with k, m_cand and trial in
+    turn by Cantor's bijection P(x, y) = (x + y)(x + y + 1)/2 + y. It is
+    never negative, as `random.Random` seeds -s and s alike."""
+    seed = 2 * seed_base if seed_base >= 0 else -2 * seed_base - 1
+    for y in (k, m_cand, trial):
+        seed = (seed + y) * (seed + y + 1) // 2 + y
+    return seed
+
+
 def _smallest_n(k: int, want: int) -> int:
     n = k
     while math.comb(n, k) < want:
@@ -462,9 +475,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path,
         for m_cand in cfg.candidate_count_list:
             n = _smallest_n(k, m_cand)
             for trial in range(cfg.trials):
-                seed = cfg.seed_base * 1_000_000 + k * 100_000 \
-                    + m_cand * 1_000 + trial
-                cells.append((k, m_cand, n, trial, seed))
+                cells.append((k, m_cand, n, trial,
+                              _cell_seed(cfg.seed_base, k, m_cand, trial)))
 
     def run_cell(cell):
         k, m_cand, n, trial, seed = cell
@@ -494,10 +506,12 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path,
             })
         return rows
 
-    if cfg.workers > 1:
+    # No more threads than cores or cells, whatever the config asks.
+    workers = min(cfg.workers, os.cpu_count() or 1, len(cells))
+    if workers > 1:
         # Imported here so that `import topkset` stays without it.
         from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(run_cell, cells))
     else:
         results = [run_cell(c) for c in cells]

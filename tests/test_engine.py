@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 
 from topkset import (Candidate, Construct, KnownStore, Policy, Problem,
-                     Question, ScoringSpec, SolveLimitError, TableOracle,
-                     ValidationError, enumerate_candidates,
+                     Question, ScoringSpec, SolveLimitError, Solver,
+                     TableOracle, ValidationError, enumerate_candidates,
                      generate_synthetic, solve)
 from topkset import bounds, engine, selection, winner
 from topkset.bounds import prune_and_prove, score_bounds
@@ -756,3 +756,126 @@ def test_shipped_grids_stay_far_below_the_dep_support_limit(step, k):
     problem = generate_synthetic(k + 2, k, seed=0, spec=default_spec(step))
     core = bounds.Incidence(problem.candidates, problem.spec, problem.knowns)
     assert 50 * (int((core.hi - core.lo).max()) + 1) < DEP_MAX_SUPPORT
+
+
+def drive(solver, oracle, clock):
+    """Run `solver` to its proof as `solve` does, untraced, timing each
+    answer in the "oracle" bucket."""
+    while (question := solver.next_question()) is not None:
+        t0 = clock()
+        response = oracle.ask(question)
+        solver.per_task_nanos["oracle"] += clock() - t0
+        solver.answer(response)
+
+
+def core_state(solver):
+    """Every array of the solver's core, copied."""
+    core = solver._core
+    return [a.copy() for a in (core.lo, core.hi, core.cut, core.unknown)]
+
+
+def assert_same_core(a, b):
+    for x, y in zip(a, b, strict=True):
+        assert np.array_equal(x, y)
+
+
+class TestSolver:
+    """`Solver` driven by hand: the proof that `solve` wraps."""
+
+    @pytest.mark.parametrize("policy", ALL_POLICIES, ids=lambda p: p.value)
+    def test_driving_it_by_hand_equals_solve(self, policy, make_clock):
+        for seed, problem in _seeded_instances():
+            oracle = TableOracle(problem.ground_truth)
+            result = solve(problem, policy, oracle, seed=seed,
+                           clock=make_clock())
+            clock = make_clock()
+            solver = Solver(problem, policy, seed=seed, clock=clock)
+            drive(solver, oracle, clock)
+            assert solver.winner == result.winner
+            assert tuple(solver.steps) == result.steps
+            assert list(solver.knowns.items()) == list(result.knowns.items())
+            assert solver.per_task_nanos == result.per_task_nanos
+
+    @pytest.mark.parametrize("bad", [0.3, "1.0", None, 2.0])
+    def test_an_invalid_answer_changes_nothing(self, f1, bad):
+        solver = Solver(f1, Policy.ENTRRED_DEP)
+        question = solver.next_question()
+        before = core_state(solver)
+        with pytest.raises(ValidationError):
+            solver.answer(bad)
+        assert solver.knowns is f1.knowns
+        assert_same_core(core_state(solver), before)
+        assert solver.steps == []
+        assert solver.next_question() == question
+        solver.answer(f1.ground_truth[question])
+        assert solver.next_question() is None
+        assert solver.winner.members == ("HNY", "HYN", "MLN")
+
+    def test_an_answer_out_of_turn_folds_nothing(self):
+        """Before the first question, twice in a row and after the proof:
+        RuntimeError, and the core and knowns stay as they were."""
+        problem = _interruptible_problem()
+        solver = Solver(problem, Policy.ENTRRED_IND)
+
+        def refused():
+            before, knowns = core_state(solver), solver.knowns
+            with pytest.raises(RuntimeError, match="no question is pending"):
+                solver.answer(0.5)
+            assert solver.knowns is knowns
+            assert_same_core(core_state(solver), before)
+
+        refused()
+        while (question := solver.next_question()) is not None:
+            solver.answer(problem.ground_truth[question])
+            refused()
+        refused()
+        reference = solve(problem, Policy.ENTRRED_IND,
+                          TableOracle(problem.ground_truth))
+        assert solver.winner == reference.winner
+        assert tuple(solver.steps) == reference.steps
+
+    def test_a_repeated_question_runs_nothing(self, make_clock):
+        """Asked again before its answer, `next_question` returns the
+        pending question, draws nothing from the RNG, reads no clock and
+        makes no step."""
+        problem = _interruptible_problem()
+        clock = make_clock()
+        solver = Solver(problem, Policy.RANDOM, seed=5, clock=clock)
+        asked = 0
+        while (question := solver.next_question()) is not None:
+            rng, now = solver._rng.getstate(), clock.now
+            steps, nanos = list(solver.steps), dict(solver.per_task_nanos)
+            for _ in range(2):
+                assert solver.next_question() == question
+            assert solver._rng.getstate() == rng
+            assert clock.now == now
+            assert solver.steps == steps
+            assert solver.per_task_nanos == nanos
+            solver.answer(problem.ground_truth[question])
+            asked += 1
+        assert asked >= 3
+        assert solver.next_question() is None
+
+    @pytest.mark.parametrize("policy", ALL_POLICIES, ids=lambda p: p.value)
+    def test_an_oracle_error_keeps_every_paid_answer(self, policy):
+        problem = _interruptible_problem()
+        table = TableOracle(problem.ground_truth)
+        paid = []
+
+        class FailsThird:
+            def ask(self, q):
+                if len(paid) == 2:
+                    raise OracleError("down")
+                paid.append((q, table.ask(q)))
+                return paid[-1][1]
+
+        solver = Solver(problem, policy)
+        with pytest.raises(OracleError):
+            drive(solver, FailsThird(), lambda: 0)
+        recorded = list(solver.knowns.items())
+        assert recorded[:len(problem.knowns)] == list(problem.knowns.items())
+        assert [(q, problem.spec.grid_value(i)) for q, i in
+                recorded[len(problem.knowns):]] == paid
+        # The third question's pass made the second answer's step.
+        assert [st.question for st in solver.steps] == [q for q, _ in paid]
+        assert solver.winner is None

@@ -5,13 +5,16 @@ import csv
 import itertools
 import json
 import math
+import os
+import random
 import shutil
+import threading
 import time
 from pathlib import Path
 
 import pytest
 
-from topkset import (ExperimentConfig, Policy, Question, TableOracle,
+from topkset import (ExperimentConfig, Policy, Question, TableOracle, harness,
                      ValidationError, generate_synthetic, load_problem,
                      run_experiment, solve, unknown_questions, write_bundle)
 from topkset.engine import DEP_MAX_SUPPORT, MAX_CANDIDATES
@@ -633,6 +636,75 @@ class TestRunExperiment:
                         for r in csv.DictReader(fh)]
 
         assert outcome(serial["runs"]) == outcome(threaded["runs"])
+
+    def test_every_cell_gets_its_own_seed(self, tmp_path, monkeypatch):
+        """Cells that the old formula, seedBase * 10**6 + k * 10**5 +
+        M * 1000 + trial, seeded alike get RNG streams of their own."""
+        tiny = generate_synthetic(3, 2, seed=0, unknown_count=0)
+        seeds = []
+
+        def capture(n, k, candidate_cap, seed, **kwargs):
+            seeds.append(seed)
+            return tiny
+
+        monkeypatch.setattr(harness, "generate_synthetic", capture)
+
+        def cell_seeds(k_list, counts, trials=1, seed_base=0):
+            seeds.clear()
+            run_experiment(ExperimentConfig(k_list, counts, (Policy.RANDOM,),
+                                            trials, seed_base),
+                           tmp_path / "out")
+            assert len(set(seeds)) == len(seeds)
+            return list(seeds)
+
+        def apart(a, b):
+            return random.Random(a).getstate() != random.Random(b).getstate()
+
+        # (k=2, M=200) and (k=3, M=100): both 400000 before.
+        k2_m200, k3_m100 = cell_seeds((2, 3), (200, 100))[::3]
+        assert apart(k2_m200, k3_m100)
+        # (k=3, M=11, trial 1000) and (k=3, M=12, trial 0): both 312000.
+        seeds_3 = cell_seeds((3,), (11, 12), trials=1001)
+        assert apart(seeds_3[1000], seeds_3[1001])
+        # seedBase -1 at (k=2, M=4) gave -796000, which seeds as 796000,
+        # seedBase 0 at (k=7, M=96).
+        [below] = cell_seeds((2,), (4,), seed_base=-1)
+        [above] = cell_seeds((7,), (96,), seed_base=0)
+        assert apart(below, above)
+        assert min(seeds_3 + [k2_m200, k3_m100, below, above]) >= 0
+
+    @pytest.mark.parametrize("workers, cpus, threads", [
+        (100_000, 4, 4), (3, 8, 3), (8, 8, 6), (5, None, 1), (1, 8, 1)])
+    def test_threads_are_capped_by_cores_and_cells(
+            self, tmp_path, monkeypatch, workers, cpus, threads):
+        """min(workers, os.cpu_count() or 1, cells) threads over 6 cells,
+        and no pool for one: a stub pool records its size and maps in this
+        thread."""
+        import concurrent.futures
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor",
+                            SerialPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        before = threading.active_count()
+        cfg = {**SMALL_CFG, "policies": (Policy.RANDOM,), "trials": 6,
+               "workers": workers}
+        run_experiment(ExperimentConfig(**cfg), tmp_path / "out")
+        assert sizes == ([threads] if threads > 1 else [])
+        assert threading.active_count() == before
 
     def test_unwritable_output_dir(self, tmp_path, make_clock):
         target = tmp_path / "blocked"
