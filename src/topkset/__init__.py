@@ -8,7 +8,6 @@ the most and stops as soon as the winner is provable.
 """
 
 from .bounds import Interval, dominates, eliminated_bounds, score_bounds
-from .distributions import DiscretePdf, geq_probability, uniform_pdf
 from .engine import (Policy, SolveLimitError, SolveResult, Solver,
                      TraceStep, enumerate_candidates, solve)
 from .harness import (ExperimentConfig, generate_synthetic, load_problem,
@@ -18,9 +17,10 @@ from .model import (Candidate, Construct, KnownStore, Problem, Question,
                     questions_of, unknown_questions)
 from .oracle import (LlmOracle, LlmOracleConfig, OracleError, ResponsePdf,
                      TableOracle, process_responses, snap_to_grid)
-from .selection import entropy, qef_score, select_entrred, select_random
-from .winner import (CapExceededError, WinnerDistribution, brute_force_dist,
-                     normalize, prob_dep, prob_ind)
+from .selection import qef_score, select_entrred, select_random
+from .winner import (CapExceededError, DiscretePdf, WinnerDistribution,
+                     brute_force_dist, entropy, geq_probability, normalize,
+                     prob_dep, prob_ind, uniform_pdf)
 
 __version__ = "0.1.0"
 

@@ -29,12 +29,12 @@ import numpy as np
 # them by name on `engine`; the solve loop calls none of them.
 from .bounds import (Incidence, elimination_cut, prune_and_prove,
                      score_bounds)
-from .model import (Candidate, KnownStore, Problem, Question,
+from .model import (Candidate, KnownStore, Problem, Question, ScoringSpec,
                     ValidationError, lattice_floats, question_universe,
                     questions_of, unknown_questions)
 from .oracle import OracleError
-from .selection import entropy, select_entrred, select_random
-from .winner import prob_dep, prob_ind
+from .selection import select_entrred, select_random
+from .winner import entropy, prob_dep, prob_ind
 
 Clock = Callable[[], int]
 
@@ -52,6 +52,11 @@ DEP_MAX_SUPPORT = 10_000
 # 114-132 MB at M=2024 and 330-352 MB at M=4060 (fresh process, Python 3.11,
 # numpy 2.4, x86-64), about 0.5 GB at this limit; `solve` rejects more.
 MAX_CANDIDATES = 5_000
+
+# A k-set asks sum over constructs of C(k, arity) questions, each ~0.85 KB
+# of peak RSS from `gen` through `solve`: 234 MB at k=700 and 444 MB at
+# k=1000 for one set (fresh process, Python 3.11, x86-64).
+MAX_SET_QUESTIONS = 250_000
 
 
 class Policy(Enum):
@@ -138,6 +143,16 @@ def check_candidate_count(count: int) -> None:
             f"solve; cap the list with --candidates")
 
 
+def check_set_questions(spec: ScoringSpec, k: int) -> None:
+    """Refuse k-sets that ask more questions each than one solve takes.
+    A k below 1 passes here, for the candidate checks to refuse."""
+    count = sum(math.comb(max(k, 0), con.arity) for con in spec.constructs)
+    if count > MAX_SET_QUESTIONS:
+        raise ValidationError(
+            f"a {k}-set asks {count} questions, above the limit of "
+            f"{MAX_SET_QUESTIONS} per candidate; use a smaller k")
+
+
 class Solver:
     """One query's proof, advanced one answer at a time. `knowns` keeps
     every answer fed in, so an oracle failure loses none; `winner` is set
@@ -147,6 +162,7 @@ class Solver:
     def __init__(self, problem: Problem, policy: Policy, *, seed: int = 0,
                  clock: Optional[Clock] = None):
         check_candidate_count(len(problem.candidates))
+        check_set_questions(problem.spec, problem.k)
         self._problem, self._policy = problem, policy
         self._clock = clock = clock or time.perf_counter_ns
         self._rng = random.Random(seed)
@@ -282,8 +298,9 @@ def solve(problem: Problem, policy: Policy, oracle: Oracle, *,
     calls = written = 0
     try:
         while True:
+            selected = False
             try:
-                question = solver.next_question()
+                question, selected = solver.next_question(), True
             finally:  # a step made before selection fails is traced too
                 for step in solver.steps[written:] if trace else ():
                     t0 = clock()
@@ -291,7 +308,8 @@ def solve(problem: Problem, policy: Policy, oracle: Oracle, *,
                         print(_step_line(step, solver._core, spec.quantum),
                               file=trace, flush=True)
                     except OSError as exc:
-                        raise _unwritable(trace_path, exc) from None
+                        if selected:  # else what is in flight ends it
+                            raise _unwritable(trace_path, exc) from None
                     nanos["trace"] += clock() - t0
                     written += 1
             if question is None:

@@ -37,7 +37,8 @@ from typing import Optional
 
 from .bounds import score_bounds
 from .engine import (DEP_MAX_SUPPORT, MAX_CANDIDATES, Clock, Policy,
-                     check_candidate_count, enumerate_candidates, solve)
+                     check_candidate_count, check_set_questions,
+                     enumerate_candidates, solve)
 from .model import (Candidate, Construct, KnownStore, Problem, Question,
                     ScoringSpec, ValidationError, instance_of, only_keys,
                     question_universe, read_json_object, real_number, typed,
@@ -113,7 +114,8 @@ def load_spec(path: Path) -> ScoringSpec:
         return ScoringSpec(constructs, lo, hi,
                            typed("step", raw["step"], real_number, "a number"))
     except (KeyError, ValueError) as exc:
-        raise ValidationError(f"malformed scoring spec {path}: {exc}")
+        what = f"lacks {exc}" if isinstance(exc, KeyError) else exc
+        raise ValidationError(f"malformed scoring spec {path}: {what}")
 
 
 def load_problem(dataset_dir: str | Path, k: int,
@@ -141,6 +143,7 @@ def load_problem(dataset_dir: str | Path, k: int,
         raise ValidationError("entities.csv has no rows")
 
     entities = tuple(context)
+    check_set_questions(spec, k)
     cand_file = root / "candidates.csv"
     if cand_file.exists():
         candidates = _load_candidates(cand_file, k, context, candidate_cap)
@@ -273,6 +276,7 @@ def generate_synthetic(n: int, k: int, candidate_cap: Optional[int] = None,
         raise ValidationError(
             f"unknown question count must be >= 0, got {unknown_count}")
     spec = spec or default_spec()
+    check_set_questions(spec, k)
     entities = tuple(f"E{i:03d}" for i in range(n))
     candidates = enumerate_candidates(entities, k, cap=candidate_cap)
     universe = question_universe(spec, candidates)
@@ -382,6 +386,8 @@ class ExperimentConfig:
                 f"the limit of {MAX_CANDIDATES} per solve; lower "
                 f"candidateCountList (solve caps a dataset with --candidates)")
         spec = default_spec(self.grid_step)
+        for k in self.k_list:
+            check_set_questions(spec, k)
         if Policy.ENTRRED_DEP in self.policies:
             # An upper bound on the largest initial support `solve` would
             # meet in any cell: every question of a k-set open, or only
@@ -408,7 +414,8 @@ class ExperimentConfig:
                           in _EXPERIMENT_FIELDS.items()
                           if key in raw or name in _EXPERIMENT_LISTS})
         except (KeyError, ValidationError) as exc:
-            raise ValidationError(f"malformed experiment config {path}: {exc}")
+            what = f"lacks {exc}" if isinstance(exc, KeyError) else exc
+            raise ValidationError(f"malformed experiment config {path}: {what}")
 
 
 def _cell_seed(seed_base: int, k: int, m_cand: int, trial: int) -> int:

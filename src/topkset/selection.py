@@ -1,4 +1,4 @@
-"""Next-question selection: entropy, question scoring and the two policies.
+"""Next-question selection: question scoring and the two policies.
 
 The driver policy targets the currently most probable candidate and asks
 the question that most separates its winner probability from the rest;
@@ -15,7 +15,6 @@ its docstring for the error bound).
 
 from __future__ import annotations
 
-import math
 import random
 from typing import Sequence, TypeVar, Union
 
@@ -25,17 +24,6 @@ from .model import Candidate, Question, ScoringSpec, questions_of
 from .winner import most_probable
 
 T = TypeVar("T")
-
-
-def entropy(probs: Sequence[float]) -> float:
-    """Shannon entropy in nats; zero-probability terms contribute nothing."""
-    h = 0.0
-    for p in probs:
-        if p < 0:
-            raise ValueError("probabilities must be nonnegative")
-        if p > 0:
-            h -= p * math.log(p)
-    return max(h, 0.0)
 
 
 def qef_score(q: Question, probs: Sequence[float],

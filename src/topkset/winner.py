@@ -1,56 +1,117 @@
-"""Winner probability estimators: P(c is the true best) for each candidate.
+"""Winner distributions: lattice pdfs, the estimators and their entropy.
 
-Two estimators share one shape, a product of pairwise beat terms per
-candidate followed by normalization:
+Scores, bounds and pdf supports are integer counts of the spec's quantum,
+so every comparison between candidate scores is exact. A partially known
+score is a uniform pdf over the lattice points of its bound interval
+(`uniform_pdf`), and P(A >= B) is an integer index computation on that
+lattice (`geq_probability`). Two estimators give P(c is the true best)
+for each candidate, a product of pairwise beat terms per candidate
+followed by normalization, and `entropy` measures the result:
 
-- prob_ind treats every pairwise comparison on the candidates' full score
-  pdfs, ignoring score dependence through shared questions. Candidates
-  with the same (lo, hi) span have the same beat terms, so the terms are
-  counted once per unordered pair of distinct spans into a class table:
-  from the two ranges' overlap, an arithmetic series gives the lattice
-  pairs where one side is at least the other, and the tie identity
-  P(A >= B) + P(B >= A) = 1 + P(A = B) gives the reverse count. Both are
-  exact integers over the product of the two support sizes, so no term
-  depends on the grid resolution. Every candidate pair still multiplies
-  one table term into each side's product, so the cost stays quadratic
-  in the candidate count however few distinct spans there are.
+- prob_ind compares the candidates' full score pdfs, ignoring score
+  dependence through shared questions. Its beat terms are exact pair
+  counts over a table of the distinct spans, so none depends on the grid
+  resolution, and its cost stays quadratic in the candidate count.
 - prob_dep first pins the unknowns shared by each compared pair to the
   range minimum, so terms that would move both scores identically drop
-  out of the comparison. Each beat term walks one eliminated pdf against
-  the other's cumulative sums (`geq_probability`), so its cost is linear
-  in the support sizes and grows with the grid resolution. On candidates
-  that share no entities it degenerates to prob_ind.
+  out of the comparison. Its beat terms walk the eliminated pdfs
+  (`geq_probability`), so its cost grows with the grid resolution. On
+  candidates that share no entities it degenerates to prob_ind.
 
 Both estimators read only the candidates' score bounds and, for
 prob_dep, each pair's shared-unknown cut, as the incidence core holds
 them (`bounds.Incidence`). brute_force_dist enumerates every grid
 completion of the unknowns from (candidates, spec, knowns) and is the
 exact reference the estimators are tested against.
-
-Scores, bounds and pdf supports are integer counts of the spec's quantum,
-so every comparison between candidate scores is exact.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-# perfbench/tracing.py wraps uniform_pdf, geq_probability and
-# geq_probability_naive by name on `winner`; no estimator here calls
-# geq_probability_naive any more, but keep it importable.
-from .distributions import (DiscretePdf, geq_probability,
-                            geq_probability_naive, uniform_pdf)
 from .model import (Candidate, KnownStore, ScoringSpec, question_universe,
                     questions_of, unknown_questions)
 
 CHUNK = 65_536  # completions per numpy batch in `brute_force_dist`
+_MASS_TOL = 1e-9
 
 
 class CapExceededError(RuntimeError):
     """Exhaustive enumeration would exceed the configured assignment cap."""
+
+
+@dataclass(frozen=True)
+class DiscretePdf:
+    """Probability masses on consecutive lattice points.
+
+    Support point i sits at origin + i quanta. Masses must sum to 1.
+    """
+
+    origin: int
+    masses: tuple[float, ...]
+
+    def __post_init__(self):
+        if not self.masses:
+            raise ValueError("pdf needs at least one support point")
+        if any(m < 0 for m in self.masses):
+            raise ValueError("masses must be nonnegative")
+        if abs(sum(self.masses) - 1.0) > _MASS_TOL:
+            raise ValueError(f"masses sum to {sum(self.masses)}, not 1")
+
+    def __len__(self) -> int:
+        return len(self.masses)
+
+    def prefix_sums(self) -> tuple[float, ...]:
+        """Cumulative masses; entry i is P(value <= origin + i)."""
+        out = []
+        acc = 0.0
+        for m in self.masses:
+            acc += m
+            out.append(acc)
+        return tuple(out)
+
+
+def uniform_pdf(lo: int, hi: int) -> DiscretePdf:
+    """Uniform pdf over the lattice points lo..hi (quanta, lo <= hi)."""
+    m = hi - lo + 1
+    return DiscretePdf(lo, (1.0 / m,) * m)
+
+
+def geq_probability(a: DiscretePdf, b: DiscretePdf) -> float:
+    """P(A >= B) for independent A ~ a, B ~ b on the lattice.
+
+    Linear in the support sizes: walks a's masses against b's cumulative
+    sums.
+    """
+    off = a.origin - b.origin
+    cdf_b = b.prefix_sums()
+    last = len(b) - 1
+    total = 0.0
+    for i, mass in enumerate(a.masses):
+        j = i + off
+        if j < 0:
+            continue
+        total += mass * cdf_b[min(j, last)]
+    return total
+
+
+def geq_probability_naive(a: DiscretePdf, b: DiscretePdf) -> float:
+    """Reference double sum over all support pairs; quadratic.
+
+    No estimator calls it: it is the reference that tests hold
+    `geq_probability` to.
+    """
+    off = a.origin - b.origin
+    total = 0.0
+    for i, ma in enumerate(a.masses):
+        for j, mb in enumerate(b.masses):
+            if i + off >= j:
+                total += ma * mb
+    return total
 
 
 @dataclass(frozen=True)
@@ -76,6 +137,17 @@ def normalize(raw: Sequence[float]) -> tuple[float, ...]:
         n = len(raw)
         return (1.0 / n,) * n
     return tuple(r / total for r in raw)
+
+
+def entropy(probs: Sequence[float]) -> float:
+    """Shannon entropy in nats; zero-probability terms contribute nothing."""
+    h = 0.0
+    for p in probs:
+        if p < 0:
+            raise ValueError("probabilities must be nonnegative")
+        if p > 0:
+            h -= p * math.log(p)
+    return max(h, 0.0)
 
 
 def prob_ind(lo: Sequence[int], hi: Sequence[int]) -> WinnerDistribution:

@@ -667,6 +667,34 @@ def test_gen_refuses_more_k_sets_than_one_solve_takes(tmp_path, capsys):
     assert len(rows) == 4960
 
 
+def test_k_sets_that_ask_too_many_questions_exit_2_creating_nothing(
+        tmp_path):
+    """One 2000-set asks 2 001 000 questions; building them ended in a
+    `MemoryError` under 700 MB after about 13 s. `gen` and `experiment`
+    refuse the set before they create their output directory."""
+    out_dir = tmp_path / "bigk"
+    message = (r"a 2000-set asks 2001000 questions, above the limit of \d+ "
+               r"per candidate; use a smaller k$")
+    start = time.perf_counter()
+    out = _in_700_mb("gen", "--n", "3000", "--k", "2000", "--candidates",
+                     "1", "--out", str(out_dir))
+    assert time.perf_counter() - start < 5
+    assert out.returncode == 2, out.stderr
+    assert re.match("error: " + message, out.stderr)
+    assert "Traceback" not in out.stderr
+    assert not out_dir.exists()
+    config = tmp_path / "bigk.json"
+    config.write_text(json.dumps({"kList": [2000], "candidateCountList": [1],
+                                  "policies": ["random"]}))
+    out = _in_700_mb("experiment", "--config", str(config), "--out",
+                     str(out_dir))
+    assert out.returncode == 2, out.stderr
+    assert re.match(f"error: malformed experiment config {re.escape(str(config))}: "
+                    + message, out.stderr)
+    assert "Traceback" not in out.stderr
+    assert not out_dir.exists()
+
+
 def test_gen_into_a_path_that_cannot_be_created(tmp_path, capsys):
     blocker = tmp_path / "file"
     blocker.write_text("")

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from topkset import (DiscretePdf, geq_probability, normalize, prob_ind,
                      uniform_pdf)
-from topkset.distributions import geq_probability_naive
+from topkset.winner import geq_probability_naive
 
 
 class TestDiscretePdf:

@@ -3,6 +3,7 @@
 import collections
 import itertools
 import json
+import math
 import os
 import random
 from decimal import Decimal
@@ -17,7 +18,8 @@ from topkset import (Candidate, Construct, KnownStore, Policy, Problem,
                      generate_synthetic, solve)
 from topkset import bounds, engine, selection, winner
 from topkset.bounds import prune_and_prove, score_bounds
-from topkset.engine import DEP_MAX_SUPPORT, MAX_CANDIDATES
+from topkset.engine import (DEP_MAX_SUPPORT, MAX_CANDIDATES,
+                            MAX_SET_QUESTIONS)
 from topkset.harness import default_spec, exact_scores
 from topkset.model import question_universe, questions_of, unknown_questions
 from topkset.oracle import OracleError
@@ -509,6 +511,35 @@ def test_a_failed_status_line_leaves_the_oracle_error_as_it_is(f1):
     assert err.value.__context__ is None
 
 
+class Boom(Exception):
+    pass
+
+
+@needs_dev_full
+@pytest.mark.parametrize("failure", [Boom(), KeyboardInterrupt()],
+                         ids=["exception", "interrupt"])
+def test_a_failed_step_line_leaves_a_selection_failure_as_it_is(
+        monkeypatch, failure):
+    """Selection fails on its second call, after the first answer's step
+    is made; that step's line then cannot be written, and the failure
+    still comes out, unchanged: a Ctrl-C there still exits 130."""
+    problem = generate_synthetic(7, 3, seed=0, unknown_count=12)
+    original, calls = engine.select_entrred, itertools.count(1)
+
+    def select(*args):
+        if next(calls) == 2:
+            raise failure
+        return original(*args)
+
+    monkeypatch.setattr(engine, "select_entrred", select)
+    oracle = TableOracle(problem.ground_truth)
+    with pytest.raises(type(failure)) as err:
+        solve(problem, Policy.ENTRRED_IND, oracle, trace_path="/dev/full")
+    assert err.value is failure
+    assert err.value.__context__ is None
+    assert next(calls) == 3
+
+
 class TraceReadingOracle:
     """A table oracle that notes each question and the trace lines on disk
     when it was asked."""
@@ -664,6 +695,46 @@ def test_more_candidates_than_the_limit_ask_nothing(tmp_path):
             solve(problem, policy, oracle, trace_path=str(trace))
         assert oracle.calls == 0
         assert not trace.exists()
+
+
+def test_k_sets_that_ask_too_many_questions_ask_nothing(tmp_path):
+    """One 2000-set asks 2000 + C(2000, 2) questions under the default
+    spec: no policy builds the core, opens the trace or asks the oracle."""
+    entities = tuple(f"E{i:04d}" for i in range(2000))
+    problem = Problem(entities, default_spec(), 2000,
+                      (Candidate(0, entities),))
+    trace = tmp_path / "trace.jsonl"
+    for policy in ALL_POLICIES:
+        oracle = ScriptedOracle()
+        with pytest.raises(ValidationError,
+                           match=f"^a 2000-set asks 2001000 questions, above "
+                                 f"the limit of {MAX_SET_QUESTIONS} per "
+                                 f"candidate; use a smaller k$"):
+            solve(problem, policy, oracle, trace_path=str(trace))
+        assert oracle.calls == 0
+        assert not trace.exists()
+
+
+@pytest.mark.parametrize("limit", [4, 3])
+def test_the_set_question_limit_is_inclusive(monkeypatch, limit):
+    """A 2-set asks 2 + 1 questions of the default spec and one more of a
+    second binary construct."""
+    spec = ScoringSpec((*default_spec().constructs, Construct("sim", 2)))
+    problem = generate_synthetic(4, 2, seed=2, spec=spec)
+    monkeypatch.setattr(engine, "MAX_SET_QUESTIONS", limit)
+    if limit >= 4:
+        Solver(problem, Policy.RANDOM)
+    else:
+        with pytest.raises(ValidationError, match="^a 2-set asks 4 questions"):
+            Solver(problem, Policy.RANDOM)
+
+
+@pytest.mark.parametrize("k, asked", [(3, 6), (4, 10)],
+                         ids=["benchmark-k-3", "sweep-k-4"])
+def test_shipped_k_sets_stay_far_below_the_question_limit(k, asked):
+    spec = default_spec()
+    assert sum(math.comb(k, c.arity) for c in spec.constructs) == asked
+    assert 10_000 * asked < MAX_SET_QUESTIONS
 
 
 @pytest.mark.parametrize("count", [5, 6])

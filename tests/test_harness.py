@@ -17,7 +17,8 @@ import pytest
 from topkset import (ExperimentConfig, Policy, Question, TableOracle, harness,
                      ValidationError, generate_synthetic, load_problem,
                      run_experiment, solve, unknown_questions, write_bundle)
-from topkset.engine import DEP_MAX_SUPPORT, MAX_CANDIDATES
+from topkset.engine import (DEP_MAX_SUPPORT, MAX_CANDIDATES,
+                            MAX_SET_QUESTIONS)
 from topkset.harness import (_smallest_n, default_spec, exact_scores,
                              load_spec)
 
@@ -218,6 +219,26 @@ class TestLoaderValidation:
                                  f"with --candidates$"):
             load_problem(ds, 3)
 
+    @pytest.mark.parametrize("listed", [True, False],
+                             ids=["candidates-csv", "enumerated"])
+    def test_k_sets_that_ask_too_many_questions_are_refused_unread(
+            self, tmp_path, listed):
+        """One 2000-set asks 2000 + C(2000, 2) questions of f1's spec,
+        whether candidates.csv lists it or loading enumerates it."""
+        ds = _broken_copy(tmp_path)
+        entities = [f"E{i:04d}" for i in range(2000)]
+        (ds / "entities.csv").write_text(
+            "id\n" + "".join(f"{e}\n" for e in entities))
+        if listed:
+            (ds / "candidates.csv").write_text(",".join(entities) + "\n")
+        else:
+            (ds / "candidates.csv").unlink()
+        with pytest.raises(ValidationError,
+                           match=f"^a 2000-set asks 2001000 questions, above "
+                                 f"the limit of {MAX_SET_QUESTIONS} per "
+                                 f"candidate; use a smaller k$"):
+            load_problem(ds, 2000)
+
     def test_a_huge_grid_is_refused_before_it_is_built(self, tmp_path):
         """10**8 grid values took 55 s to build and then ran out of
         memory; the spec is refused at once instead."""
@@ -255,6 +276,23 @@ class TestLoadSpec:
         p.write_text(json.dumps({"constructs": []}))
         with pytest.raises(ValidationError, match="malformed"):
             load_spec(p)
+
+    @pytest.mark.parametrize("drop, key", [
+        ((), "step"), ((), "range"), (("name",), "name"),
+        (("arity",), "arity")],
+        ids=["step", "range", "construct-name", "construct-arity"])
+    def test_a_missing_key_is_named(self, tmp_path, drop, key):
+        raw = {"constructs": [{"name": "rel", "arity": 1}],
+               "range": [0, 1], "step": 0.5}
+        if drop:
+            del raw["constructs"][0][key]
+        else:
+            del raw[key]
+        p = tmp_path / "spec.json"
+        p.write_text(json.dumps(raw))
+        with pytest.raises(ValidationError) as err:
+            load_spec(p)
+        assert str(err.value) == f"malformed scoring spec {p}: lacks '{key}'"
 
     def test_defaults(self, tmp_path):
         p = tmp_path / "spec.json"
@@ -372,6 +410,20 @@ class TestGenerateSynthetic:
     def test_rejects_n_below_k(self):
         with pytest.raises(ValidationError):
             generate_synthetic(2, 3)
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_rejects_k_below_one(self, k):
+        with pytest.raises(ValidationError, match="^k must be >= 1$"):
+            generate_synthetic(4, k)
+
+    def test_refuses_k_sets_that_ask_too_many_questions(self):
+        """One 2000-set asks 2000 + C(2000, 2) questions; refused before
+        any k-set is listed."""
+        with pytest.raises(ValidationError,
+                           match=f"^a 2000-set asks 2001000 questions, above "
+                                 f"the limit of {MAX_SET_QUESTIONS} per "
+                                 f"candidate; use a smaller k$"):
+            generate_synthetic(3000, 2000, candidate_cap=1)
 
     def test_refuses_more_k_sets_than_one_solve_takes(self):
         assert math.comb(33, 3) == 5456 > MAX_CANDIDATES
@@ -576,6 +628,41 @@ class TestExperimentConfig:
                                  f"above the limit of {MAX_CANDIDATES} per "
                                  f"solve; .*--candidates"):
             ExperimentConfig((2,), (4, MAX_CANDIDATES + 1), (Policy.RANDOM,))
+
+    @pytest.mark.parametrize("k, asked", [(706, 249571), (707, 250278)])
+    def test_bounds_the_questions_of_a_k_set(self, k, asked):
+        """k + C(k, 2) questions of the default spec per k-set."""
+        if asked <= MAX_SET_QUESTIONS:
+            ExperimentConfig((2, k), (1,), (Policy.RANDOM,))
+        else:
+            with pytest.raises(ValidationError,
+                               match=f"^a {k}-set asks {asked} questions, "
+                                     f"above the limit of "
+                                     f"{MAX_SET_QUESTIONS} per candidate"):
+                ExperimentConfig((2, k), (1,), (Policy.RANDOM,))
+
+    def test_a_k_set_of_too_many_questions_creates_nothing(self, tmp_path):
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps({"kList": [2000], "candidateCountList": [1],
+                                 "policies": ["random"]}))
+        with pytest.raises(ValidationError) as err:
+            ExperimentConfig.from_json(p)
+        assert str(err.value).startswith(
+            f"malformed experiment config {p}: a 2000-set asks 2001000 "
+            f"questions")
+
+    @pytest.mark.parametrize("key", ["kList", "candidateCountList",
+                                     "policies"])
+    def test_a_missing_key_is_named(self, tmp_path, key):
+        fields = {"kList": [2], "candidateCountList": [4],
+                  "policies": ["random"]}
+        del fields[key]
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(fields))
+        with pytest.raises(ValidationError) as err:
+            ExperimentConfig.from_json(p)
+        assert str(err.value) == \
+            f"malformed experiment config {p}: lacks '{key}'"
 
     def test_rejects_empty_lists_and_zero_trials(self):
         with pytest.raises(ValidationError):

@@ -14,12 +14,12 @@ from topkset import (Candidate, CapExceededError, Construct, KnownStore,
                      Question, ScoringSpec, brute_force_dist,
                      eliminated_bounds, generate_synthetic, normalize,
                      prob_dep, prob_ind, score_bounds)
+from topkset import winner
 from topkset.bounds import Incidence
-from topkset.distributions import (geq_probability, geq_probability_naive,
-                                   uniform_pdf)
 from topkset.harness import default_spec
 from topkset.model import question_universe, questions_of, unknown_questions
-from topkset.winner import most_probable
+from topkset.winner import (geq_probability, geq_probability_naive,
+                            most_probable, uniform_pdf)
 
 from .conftest import (core_arrays, hotel_spec, partial_states,
                        shuffled_states)
@@ -251,6 +251,32 @@ def test_prob_dep_raw_is_the_product_of_linear_walks(spec):
         arrays = core_arrays(cands, spec, knowns)
         assert prob_dep(arrays.lo, arrays.hi, arrays.cut).probs == \
             normalize(expected)
+
+
+def test_prob_dep_calls_the_pdf_primitives_through_winner(f1, monkeypatch):
+    """perfbench counts `support_points` and `pdf_comparisons` by wrapping
+    `uniform_pdf` and `geq_probability` on `winner`, so `prob_dep` must
+    reach both through that module's globals: wrappers put there see one
+    pdf per distinct (candidate, cut) and two beat terms per pair."""
+    a = core_arrays(f1.candidates, f1.spec, f1.knowns)
+    expected = prob_dep(a.lo, a.hi, a.cut)
+    built, compared = [], []
+
+    def counting(calls, fn):
+        def counted(*args):
+            calls.append(args)
+            return fn(*args)
+        return counted
+
+    monkeypatch.setattr(winner, "uniform_pdf",
+                        counting(built, winner.uniform_pdf))
+    monkeypatch.setattr(winner, "geq_probability",
+                        counting(compared, winner.geq_probability))
+    assert prob_dep(a.lo, a.hi, a.cut) == expected
+    pairs = list(itertools.combinations(range(len(a.lo)), 2))
+    assert len(compared) == 2 * len(pairs) == 6
+    assert len(built) == len({(x, int(a.cut[i, j])) for i, j in pairs
+                              for x in (i, j)}) > 0
 
 
 @pytest.mark.parametrize("spec", [
